@@ -37,7 +37,6 @@ __all__ = [
     "convolve_box_separable",
     "convolve_shell_separable",
     "box_average",
-    "shell_average",
     "box_average_array",
 ]
 
@@ -203,18 +202,22 @@ def _axis_window_pass(
     return restored.reshape(values.shape)
 
 
+def _separable_box(values: np.ndarray, geometry: TorusGeometry, axes, k: int):
+    """Even-box average of an (m^n, d) array, or None where it fixes the values."""
+    axes = _normalize_axes(geometry, axes)
+    check_radius(k, geometry.m)
+    if k == 1 or not axes or _is_constant(values):
+        # the radius-1 box is the single zero offset
+        return None
+    for axis in axes:
+        values = _axis_window_pass(values, geometry, axis, k, odd_window=False)
+    return values / float(k ** len(axes))
+
+
 def convolve_box_separable(f: FunctionTable, axes, k: int) -> FunctionTable:
     """Even-box average computed as one window pass per axis."""
-    g = f.geometry
-    axes = _normalize_axes(g, axes)
-    check_radius(k, g.m)
-    if k == 1 or not axes or _is_constant(f.values):
-        # the radius-1 box is the single zero offset
-        return f
-    vals = f.values
-    for axis in axes:
-        vals = _axis_window_pass(vals, g, axis, k, odd_window=False)
-    return FunctionTable(g, vals / float(k ** len(axes)))
+    out = _separable_box(f.values, f.geometry, axes, k)
+    return f if out is None else FunctionTable(f.geometry, out)
 
 
 def convolve_shell_separable(f: FunctionTable, axis: int, k: int) -> FunctionTable:
@@ -243,20 +246,9 @@ def box_average(f: FunctionTable, axes, k: int) -> FunctionTable:
     return convolve(f, build_even_box(f.geometry, axes, k))
 
 
-def shell_average(f: FunctionTable, axis: int, k: int) -> FunctionTable:
-    """Average over the parity shell of the given axis."""
-    return convolve_shell_separable(f, axis, k)
-
-
 def box_average_array(
     geometry: TorusGeometry, values: np.ndarray, axes, k: int
 ) -> np.ndarray:
     """Array-level even-box average used by gradient code; always separable."""
-    axes = _normalize_axes(geometry, axes)
-    check_radius(k, geometry.m)
-    if k == 1 or not axes or _is_constant(values):
-        return values.copy()
-    out = values
-    for axis in axes:
-        out = _axis_window_pass(out, geometry, axis, k, odd_window=False)
-    return out / float(k ** len(axes))
+    out = _separable_box(values, geometry, axes, k)
+    return values.copy() if out is None else out

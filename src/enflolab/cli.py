@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -37,13 +36,13 @@ from .inequalities import (
     smoothing_ratio,
 )
 from .search import (
+    OBJECTIVE_KINDS,
     OptimizationConfig,
     SCAN_CSV_COLUMNS,
     SEARCH_OBJECTIVES,
-    _make_objective,
-    _maximize_full,
-    ScanRow,
+    map_cells,
     scan_grid,
+    search_row,
 )
 from .torus import FunctionTable, TorusGeometry, as_norm
 
@@ -76,10 +75,6 @@ _TOLERANCE_DEFAULTS = {
     "proven_inequality_rel": 1e-9,
     "fit_h00": 1e-6,
 }
-
-# objectives whose tables live on a general torus rather than the hypercube
-_TORUS_OBJECTIVES = ("scaled_enflo", "smoothing", "approximation")
-_RADIUS_OBJECTIVES = ("smoothing", "approximation")
 
 
 class ConfigError(ValueError):
@@ -129,12 +124,12 @@ class ExperimentConfig:
             "tolerances": dict(sorted(self.tolerances.items())),
         }
 
-    def optimizer(self, seed) -> OptimizationConfig:
+    def optimizer(self) -> OptimizationConfig:
         return OptimizationConfig(
             restarts=self.restarts,
             iterations=self.iterations,
             step=self.step,
-            seed=seed,
+            seed=self.seed,
             smoothing_eps=self.smoothing_eps,
         )
 
@@ -304,16 +299,8 @@ def _validate_for_command(cfg: ExperimentConfig) -> None:
                         "k_values entries must be at least 3 when objectives "
                         "include approximation"
                     )
-        radius_used = [o for o in cfg.objectives if o in _RADIUS_OBJECTIVES]
-        if radius_used:
+        if any(OBJECTIVE_KINDS[o].radius for o in cfg.objectives):
             _check_pairs(cfg, cfg.k_values)
-
-
-def _ordered_cells(runner, count: int, threads: int) -> list:
-    if threads <= 1:
-        return [runner(ci) for ci in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(runner, range(count)))
 
 
 def _csv_text(columns, rows) -> str:
@@ -364,7 +351,7 @@ def _run_check_lemmas(cfg: ExperimentConfig, threads: int):
             rows.extend(r.with_seed(cfg.seed).to_csv_row() for r in reports)
         return rows
 
-    collected = _ordered_cells(run, len(cells), threads)
+    collected = map_cells(run, len(cells), threads)
     rows = [row for cell_rows in collected for row in cell_rows]
     return {"report.csv": _csv_text(REPORT_CSV_COLUMNS, rows)}, True
 
@@ -372,10 +359,10 @@ def _run_check_lemmas(cfg: ExperimentConfig, threads: int):
 def _run_estimate_constants(cfg: ExperimentConfig, threads: int):
     cells = []
     for objective in cfg.objectives:
-        torus = objective in _TORUS_OBJECTIVES
+        kind = OBJECTIVE_KINDS[objective]
         for n in cfg.n_values:
-            for m in (cfg.m_values if torus else (2,)):
-                for k in (cfg.k_values if objective in _RADIUS_OBJECTIVES else (None,)):
+            for m in (cfg.m_values if kind.torus else (2,)):
+                for k in (cfg.k_values if kind.radius else (None,)):
                     for p in cfg.p_values:
                         for q in cfg.q_values:
                             for d in cfg.d_values:
@@ -383,29 +370,10 @@ def _run_estimate_constants(cfg: ExperimentConfig, threads: int):
 
     def run(ci: int):
         objective, n, m, k, p, q, d = cells[ci]
-        geometry = TorusGeometry(n, m)
-        norm = as_norm(q)
-        opt = cfg.optimizer((cfg.seed, ci))
-        obj = _make_objective(objective, geometry, d, norm, p, k, cfg.smoothing_eps)
-        out = _maximize_full(obj, geometry, d, opt)
-        return ScanRow(
-            objective=objective,
-            n=n,
-            m=m,
-            k=k,
-            p=p,
-            q=norm.q,
-            d=d,
-            empirical_theta=out.report.ratio ** (1.0 / p),
-            lhs=out.report.lhs,
-            rhs=out.report.rhs,
-            restarts=cfg.restarts,
-            iterations=out.accepted_steps,
-            seed=cfg.seed,
-            best_restart=out.best_restart,
-        ).to_csv_row()
+        row = search_row(objective, TorusGeometry(n, m), d, q, p, k, cfg.optimizer(), ci)
+        return row.to_csv_row()
 
-    rows = _ordered_cells(run, len(cells), threads)
+    rows = map_cells(run, len(cells), threads)
     return {"report.csv": _csv_text(SCAN_CSV_COLUMNS, rows)}, True
 
 
@@ -416,7 +384,7 @@ def _run_scan(cfg: ExperimentConfig, threads: int):
         p=cfg.p_values[0],
         q=cfg.q_values[0],
         d=cfg.d_values[0],
-        config=cfg.optimizer(cfg.seed),
+        config=cfg.optimizer(),
         threads=threads,
     )
     return {"report.csv": _csv_text(SCAN_CSV_COLUMNS, [r.to_csv_row() for r in rows])}, True
@@ -469,7 +437,7 @@ def _run_identity(cfg: ExperimentConfig, threads: int, verify: bool):
         name = f"h_coeffs_{n}_{k}.json"
         return row, passed, name, _json_text(coeffs.to_json_dict())
 
-    collected = _ordered_cells(run, len(cells), threads)
+    collected = map_cells(run, len(cells), threads)
     outputs = {}
     rows = []
     all_passed = True

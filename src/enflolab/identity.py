@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .averaging import box_average, check_radius, shell_average
+from .averaging import box_average, check_radius, convolve_shell_separable
 from .inequalities import RatioReport, _build_report, _grid_moment, edge_energy
 from .torus import FunctionTable, TorusGeometry, as_exponent, as_norm, sign_vectors
 
@@ -146,7 +146,7 @@ def shell_difference_sum(f: FunctionTable, k: int, x, eps) -> np.ndarray:
     ev = _check_signs(eps, g.n)
     out = np.zeros(f.d)
     for axis in range(g.n):
-        avg = shell_average(f, axis, k)
+        avg = convolve_shell_separable(f, axis, k)
         step = np.zeros(g.n, dtype=np.int64)
         step[axis] = 1
         out += ev[axis] * (avg.values[g.encode(xv + step)] - avg.values[g.encode(xv - step)])
@@ -161,7 +161,7 @@ def shell_difference_sum_table(f: FunctionTable, k: int, eps) -> np.ndarray:
     shape = g.shape + (f.d,)
     acc = np.zeros(shape)
     for axis in range(g.n):
-        nd = shell_average(f, axis, k).values.reshape(shape)
+        nd = convolve_shell_separable(f, axis, k).values.reshape(shape)
         acc += float(ev[axis]) * (np.roll(nd, -1, axis=axis) - np.roll(nd, 1, axis=axis))
     return acc.reshape(f.values.shape)
 

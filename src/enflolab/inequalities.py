@@ -6,12 +6,19 @@ RatioReport carrying both sides, the ratio, a degeneracy flag for the 0/0
 case, and the cell parameters. A positive numerator against an exactly zero
 denominator would falsify a proven bound, so that state aborts instead of
 reporting.
+
+Each side of each inequality is a weighted p-th moment of linear
+translation-invariant difference operators, optionally taken after a box
+average. The operators are defined once below as (apply, adjoint) pairs on
+(m,)*n + (d,) arrays; the extremal search differentiates the same pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +35,13 @@ from .torus import (
 __all__ = [
     "RatioReport",
     "ProvenBoundViolation",
+    "DiffOp",
+    "shift_difference",
+    "unit_steps",
+    "half_shift",
+    "diagonal_differences",
+    "mean_deviation",
+    "sign_combinations",
     "REPORT_CSV_COLUMNS",
     "edge_energy",
     "rademacher_ratio",
@@ -93,20 +107,7 @@ class RatioReport:
         return replace(self, seed=seed)
 
     def to_csv_row(self) -> list[str]:
-        return [
-            self.evaluator,
-            format_cell(self.n),
-            format_cell(self.m),
-            format_cell(self.k),
-            format_cell(self.p),
-            format_cell(self.q),
-            format_cell(self.d),
-            format_cell(self.lhs),
-            format_cell(self.rhs),
-            format_cell(self.ratio),
-            format_cell(self.degenerate),
-            format_cell(self.seed),
-        ]
+        return [format_cell(getattr(self, column)) for column in REPORT_CSV_COLUMNS]
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,21 +147,105 @@ def _build_report(
     return RatioReport(evaluator, lhs, rhs, lhs / rhs, False, n, m, k, p, q, d)
 
 
+class DiffOp(NamedTuple):
+    """A linear operator on tables shaped (m,)*n + (d,), and its adjoint.
+
+    apply maps a table to an array of difference vectors (last axis d);
+    adjoint maps an array of that shape back to a table, transposing apply
+    under the entrywise inner product.
+    """
+
+    apply: Callable[[np.ndarray], np.ndarray]
+    adjoint: Callable[[np.ndarray], np.ndarray]
+
+
+def shift_difference(plus, minus=None, axes=None) -> DiffOp:
+    """x -> f(x + plus) - f(x + minus) over the given grid axes; minus defaults to 0.
+
+    np.roll by -z reads f(x + z), so the adjoint rolls the other way.
+    """
+    plus = tuple(int(v) for v in plus)
+    axes = tuple(range(len(plus))) if axes is None else tuple(axes)
+    ahead = tuple(-v for v in plus)
+    if minus is None:
+        return DiffOp(
+            lambda nd: np.roll(nd, ahead, axis=axes) - nd,
+            lambda w: np.roll(w, plus, axis=axes) - w,
+        )
+    minus = tuple(int(v) for v in minus)
+    behind = tuple(-v for v in minus)
+    return DiffOp(
+        lambda nd: np.roll(nd, ahead, axis=axes) - np.roll(nd, behind, axis=axes),
+        lambda w: np.roll(w, plus, axis=axes) - np.roll(w, minus, axis=axes),
+    )
+
+
+@lru_cache(maxsize=None)
+def unit_steps(n: int) -> tuple[DiffOp, ...]:
+    """f(x + e_j) - f(x) for each axis j."""
+    return tuple(shift_difference((1,), axes=(axis,)) for axis in range(n))
+
+
+@lru_cache(maxsize=None)
+def half_shift(n: int, m: int) -> DiffOp:
+    """f(x + (m/2) 1) - f(x); on the cube (m = 2) this is the antipodal increment."""
+    return shift_difference((m // 2,) * n)
+
+
+@lru_cache(maxsize=None)
+def diagonal_differences(n: int) -> tuple[DiffOp, ...]:
+    """f(x + eps) - f(x - eps) for each sign vector eps, in sign_vectors order."""
+    return tuple(shift_difference(eps, -eps) for eps in sign_vectors(n))
+
+
+def _deviation(nd: np.ndarray) -> np.ndarray:
+    flat = nd.reshape(-1, nd.shape[-1])
+    return flat - flat.mean(axis=0)
+
+
+# f - E f on the flat (m^n, d) view; an orthogonal projection, so self adjoint
+mean_deviation = DiffOp(_deviation, _deviation)
+
+
+@lru_cache(maxsize=None)
+def sign_combinations(n: int) -> DiffOp:
+    """(eps, x) -> sum_j eps_j (f(x + e_j) - f(x)) on the cube, for all 2^n eps."""
+    steps = unit_steps(n)
+    signs = sign_vectors(n).astype(np.float64)
+
+    def apply(nd):
+        derivs = np.stack([step.apply(nd).reshape(-1) for step in steps])
+        return (signs @ derivs).reshape(signs.shape[0], -1, nd.shape[-1])
+
+    def adjoint(w):
+        per_axis = np.einsum("sj,sxc->jxc", signs, w)
+        shape = (2,) * n + (w.shape[-1],)
+        out = np.zeros(shape)
+        for axis, step in enumerate(steps):
+            out += step.adjoint(per_axis[axis].reshape(shape))
+        return out
+
+    return DiffOp(apply, adjoint)
+
+
 def _grid_moment(diff: np.ndarray, norm: NormSpec, p: float) -> float:
     """Mean over all leading positions of the p-th power of the vector norm."""
     return float(np.mean(_moment_power(norm.lengths(diff), p)))
 
 
+def _ops_moment(ops, nd: np.ndarray, norm: NormSpec, p: float) -> float:
+    """Sum over the operators of the grid moment of their output."""
+    total = 0.0
+    for op in ops:
+        total += _grid_moment(op.apply(nd), norm, p)
+    return total
+
+
 def edge_energy(f: FunctionTable, norm, p) -> float:
     """Sum over axes of the mean p-th moment of the unit-step difference."""
-    norm = as_norm(norm)
-    p = as_exponent(p)
-    nd = f.nd_view()
-    total = 0.0
-    for axis in range(f.geometry.n):
-        diff = np.roll(nd, -1, axis=axis) - nd
-        total += _grid_moment(diff, norm, p)
-    return total
+    return _ops_moment(
+        unit_steps(f.geometry.n), f.nd_view(), as_norm(norm), as_exponent(p)
+    )
 
 
 def rademacher_ratio(vectors, norm, p) -> RatioReport:
@@ -194,12 +279,8 @@ def enflo_ratio(f: FunctionTable, norm, p) -> RatioReport:
     p = as_exponent(p)
     n = f.geometry.n
     nd = f.nd_view()
-    grid_axes = tuple(range(n))
-    antipode = np.roll(nd, (1,) * n, axis=grid_axes)
-    lhs = _grid_moment(antipode - nd, norm, p)
-    rhs = 0.0
-    for axis in grid_axes:
-        rhs += _grid_moment(np.roll(nd, 1, axis=axis) - nd, norm, p)
+    lhs = _grid_moment(half_shift(n, 2).apply(nd), norm, p)
+    rhs = _ops_moment(unit_steps(n), nd, norm, p)
     return _build_report("enflo", lhs, rhs, n=n, m=2, k=None, p=p, q=norm.q, d=f.d)
 
 
@@ -208,12 +289,9 @@ def scaled_enflo_ratio(f: FunctionTable, norm, p) -> RatioReport:
     norm = as_norm(norm)
     p = as_exponent(p)
     g = f.geometry
-    nd = f.nd_view()
-    half = g.m // 2
     # x + (m/2) eps is the same point for every sign vector eps, because
     # m/2 and -m/2 coincide mod m; the sign average is therefore trivial
-    shifted = np.roll(nd, (-half,) * g.n, axis=tuple(range(g.n)))
-    lhs = _grid_moment(shifted - nd, norm, p)
+    lhs = _grid_moment(half_shift(g.n, g.m).apply(f.nd_view()), norm, p)
     rhs = float(g.m) ** p * edge_energy(f, norm, p)
     return _build_report(
         "scaled_enflo", lhs, rhs, n=g.n, m=g.m, k=None, p=p, q=norm.q, d=f.d
@@ -248,13 +326,7 @@ def _diagonal_smoothing_moment(
     smooth_nd: np.ndarray, n: int, norm: NormSpec, p: float
 ) -> float:
     """Exact mean over x and all sign vectors of |g(x+eps) - g(x-eps)|^p."""
-    grid_axes = tuple(range(n))
-    total = 0.0
-    for eps in sign_vectors(n):
-        fwd = np.roll(smooth_nd, tuple(int(-e) for e in eps), axis=grid_axes)
-        bwd = np.roll(smooth_nd, tuple(int(e) for e in eps), axis=grid_axes)
-        total += _grid_moment(fwd - bwd, norm, p)
-    return total / float(2**n)
+    return _ops_moment(diagonal_differences(n), smooth_nd, norm, p) / float(2**n)
 
 
 def smoothing_ratio(f: FunctionTable, k: int, norm, p) -> RatioReport:
@@ -290,18 +362,9 @@ def pisier_ratio(g: FunctionTable, norm, p) -> RatioReport:
         raise ValueError("n must be at least 2 for the log-based constant")
     if n > 8:
         raise ValueError("exact evaluation is refused beyond n = 8")
-    flat = g.values
     nd = g.nd_view()
-    mean = flat.mean(axis=0)
-    lhs = float(np.mean(_moment_power(norm.lengths(flat - mean), p)))
-    count = flat.shape[0]
-    derivs = np.empty((n, count * g.d))
-    for axis in range(n):
-        diff = np.roll(nd, 1, axis=axis) - nd
-        derivs[axis] = diff.reshape(-1)
-    signs = sign_vectors(n).astype(np.float64)
-    combos = (signs @ derivs).reshape(count, count, g.d)
-    inner = float(np.mean(_moment_power(norm.lengths(combos), p)))
+    lhs = _grid_moment(mean_deviation.apply(nd), norm, p)
+    inner = _grid_moment(sign_combinations(n).apply(nd), norm, p)
     rhs = (math.e * math.log(n)) ** p * inner
     return _build_report(
         "pisier", lhs, rhs, n=n, m=2, k=None, p=p, q=norm.q, d=g.d
@@ -330,10 +393,7 @@ def scheme_composite_check(
     if g.m % 4 != 0:
         raise ValueError("m must be divisible by 4")
     check_radius(k, g.m)
-    nd = f.nd_view()
-    half = g.m // 2
-    shifted = np.roll(nd, (-half,) * g.n, axis=tuple(range(g.n)))
-    lhs = _grid_moment(shifted - nd, norm, p)
+    lhs = _grid_moment(half_shift(g.n, g.m).apply(f.nd_view()), norm, p)
     smooth = box_average(f, range(g.n), k)
     displacement = _grid_moment(smooth.values - f.values, norm, p)
     diagonal = _diagonal_smoothing_moment(smooth.nd_view(), g.n, norm, p)

@@ -1,72 +1,20 @@
-"""Low-level accumulation kernels with a numba fast path and a numpy fallback.
-
-The default backend is numba whenever it imports, unless the environment
-variable ENFLOLAB_NUMBA is set to "0" before the package loads. Both
-implementations stay importable so they can be compared and benchmarked in
-one process; ``force_backend`` switches the active one temporarily.
-"""
+"""Low-level accumulation kernels over flat numpy arrays."""
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
 
-__all__ = [
-    "AVAILABLE_BACKENDS",
-    "active_backend",
-    "force_backend",
-    "window_sums",
-    "window_sums_numpy",
-    "gather_mean",
-    "gather_mean_numpy",
-]
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    njit = None
-    HAVE_NUMBA = False
-
-AVAILABLE_BACKENDS = ("numpy", "numba") if HAVE_NUMBA else ("numpy",)
-
-_env_choice = os.environ.get("ENFLOLAB_NUMBA", "1")
-_active = "numba" if (HAVE_NUMBA and _env_choice != "0") else "numpy"
+__all__ = ["window_sums", "gather_mean"]
 
 
-def active_backend() -> str:
-    return _active
-
-
-@contextmanager
-def force_backend(name: str):
-    """Temporarily pin the kernel backend ("numpy" or "numba")."""
-    global _active
-    if name not in AVAILABLE_BACKENDS:
-        raise ValueError(f"backend {name!r} not available")
-    previous = _active
-    _active = name
-    try:
-        yield
-    finally:
-        _active = previous
-
-
-def _check_window(length: int, width: int) -> None:
-    if not 1 <= width <= length:
-        raise ValueError("window width must lie in [1, circle length]")
-
-
-def window_sums_numpy(blocks: np.ndarray, start: int, width: int) -> np.ndarray:
+def window_sums(blocks: np.ndarray, start: int, width: int) -> np.ndarray:
     """Circular windowed sums along the last axis of a (rows, length) array.
 
     out[r, s] = sum over t < width of blocks[r, (s + start + t) mod length].
     """
     rows, length = blocks.shape
-    _check_window(length, width)
+    if not 1 <= width <= length:
+        raise ValueError("window width must lie in [1, circle length]")
     a = start % length
     ext = np.concatenate([blocks, blocks, blocks], axis=1)
     cs = np.zeros((rows, 3 * length + 1), dtype=np.float64)
@@ -74,61 +22,9 @@ def window_sums_numpy(blocks: np.ndarray, start: int, width: int) -> np.ndarray:
     return cs[:, a + width : a + width + length] - cs[:, a : a + length]
 
 
-def _window_sums_loop(blocks, a, width, out):  # pragma: no cover - jit body
-    rows, length = blocks.shape
-    for r in range(rows):
-        acc = 0.0
-        for t in range(width):
-            acc += blocks[r, (a + t) % length]
-        out[r, 0] = acc
-        for s in range(1, length):
-            acc += blocks[r, (a + s - 1 + width) % length]
-            acc -= blocks[r, (a + s - 1) % length]
-            out[r, s] = acc
-
-
-def gather_mean_numpy(values: np.ndarray, index_table: np.ndarray) -> np.ndarray:
+def gather_mean(values: np.ndarray, index_table: np.ndarray) -> np.ndarray:
     """Mean over taps t of values[index_table[t]], accumulated in tap order."""
     acc = np.zeros_like(values)
     for t in range(index_table.shape[0]):
         acc += values[index_table[t]]
     return acc / index_table.shape[0]
-
-
-def _gather_mean_loop(values, index_table, out):  # pragma: no cover - jit body
-    taps, npts = index_table.shape
-    d = values.shape[1]
-    for x in range(npts):
-        for c in range(d):
-            acc = 0.0
-            for t in range(taps):
-                acc += values[index_table[t, x], c]
-            out[x, c] = acc / taps
-
-
-if HAVE_NUMBA:
-    _window_sums_jit = njit(cache=True)(_window_sums_loop)
-    _gather_mean_jit = njit(cache=True)(_gather_mean_loop)
-
-
-def window_sums(blocks: np.ndarray, start: int, width: int) -> np.ndarray:
-    """Backend-dispatched circular window sums; see window_sums_numpy."""
-    if _active == "numpy":
-        return window_sums_numpy(blocks, start, width)
-    rows, length = blocks.shape
-    _check_window(length, width)
-    blocks = np.ascontiguousarray(blocks, dtype=np.float64)
-    out = np.empty_like(blocks)
-    _window_sums_jit(blocks, start % length, width, out)
-    return out
-
-
-def gather_mean(values: np.ndarray, index_table: np.ndarray) -> np.ndarray:
-    """Backend-dispatched tap-table averaging; see gather_mean_numpy."""
-    if _active == "numpy":
-        return gather_mean_numpy(values, index_table)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    index_table = np.ascontiguousarray(index_table, dtype=np.int64)
-    out = np.empty_like(values)
-    _gather_mean_jit(values, index_table, out)
-    return out

@@ -1,10 +1,12 @@
 """Extremal search over function tables by smoothed projected gradient ascent.
 
-The objective is the log of an inequality ratio. Both sides are rewritten
-with a smoothed vector norm: each squared component gains eps^2 before the
-q-th power sum, which makes every objective differentiable and strictly
-positive, so the log never sees zero. The sup norm is handled through a
-finite surrogate power. Iterates live in the mean-zero subspace (every
+The objective is the log of an inequality ratio. Each side is declared as
+a scale and a list of the evaluators' difference operators, optionally
+applied after the full-box average, and is rewritten with a smoothed vector
+norm: each squared component gains eps^2 before the q-th power sum, which
+makes every objective differentiable and strictly positive, so the log
+never sees zero. The sup norm is handled through a finite surrogate power.
+Iterates live in the mean-zero subspace (every
 objective kills constants), steps use backtracking halving and accept only
 strict increases, and each restart draws its start from its own seeded
 stream. Scoring between restarts uses the exact evaluators, never the
@@ -16,20 +18,27 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .averaging import box_average_array, check_radius
 from .inequalities import (
+    DiffOp,
     RatioReport,
     approximation_ratio,
+    diagonal_differences,
     enflo_ratio,
     format_cell,
+    half_shift,
+    mean_deviation,
     pisier_ratio,
     scaled_enflo_ratio,
+    sign_combinations,
     smoothing_ratio,
+    unit_steps,
 )
-from .torus import FunctionTable, TorusGeometry, as_exponent, as_norm, sign_vectors
+from .torus import FunctionTable, TorusGeometry, as_exponent, as_norm
 
 __all__ = [
     "OptimizationConfig",
@@ -37,13 +46,31 @@ __all__ = [
     "ScanRow",
     "SCAN_CSV_COLUMNS",
     "SEARCH_OBJECTIVES",
+    "OBJECTIVE_KINDS",
     "maximize_ratio",
     "gradient_check",
     "default_k_rule",
+    "search_row",
+    "map_cells",
     "scan_grid",
 ]
 
-SEARCH_OBJECTIVES = ("scaled_enflo", "smoothing", "approximation", "enflo", "pisier")
+
+class ObjectiveKind(NamedTuple):
+    """Which cells an objective runs on."""
+
+    radius: bool  # takes a box radius k
+    torus: bool  # tables on a general Z_m^n; otherwise the hypercube m = 2
+
+
+OBJECTIVE_KINDS = {
+    "scaled_enflo": ObjectiveKind(radius=False, torus=True),
+    "smoothing": ObjectiveKind(radius=True, torus=True),
+    "approximation": ObjectiveKind(radius=True, torus=True),
+    "enflo": ObjectiveKind(radius=False, torus=False),
+    "pisier": ObjectiveKind(radius=False, torus=False),
+}
+SEARCH_OBJECTIVES = tuple(OBJECTIVE_KINDS)
 
 # sup norm surrogate power for the smoothed objective only
 _SUP_SURROGATE_POWER = 16.0
@@ -96,21 +123,71 @@ def _smooth_piece(diff: np.ndarray, p: float, q_eff: float, eps: float):
     return value, grad
 
 
-def _min_mag(*diffs: np.ndarray) -> float:
-    worst = math.inf
-    for diff in diffs:
-        mags = np.sqrt(np.sum(diff * diff, axis=-1))
-        if mags.size:
-            worst = min(worst, float(mags.min()))
-    return worst
+@dataclass(frozen=True)
+class _Side:
+    """scale times the summed smoothed moments of ops, after a full-box average if boxed."""
+
+    scale: float
+    ops: tuple[DiffOp, ...]
+    boxed: bool = False
 
 
 @dataclass(frozen=True)
 class _Objective:
-    name: str
-    value_grad: object
-    report: object
-    min_diff: object
+    """One cell's log-ratio objective: two smoothed sides and the exact evaluator."""
+
+    lhs: _Side
+    rhs: _Side
+    report: Callable[[FunctionTable], RatioReport]
+    geometry: TorusGeometry
+    shape: tuple[int, ...]  # (m,)*n + (d,)
+    k: int | None
+    p: float
+    q_eff: float
+    eps: float
+
+    def _source(self, side: _Side, vals: np.ndarray) -> np.ndarray:
+        if not side.boxed:
+            return vals
+        return box_average_array(self.geometry, vals, range(self.geometry.n), self.k)
+
+    def _side_value_grad(self, side: _Side, vals: np.ndarray):
+        nd = self._source(side, vals).reshape(self.shape)
+        total = 0.0
+        grad = np.zeros_like(nd)
+        for op in side.ops:
+            v, g = _smooth_piece(op.apply(nd), self.p, self.q_eff, self.eps)
+            total += v
+            grad += op.adjoint(g).reshape(nd.shape)
+        # the box operator is self adjoint, so pull the chain rule through it
+        grad = self._source(side, grad.reshape(vals.shape))
+        return side.scale * total, side.scale * grad
+
+    def value_grad(self, vals: np.ndarray):
+        """Smoothed (lhs, d lhs, rhs, d rhs) at an (m^n, d) array."""
+        return self._side_value_grad(self.lhs, vals) + self._side_value_grad(self.rhs, vals)
+
+    def min_diff(self, vals: np.ndarray) -> float:
+        """Smallest Euclidean length among all difference vectors of both sides."""
+        worst = math.inf
+        for side in (self.lhs, self.rhs):
+            nd = self._source(side, vals).reshape(self.shape)
+            for op in side.ops:
+                diff = op.apply(nd)
+                mags = np.sqrt(np.sum(diff * diff, axis=-1))
+                worst = min(worst, float(mags.min()))
+        return worst
+
+
+def _box_displacement(geometry: TorusGeometry, k: int) -> DiffOp:
+    """f -> B f - f for the full even box average B, which is self adjoint."""
+
+    def apply(nd):
+        flat = nd.reshape(-1, nd.shape[-1])
+        averaged = box_average_array(geometry, flat, range(geometry.n), k)
+        return (averaged - flat).reshape(nd.shape)
+
+    return DiffOp(apply, apply)
 
 
 def _make_objective(
@@ -124,183 +201,46 @@ def _make_objective(
 ) -> _Objective:
     norm = as_norm(norm)
     p = as_exponent(p)
-    q_eff = _SUP_SURROGATE_POWER if math.isinf(norm.q) else float(norm.q)
+    kind = OBJECTIVE_KINDS.get(name)
+    if kind is None:
+        raise ValueError(f"unknown objective {name!r}")
     n, m = geometry.n, geometry.m
-    shape = geometry.shape + (d,)
-    grid_axes = tuple(range(n))
-    all_axes = tuple(range(n))
-
-    def edge_value_grad(nd):
-        total = 0.0
-        grad = np.zeros_like(nd)
-        for axis in grid_axes:
-            diff = np.roll(nd, -1, axis=axis) - nd
-            v, g = _smooth_piece(diff, p, q_eff, eps)
-            total += v
-            grad += np.roll(g, 1, axis=axis) - g
-        return total, grad
-
-    def edge_diffs(nd):
-        return [np.roll(nd, -1, axis=a) - nd for a in grid_axes]
+    if kind.radius:
+        if k is None:
+            raise ValueError(f"objective {name!r} requires a radius k")
+        check_radius(k, m)
+    elif k is not None:
+        raise ValueError(f"objective {name!r} does not take a radius")
+    if not kind.torus and m != 2:
+        raise ValueError(f"the {name} objective needs a hypercube table")
+    steps = unit_steps(n)
 
     if name == "scaled_enflo":
-        half = m // 2
-        scale = float(m) ** p
-
-        def value_grad(vals):
-            nd = vals.reshape(shape)
-            diff = np.roll(nd, (-half,) * n, axis=grid_axes) - nd
-            lhs, g = _smooth_piece(diff, p, q_eff, eps)
-            # the half shift is an involution, hence self adjoint
-            glhs = np.roll(g, (half,) * n, axis=grid_axes) - g
-            rhs, grhs = edge_value_grad(nd)
-            return (
-                lhs,
-                glhs.reshape(vals.shape),
-                scale * rhs,
-                scale * grhs.reshape(vals.shape),
-            )
-
-        def min_diff(vals):
-            nd = vals.reshape(shape)
-            diff = np.roll(nd, (-half,) * n, axis=grid_axes) - nd
-            return _min_mag(diff, *edge_diffs(nd))
-
-        def report(f):
-            return scaled_enflo_ratio(f, norm, p)
-
+        lhs = _Side(1.0, (half_shift(n, m),))
+        rhs = _Side(float(m) ** p, steps)
+        report = lambda f: scaled_enflo_ratio(f, norm, p)
     elif name == "approximation":
-
-        def value_grad(vals):
-            nd = vals.reshape(shape)
-            averaged = box_average_array(geometry, vals, all_axes, k)
-            lhs, g = _smooth_piece((averaged - vals).reshape(shape), p, q_eff, eps)
-            gflat = g.reshape(vals.shape)
-            glhs = box_average_array(geometry, gflat, all_axes, k) - gflat
-            rhs, grhs = edge_value_grad(nd)
-            scale = float(k - 1) ** p * float(n) ** (p - 1.0)
-            return lhs, glhs, scale * rhs, scale * grhs.reshape(vals.shape)
-
-        def min_diff(vals):
-            nd = vals.reshape(shape)
-            averaged = box_average_array(geometry, vals, all_axes, k)
-            return _min_mag((averaged - vals).reshape(shape), *edge_diffs(nd))
-
-        def report(f):
-            return approximation_ratio(f, k, norm, p)
-
+        lhs = _Side(1.0, (_box_displacement(geometry, k),))
+        rhs = _Side(float(k - 1) ** p * float(n) ** (p - 1.0), steps)
+        report = lambda f: approximation_ratio(f, k, norm, p)
     elif name == "smoothing":
-        signs = sign_vectors(n)
-
-        def diagonal_diffs(averaged_nd):
-            out = []
-            for epsv in signs:
-                fwd = np.roll(averaged_nd, tuple(int(-e) for e in epsv), axis=grid_axes)
-                bwd = np.roll(averaged_nd, tuple(int(e) for e in epsv), axis=grid_axes)
-                out.append(fwd - bwd)
-            return out
-
-        def value_grad(vals):
-            nd = vals.reshape(shape)
-            averaged = box_average_array(geometry, vals, all_axes, k)
-            and_view = averaged.reshape(shape)
-            lhs = 0.0
-            gavg = np.zeros_like(and_view)
-            for epsv in signs:
-                shifts = tuple(int(-e) for e in epsv)
-                back = tuple(int(e) for e in epsv)
-                diff = np.roll(and_view, shifts, axis=grid_axes) - np.roll(
-                    and_view, back, axis=grid_axes
-                )
-                v, g = _smooth_piece(diff, p, q_eff, eps)
-                lhs += v
-                gavg += np.roll(g, back, axis=grid_axes)
-                gavg -= np.roll(g, shifts, axis=grid_axes)
-            count = float(signs.shape[0])
-            lhs /= count
-            # the box operator is self adjoint, so pull the chain rule through it
-            glhs = box_average_array(geometry, gavg.reshape(vals.shape) / count, all_axes, k)
-            rhs, grhs = edge_value_grad(nd)
-            return lhs, glhs, rhs, grhs.reshape(vals.shape)
-
-        def min_diff(vals):
-            nd = vals.reshape(shape)
-            averaged = box_average_array(geometry, vals, all_axes, k).reshape(shape)
-            return _min_mag(*diagonal_diffs(averaged), *edge_diffs(nd))
-
-        def report(f):
-            return smoothing_ratio(f, k, norm, p)
-
+        lhs = _Side(1.0 / float(2**n), diagonal_differences(n), boxed=True)
+        rhs = _Side(1.0, steps)
+        report = lambda f: smoothing_ratio(f, k, norm, p)
     elif name == "enflo":
-        if m != 2:
-            raise ValueError("the enflo objective needs a hypercube table")
-
-        def value_grad(vals):
-            nd = vals.reshape(shape)
-            diff = np.roll(nd, (1,) * n, axis=grid_axes) - nd
-            lhs, g = _smooth_piece(diff, p, q_eff, eps)
-            glhs = np.roll(g, (1,) * n, axis=grid_axes) - g
-            rhs = 0.0
-            grhs = np.zeros_like(nd)
-            for axis in grid_axes:
-                adiff = np.roll(nd, 1, axis=axis) - nd
-                v, g = _smooth_piece(adiff, p, q_eff, eps)
-                rhs += v
-                grhs += np.roll(g, 1, axis=axis) - g
-            return lhs, glhs.reshape(vals.shape), rhs, grhs.reshape(vals.shape)
-
-        def min_diff(vals):
-            nd = vals.reshape(shape)
-            anti = np.roll(nd, (1,) * n, axis=grid_axes) - nd
-            return _min_mag(anti, *[np.roll(nd, 1, axis=a) - nd for a in grid_axes])
-
-        def report(f):
-            return enflo_ratio(f, norm, p)
-
-    elif name == "pisier":
-        if m != 2:
-            raise ValueError("the pisier objective needs a hypercube table")
+        lhs = _Side(1.0, (half_shift(n, 2),))
+        rhs = _Side(1.0, steps)
+        report = lambda f: enflo_ratio(f, norm, p)
+    else:  # pisier
         if not 2 <= n <= 8:
             raise ValueError("the pisier objective needs n in [2, 8]")
-        signs = sign_vectors(n).astype(np.float64)
-        scale = (math.e * math.log(n)) ** p
+        lhs = _Side(1.0, (mean_deviation,))
+        rhs = _Side((math.e * math.log(n)) ** p, (sign_combinations(n),))
+        report = lambda f: pisier_ratio(f, norm, p)
 
-        def combo_tensor(nd, count):
-            derivs = np.empty((n, count * d))
-            for axis in grid_axes:
-                derivs[axis] = (np.roll(nd, 1, axis=axis) - nd).reshape(-1)
-            return derivs, (signs @ derivs).reshape(signs.shape[0], count, d)
-
-        def value_grad(vals):
-            count = vals.shape[0]
-            nd = vals.reshape(shape)
-            centered = vals - vals.mean(axis=0)
-            lhs, g = _smooth_piece(centered, p, q_eff, eps)
-            glhs = g - g.mean(axis=0)
-            _, combos = combo_tensor(nd, count)
-            inner, w = _smooth_piece(combos, p, q_eff, eps)
-            per_axis = np.einsum("sj,sxc->jxc", signs, w)
-            grhs = np.zeros_like(nd)
-            for axis in grid_axes:
-                gj = per_axis[axis].reshape(shape)
-                # each derivative factor is its own adjoint on the hypercube
-                grhs += np.roll(gj, 1, axis=axis) - gj
-            return lhs, glhs, scale * inner, scale * grhs.reshape(vals.shape)
-
-        def min_diff(vals):
-            count = vals.shape[0]
-            nd = vals.reshape(shape)
-            centered = vals - vals.mean(axis=0)
-            _, combos = combo_tensor(nd, count)
-            return _min_mag(centered, combos)
-
-        def report(f):
-            return pisier_ratio(f, norm, p)
-
-    else:
-        raise ValueError(f"unknown objective {name!r}")
-
-    return _Objective(name=name, value_grad=value_grad, report=report, min_diff=min_diff)
+    q_eff = _SUP_SURROGATE_POWER if math.isinf(norm.q) else float(norm.q)
+    shape = geometry.shape + (d,)
+    return _Objective(lhs, rhs, report, geometry, shape, k, p, q_eff, eps)
 
 
 def _project(vals: np.ndarray) -> np.ndarray:
@@ -389,16 +329,6 @@ def maximize_ratio(
 ) -> tuple[FunctionTable, RatioReport]:
     """Search for a table maximizing the named inequality ratio."""
     cfg = config if config is not None else OptimizationConfig()
-    norm = as_norm(norm)
-    p = as_exponent(p)
-    if objective not in SEARCH_OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    if objective in ("smoothing", "approximation"):
-        if k is None:
-            raise ValueError(f"objective {objective!r} requires a radius k")
-        check_radius(k, geometry.m)
-    elif k is not None:
-        raise ValueError(f"objective {objective!r} does not take a radius")
     obj = _make_objective(objective, geometry, d, norm, p, k, cfg.smoothing_eps)
     out = _maximize_full(obj, geometry, d, cfg)
     return out.table, out.report
@@ -420,7 +350,6 @@ def gradient_check(
     sits at the smoothing scale; both would compare derivatives across a
     near kink, where finite differences say nothing.
     """
-    norm = as_norm(norm)
     p = as_exponent(p)
     if not p > 1:
         raise ValueError("gradient checks need p above 1")
@@ -445,6 +374,14 @@ def gradient_check(
         denom = max(abs(numeric), abs(grad[j]), 1e-8)
         worst = max(worst, abs(numeric - grad[j]) / denom)
     return worst
+
+
+def map_cells(runner, count: int, threads: int) -> list:
+    """runner(0), ..., runner(count - 1) in cell order, on up to `threads` threads."""
+    if threads <= 1:
+        return [runner(ci) for ci in range(count)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(runner, range(count)))
 
 
 def default_k_rule(n: int, m: int) -> int:
@@ -494,21 +431,40 @@ class ScanRow:
     best_restart: int = 0
 
     def to_csv_row(self) -> list[str]:
-        return [
-            self.objective,
-            format_cell(self.n),
-            format_cell(self.m),
-            format_cell(self.k),
-            format_cell(self.p),
-            format_cell(self.q),
-            format_cell(self.d),
-            format_cell(self.empirical_theta),
-            format_cell(self.lhs),
-            format_cell(self.rhs),
-            format_cell(self.restarts),
-            format_cell(self.iterations),
-            format_cell(self.seed),
-        ]
+        return [format_cell(getattr(self, column)) for column in SCAN_CSV_COLUMNS]
+
+
+def search_row(
+    objective: str,
+    geometry: TorusGeometry,
+    d: int,
+    norm,
+    p,
+    k: int | None,
+    config: OptimizationConfig,
+    index: int,
+) -> ScanRow:
+    """Search one cell, seeded by (config.seed, index), and report it as a row."""
+    norm = as_norm(norm)
+    p = as_exponent(p)
+    obj = _make_objective(objective, geometry, d, norm, p, k, config.smoothing_eps)
+    out = _maximize_full(obj, geometry, d, replace(config, seed=(config.seed, index)))
+    return ScanRow(
+        objective=objective,
+        n=geometry.n,
+        m=geometry.m,
+        k=k,
+        p=p,
+        q=norm.q,
+        d=d,
+        empirical_theta=out.report.ratio ** (1.0 / p),
+        lhs=out.report.lhs,
+        rhs=out.report.rhs,
+        restarts=config.restarts,
+        iterations=out.accepted_steps,
+        seed=config.seed,
+        best_restart=out.best_restart,
+    )
 
 
 def scan_grid(
@@ -532,8 +488,6 @@ def scan_grid(
     if not isinstance(cfg.seed, int):
         raise ValueError("scan_grid needs an integer base seed")
     rule = k_rule if k_rule is not None else default_k_rule
-    norm = as_norm(q)
-    p = as_exponent(p)
     cells = []
     for n in n_values:
         for m in m_values:
@@ -543,32 +497,9 @@ def scan_grid(
 
     def run(ci: int) -> ScanRow:
         n, m = cells[ci]
-        geometry = TorusGeometry(n, m)
         k = rule(n, m)
         check_radius(k, m)
-        capped = k < rule(n, 1 << 30)
-        cell_cfg = replace(cfg, seed=(cfg.seed, ci))
-        obj = _make_objective("scaled_enflo", geometry, d, norm, p, None, cfg.smoothing_eps)
-        out = _maximize_full(obj, geometry, d, cell_cfg)
-        return ScanRow(
-            objective="scaled_enflo",
-            n=n,
-            m=m,
-            k=k,
-            p=p,
-            q=norm.q,
-            d=d,
-            empirical_theta=out.report.ratio ** (1.0 / p),
-            lhs=out.report.lhs,
-            rhs=out.report.rhs,
-            restarts=cfg.restarts,
-            iterations=out.accepted_steps,
-            seed=cfg.seed,
-            k_capped=capped,
-            best_restart=out.best_restart,
-        )
+        row = search_row("scaled_enflo", TorusGeometry(n, m), d, q, p, None, cfg, ci)
+        return replace(row, k=k, k_capped=k < rule(n, 1 << 30))
 
-    if threads <= 1:
-        return [run(ci) for ci in range(len(cells))]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, range(len(cells))))
+    return map_cells(run, len(cells), threads)

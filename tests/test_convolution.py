@@ -10,16 +10,9 @@ from enflolab.averaging import (
     convolve,
     convolve_box_separable,
     convolve_shell_separable,
-    shell_average,
 )
 from enflolab.inequalities import edge_energy
-from enflolab.kernels import (
-    AVAILABLE_BACKENDS,
-    HAVE_NUMBA,
-    active_backend,
-    force_backend,
-    window_sums,
-)
+from enflolab.kernels import window_sums
 from enflolab.torus import FunctionTable, TorusGeometry
 
 from itertools import combinations
@@ -91,7 +84,7 @@ def test_separable_shell_matches_naive():
 def test_shell_equals_box_at_n1():
     f = random_table(1, 12, 2, seed=5)
     for k in (1, 3, 5):
-        a = shell_average(f, 0, k)
+        a = convolve_shell_separable(f, 0, k)
         b = box_average(f, [0], k)
         assert np.allclose(a.values, b.values, atol=1e-12)
 
@@ -102,7 +95,7 @@ def test_constants_are_fixed_exactly():
     for out in (
         box_average(c, range(3), 3),
         convolve_box_separable(c, [0, 2], 3),
-        shell_average(c, 1, 3),
+        convolve_shell_separable(c, 1, 3),
         convolve(c, build_parity_shell(g, 0, 3)),
     ):
         assert np.array_equal(out.values, c.values)
@@ -145,19 +138,3 @@ def test_geometry_mismatch_rejected():
     with pytest.raises(ValueError):
         convolve(f, build_even_box(g12, [0], 3))
 
-
-def test_backend_equivalence():
-    if not HAVE_NUMBA:
-        pytest.skip("numba backend unavailable")
-    f = random_table(3, 8, 3, seed=21)
-    g = TorusGeometry(3, 8)
-    results = {}
-    for backend in AVAILABLE_BACKENDS:
-        with force_backend(backend):
-            assert active_backend() == backend
-            fast = convolve_box_separable(f, range(3), 3).values
-            naive = convolve(f, build_parity_shell(g, 1, 3)).values
-            results[backend] = (fast, naive)
-    a, b = results["numpy"], results["numba"]
-    assert np.abs(a[0] - b[0]).max() < 1e-12
-    assert np.abs(a[1] - b[1]).max() < 1e-12

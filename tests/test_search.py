@@ -25,9 +25,10 @@ def gaussian(n, m, d, seed):
     return FunctionTable.random_gaussian(g, d, np.random.default_rng(seed))
 
 
-def test_gradients_match_finite_differences_everywhere():
-    torus = gaussian(3, 8, 2, seed=0)
-    cube = gaussian(3, 2, 2, seed=1)
+def objective_cases(torus=None, cube=None):
+    """One (objective, table, radius) case per search objective."""
+    torus = gaussian(3, 8, 2, seed=0) if torus is None else torus
+    cube = gaussian(3, 2, 2, seed=1) if cube is None else cube
     cases = [
         ("scaled_enflo", torus, None),
         ("smoothing", torus, 3),
@@ -36,9 +37,24 @@ def test_gradients_match_finite_differences_everywhere():
         ("pisier", cube, None),
     ]
     assert {name for name, _, _ in cases} == set(SEARCH_OBJECTIVES)
-    for name, table, k in cases:
+    return cases
+
+
+def test_gradients_match_finite_differences_everywhere():
+    for name, table, k in objective_cases():
         err = gradient_check(name, table, 2.0, 2.0, k=k)
         assert err < 1e-6, (name, err)
+
+
+def test_smoothed_sides_match_the_exact_evaluator():
+    for name, table, k in objective_cases():
+        for q in (1.0, 1.5, 2.0):
+            for p in (1.0, 1.5, 2.0):
+                obj = _make_objective(name, table.geometry, table.d, NormSpec(q), p, k, 1e-12)
+                lhs, _, rhs, _ = obj.value_grad(table.values)
+                exact = obj.report(table)
+                assert abs(lhs - exact.lhs) <= 1e-12 * exact.lhs, (name, q, p)
+                assert abs(rhs - exact.rhs) <= 1e-12 * exact.rhs, (name, q, p)
 
 
 def test_gradient_check_covers_other_exponents():
@@ -54,6 +70,8 @@ def test_gradient_check_guards():
     flat = FunctionTable.constant(f.geometry, [1.0])
     with pytest.raises(ValueError):
         gradient_check("scaled_enflo", flat, 2.0, 2.0)
+    with pytest.raises(ValueError):
+        gradient_check("scaled_enflo", f, 2.0, 2.0, k=3)  # takes no radius
 
 
 def test_reported_ratio_is_a_fresh_exact_evaluation():
@@ -87,10 +105,9 @@ def test_smoothed_objective_ignores_added_constants():
 
 
 def test_gradients_vanish_along_constant_shifts():
-    g = TorusGeometry(2, 8)
-    f = gaussian(2, 8, 2, seed=8)
-    for name, k in (("scaled_enflo", None), ("smoothing", 3)):
-        obj = _make_objective(name, g, 2, NormSpec(2.0), 2.0, k, 1e-6)
+    torus, cube = gaussian(2, 8, 2, seed=8), gaussian(3, 2, 2, seed=9)
+    for name, f, k in objective_cases(torus, cube):
+        obj = _make_objective(name, f.geometry, f.d, NormSpec(2.0), 2.0, k, 1e-6)
         _, glhs, _, grhs = obj.value_grad(f.values)
         assert np.abs(glhs.mean(axis=0)).max() < 1e-10
         assert np.abs(grhs.mean(axis=0)).max() < 1e-10
