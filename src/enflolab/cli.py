@@ -25,18 +25,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .identity import fit_identity_coefficients, verify_identity
+from .identity import fit_identity_coefficients, minimum_sample_budget, verify_identity
 from .inequalities import (
+    INEQUALITY_KINDS,
     ProvenBoundViolation,
     REPORT_CSV_COLUMNS,
     approximation_ratio,
+    check_cell,
     format_cell,
     scaled_enflo_ratio,
     scheme_composite_check,
     smoothing_ratio,
 )
 from .search import (
-    OBJECTIVE_KINDS,
     OptimizationConfig,
     SCAN_CSV_COLUMNS,
     SEARCH_OBJECTIVES,
@@ -276,8 +277,13 @@ def _check_pairs(cfg: ExperimentConfig, k_values) -> None:
 def _validate_for_command(cfg: ExperimentConfig) -> None:
     if cfg.command in ("check-lemmas", "fit-h", "verify-identity"):
         _check_pairs(cfg, cfg.k_values)
-    if cfg.command in ("fit-h", "verify-identity") and len(cfg.m_values) != 1:
-        raise ConfigError("m_values must hold a single value for identity fits")
+    if cfg.command in ("fit-h", "verify-identity"):
+        if len(cfg.m_values) != 1:
+            raise ConfigError("m_values must hold a single value for identity fits")
+        for n in cfg.n_values:
+            need = minimum_sample_budget(n)
+            if cfg.fit_budget < need:
+                raise ConfigError(f"fit_budget must be at least {need} for n_values entry {n}")
     if cfg.command == "scan":
         for m in cfg.m_values:
             if m % 4 != 0:
@@ -286,21 +292,21 @@ def _validate_for_command(cfg: ExperimentConfig) -> None:
             if len(getattr(cfg, key)) != 1:
                 raise ConfigError(f"{key} must hold a single value for scan")
     if cfg.command == "estimate-constants":
-        if "pisier" in cfg.objectives:
-            for n in cfg.n_values:
-                if not 2 <= n <= 8:
-                    raise ConfigError(
-                        "n_values must lie in [2, 8] when objectives include pisier"
-                    )
         if "approximation" in cfg.objectives:
+            # radius 1 makes every table a 0/0 approximation cell
             for k in cfg.k_values:
                 if k < 3:
                     raise ConfigError(
                         "k_values entries must be at least 3 when objectives "
                         "include approximation"
                     )
-        if any(OBJECTIVE_KINDS[o].radius for o in cfg.objectives):
-            _check_pairs(cfg, cfg.k_values)
+        for objective, n, m, k, *_ in _search_cells(cfg):
+            try:
+                check_cell(objective, n, m, k)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"objectives entry {objective!r} at n={n}, m={m}, k={k}: {exc}"
+                ) from exc
 
 
 def _csv_text(columns, rows) -> str:
@@ -356,10 +362,11 @@ def _run_check_lemmas(cfg: ExperimentConfig, threads: int):
     return {"report.csv": _csv_text(REPORT_CSV_COLUMNS, rows)}, True
 
 
-def _run_estimate_constants(cfg: ExperimentConfig, threads: int):
+def _search_cells(cfg: ExperimentConfig) -> list[tuple]:
+    """(objective, n, m, k, p, q, d) per estimate-constants row, in row order."""
     cells = []
     for objective in cfg.objectives:
-        kind = OBJECTIVE_KINDS[objective]
+        kind = INEQUALITY_KINDS[objective]
         for n in cfg.n_values:
             for m in (cfg.m_values if kind.torus else (2,)):
                 for k in (cfg.k_values if kind.radius else (None,)):
@@ -367,6 +374,11 @@ def _run_estimate_constants(cfg: ExperimentConfig, threads: int):
                         for q in cfg.q_values:
                             for d in cfg.d_values:
                                 cells.append((objective, n, m, k, p, q, d))
+    return cells
+
+
+def _run_estimate_constants(cfg: ExperimentConfig, threads: int):
+    cells = _search_cells(cfg)
 
     def run(ci: int):
         objective, n, m, k, p, q, d = cells[ci]

@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .averaging import box_average, check_radius, convolve_shell_separable
-from .inequalities import RatioReport, _build_report, _grid_moment, edge_energy
+from .inequalities import RatioReport, _build_report, _grid_moment, edge_energy, shift_difference
 from .torus import FunctionTable, TorusGeometry, as_exponent, as_norm, sign_vectors
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "shell_difference_sum",
     "shell_difference_sum_table",
     "fit_identity_coefficients",
+    "minimum_sample_budget",
     "verify_identity",
     "decomposition_moment",
     "coefficient_pairs",
@@ -51,6 +52,11 @@ _NULL_COMPONENT_TOL = 1e-8
 def coefficient_pairs(n: int) -> list[tuple[int, int]]:
     """All (subset size, disagreement count) index pairs for dimension n."""
     return [(i, l) for i in range(n + 1) for l in range(i + 1)]
+
+
+def minimum_sample_budget(n: int) -> int:
+    """Fewest random equations a fit takes: four per unknown coefficient."""
+    return 4 * len(coefficient_pairs(n))
 
 
 def coefficient_scale(n: int, k: int, i: int) -> float:
@@ -128,13 +134,10 @@ def decomposition_term_table(
     ev = _check_signs(eps, g.n)
     if tables is None:
         tables = _complement_tables(f, k, [i])
-    grid_axes = tuple(range(g.n))
     shape = g.shape + (f.d,)
     acc = np.zeros(shape)
     for subset, plus, minus in _term_shifts(g, k, i, l, ev):
-        nd = tables[subset].reshape(shape)
-        acc += np.roll(nd, tuple(int(-v) for v in plus), axis=grid_axes)
-        acc -= np.roll(nd, tuple(int(-v) for v in minus), axis=grid_axes)
+        acc += shift_difference(plus, minus).apply(tables[subset].reshape(shape))
     return acc.reshape(f.values.shape)
 
 
@@ -162,7 +165,7 @@ def shell_difference_sum_table(f: FunctionTable, k: int, eps) -> np.ndarray:
     acc = np.zeros(shape)
     for axis in range(g.n):
         nd = convolve_shell_separable(f, axis, k).values.reshape(shape)
-        acc += float(ev[axis]) * (np.roll(nd, -1, axis=axis) - np.roll(nd, 1, axis=axis))
+        acc += float(ev[axis]) * shift_difference((1,), (-1,), axes=(axis,)).apply(nd)
     return acc.reshape(f.values.shape)
 
 
@@ -306,7 +309,7 @@ def fit_identity_coefficients(
     check_radius(k, geometry.m)
     pairs = coefficient_pairs(geometry.n)
     unknowns = len(pairs)
-    if sample_budget < 4 * unknowns:
+    if sample_budget < minimum_sample_budget(geometry.n):
         raise ValueError("sample_budget must be at least 4 times the unknown count")
     rng = np.random.default_rng(seed)
     rows = np.empty((sample_budget, unknowns))

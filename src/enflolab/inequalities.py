@@ -8,9 +8,11 @@ denominator would falsify a proven bound, so that state aborts instead of
 reporting.
 
 Each side of each inequality is a weighted p-th moment of linear
-translation-invariant difference operators, optionally taken after a box
-average. The operators are defined once below as (apply, adjoint) pairs on
-(m,)*n + (d,) arrays; the extremal search differentiates the same pairs.
+translation-invariant difference operators applied to a source: f, its
+full-box average B f, or B f - f. The operators are (apply, adjoint) pairs on
+(m,)*n + (d,) arrays. inequality_sides declares each inequality's two sides,
+constants and valid cells once; the evaluators here and the extremal search
+in search.py, which differentiates the same pairs, both read it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .averaging import box_average, check_radius
 from .torus import (
     FunctionTable,
     NormSpec,
+    TorusGeometry,
     _moment_power,
     as_exponent,
     as_norm,
@@ -42,6 +45,10 @@ __all__ = [
     "diagonal_differences",
     "mean_deviation",
     "sign_combinations",
+    "Side",
+    "INEQUALITY_KINDS",
+    "check_cell",
+    "inequality_sides",
     "REPORT_CSV_COLUMNS",
     "edge_energy",
     "rademacher_ratio",
@@ -233,19 +240,47 @@ def _grid_moment(diff: np.ndarray, norm: NormSpec, p: float) -> float:
     return float(np.mean(_moment_power(norm.lengths(diff), p)))
 
 
-def _ops_moment(ops, nd: np.ndarray, norm: NormSpec, p: float) -> float:
-    """Sum over the operators of the grid moment of their output."""
-    total = 0.0
-    for op in ops:
-        total += _grid_moment(op.apply(nd), norm, p)
-    return total
+class InequalityKind(NamedTuple):
+    """Which cells an inequality is defined on."""
+
+    radius: bool  # takes a box radius k
+    torus: bool  # tables on a general Z_m^n; otherwise the hypercube m = 2
+
+
+INEQUALITY_KINDS = {
+    "scaled_enflo": InequalityKind(radius=False, torus=True),
+    "smoothing": InequalityKind(radius=True, torus=True),
+    "approximation": InequalityKind(radius=True, torus=True),
+    "enflo": InequalityKind(radius=False, torus=False),
+    "pisier": InequalityKind(radius=False, torus=False),
+}
+
+# what a side's operators act on: f itself, its full-box average B f, or B f - f
+SOURCE_F, SOURCE_BOX, SOURCE_BOX_DISPLACEMENT = "f", "B f", "B f - f"
+
+# for sides whose source already is the difference field
+identity_op = DiffOp(lambda nd: nd, lambda w: w)
+
+
+class Side(NamedTuple):
+    """One side of an inequality: scale times the summed p-th moments of ops(source)."""
+
+    scale: float
+    ops: tuple[DiffOp, ...]
+    source: str = SOURCE_F
+
+    def moment(self, source_nd: np.ndarray, norm: NormSpec, p: float) -> float:
+        """Exact value of the side, given its source shaped (m,)*n + (d,)."""
+        total = 0.0
+        for op in self.ops:
+            total += _grid_moment(op.apply(source_nd), norm, p)
+        return self.scale * total
 
 
 def edge_energy(f: FunctionTable, norm, p) -> float:
     """Sum over axes of the mean p-th moment of the unit-step difference."""
-    return _ops_moment(
-        unit_steps(f.geometry.n), f.nd_view(), as_norm(norm), as_exponent(p)
-    )
+    steps = Side(1.0, unit_steps(f.geometry.n))
+    return steps.moment(f.nd_view(), as_norm(norm), as_exponent(p))
 
 
 def rademacher_ratio(vectors, norm, p) -> RatioReport:
@@ -267,35 +302,77 @@ def rademacher_ratio(vectors, norm, p) -> RatioReport:
     )
 
 
-def _require_hypercube(f: FunctionTable) -> None:
-    if f.geometry.m != 2:
-        raise ValueError("a hypercube table (m = 2) is required")
+def check_cell(name: str, n: int, m: int, k: int | None) -> None:
+    """Raise ValueError unless the named inequality is defined on the cell (n, m, k)."""
+    kind = INEQUALITY_KINDS.get(name)
+    if kind is None:
+        raise ValueError(f"unknown inequality {name!r}")
+    if kind.radius:
+        if k is None:
+            raise ValueError(f"{name} requires a radius k")
+        check_radius(k, m)
+    elif k is not None:
+        raise ValueError(f"{name} does not take a radius")
+    if not kind.torus and m != 2:
+        raise ValueError(f"{name} needs a hypercube table (m = 2)")
+    if name == "pisier" and not 2 <= n <= 8:
+        raise ValueError("pisier needs n in [2, 8]")
+
+
+def inequality_sides(name: str, geometry: TorusGeometry, k: int | None, p: float):
+    """The (lhs, rhs) Sides of the named inequality on one cell; its one declaration."""
+    n, m = geometry.n, geometry.m
+    check_cell(name, n, m, k)
+    steps = unit_steps(n)
+    if name == "scaled_enflo":
+        # x + (m/2) eps is the same point for every sign vector eps, because
+        # m/2 and -m/2 coincide mod m; the sign average is therefore trivial
+        return Side(1.0, (half_shift(n, m),)), Side(float(m) ** p, steps)
+    if name == "approximation":
+        scale = float(k - 1) ** p * float(n) ** (p - 1.0)
+        return Side(1.0, (identity_op,), SOURCE_BOX_DISPLACEMENT), Side(scale, steps)
+    if name == "smoothing":
+        # the mean over all 2^n sign vectors eps of B f(x + eps) - B f(x - eps)
+        return Side(1.0 / float(2**n), diagonal_differences(n), SOURCE_BOX), Side(1.0, steps)
+    if name == "enflo":
+        return Side(1.0, (half_shift(n, m),)), Side(1.0, steps)
+    rhs = Side((math.e * math.log(n)) ** p, (sign_combinations(n),))
+    return Side(1.0, (mean_deviation,)), rhs
+
+
+def _exact_sides(sides, f: FunctionTable, k: int | None, norm: NormSpec, p: float):
+    """Exact value of each side on f; the sides share one full-box average."""
+    g = f.geometry
+    smooth = None
+    values = []
+    for side in sides:
+        if side.source == SOURCE_F and side.ops == unit_steps(g.n):
+            values.append(side.scale * edge_energy(f, norm, p))
+            continue
+        source = f.values
+        if side.source != SOURCE_F:
+            smooth = box_average(f, range(g.n), k) if smooth is None else smooth
+            source = smooth.values if side.source == SOURCE_BOX else smooth.values - f.values
+        values.append(side.moment(source.reshape(g.shape + (f.d,)), norm, p))
+    return values
+
+
+def _evaluate(name: str, f: FunctionTable, k: int | None, norm, p) -> RatioReport:
+    norm = as_norm(norm)
+    p = as_exponent(p)
+    g = f.geometry
+    lhs, rhs = _exact_sides(inequality_sides(name, g, k, p), f, k, norm, p)
+    return _build_report(name, lhs, rhs, n=g.n, m=g.m, k=k, p=p, q=norm.q, d=f.d)
 
 
 def enflo_ratio(f: FunctionTable, norm, p) -> RatioReport:
     """Antipodal increment moment against the sum of edge increment moments."""
-    _require_hypercube(f)
-    norm = as_norm(norm)
-    p = as_exponent(p)
-    n = f.geometry.n
-    nd = f.nd_view()
-    lhs = _grid_moment(half_shift(n, 2).apply(nd), norm, p)
-    rhs = _ops_moment(unit_steps(n), nd, norm, p)
-    return _build_report("enflo", lhs, rhs, n=n, m=2, k=None, p=p, q=norm.q, d=f.d)
+    return _evaluate("enflo", f, None, norm, p)
 
 
 def scaled_enflo_ratio(f: FunctionTable, norm, p) -> RatioReport:
     """Half-torus shift moment against m^p times the edge energy."""
-    norm = as_norm(norm)
-    p = as_exponent(p)
-    g = f.geometry
-    # x + (m/2) eps is the same point for every sign vector eps, because
-    # m/2 and -m/2 coincide mod m; the sign average is therefore trivial
-    lhs = _grid_moment(half_shift(g.n, g.m).apply(f.nd_view()), norm, p)
-    rhs = float(g.m) ** p * edge_energy(f, norm, p)
-    return _build_report(
-        "scaled_enflo", lhs, rhs, n=g.n, m=g.m, k=None, p=p, q=norm.q, d=f.d
-    )
+    return _evaluate("scaled_enflo", f, None, norm, p)
 
 
 def approximation_ratio(
@@ -306,27 +383,12 @@ def approximation_ratio(
     This bound is a theorem with no hidden constant, so a violation beyond
     float tolerance aborts.
     """
-    norm = as_norm(norm)
-    p = as_exponent(p)
-    g = f.geometry
-    check_radius(k, g.m)
-    smooth = box_average(f, range(g.n), k)
-    lhs = _grid_moment(smooth.values - f.values, norm, p)
-    rhs = float(k - 1) ** p * float(g.n) ** (p - 1.0) * edge_energy(f, norm, p)
-    if lhs > rhs * (1.0 + rtol):
+    report = _evaluate("approximation", f, k, norm, p)
+    if report.lhs > report.rhs * (1.0 + rtol):
         raise ProvenBoundViolation(
-            f"approximation bound violated: lhs={lhs!r} rhs={rhs!r}"
+            f"approximation bound violated: lhs={report.lhs!r} rhs={report.rhs!r}"
         )
-    return _build_report(
-        "approximation", lhs, rhs, n=g.n, m=g.m, k=k, p=p, q=norm.q, d=f.d
-    )
-
-
-def _diagonal_smoothing_moment(
-    smooth_nd: np.ndarray, n: int, norm: NormSpec, p: float
-) -> float:
-    """Exact mean over x and all sign vectors of |g(x+eps) - g(x-eps)|^p."""
-    return _ops_moment(diagonal_differences(n), smooth_nd, norm, p) / float(2**n)
+    return report
 
 
 def smoothing_ratio(f: FunctionTable, k: int, norm, p) -> RatioReport:
@@ -335,16 +397,7 @@ def smoothing_ratio(f: FunctionTable, k: int, norm, p) -> RatioReport:
     The comparison constant is implicit, so the ratio is recorded without
     any assertion.
     """
-    norm = as_norm(norm)
-    p = as_exponent(p)
-    g = f.geometry
-    check_radius(k, g.m)
-    smooth_nd = box_average(f, range(g.n), k).nd_view()
-    lhs = _diagonal_smoothing_moment(smooth_nd, g.n, norm, p)
-    rhs = edge_energy(f, norm, p)
-    return _build_report(
-        "smoothing", lhs, rhs, n=g.n, m=g.m, k=k, p=p, q=norm.q, d=f.d
-    )
+    return _evaluate("smoothing", f, k, norm, p)
 
 
 def pisier_ratio(g: FunctionTable, norm, p) -> RatioReport:
@@ -354,21 +407,7 @@ def pisier_ratio(g: FunctionTable, norm, p) -> RatioReport:
     n above 8 is refused rather than sampled, and n = 1 is rejected because
     the stated constant vanishes there.
     """
-    _require_hypercube(g)
-    norm = as_norm(norm)
-    p = as_exponent(p)
-    n = g.geometry.n
-    if n < 2:
-        raise ValueError("n must be at least 2 for the log-based constant")
-    if n > 8:
-        raise ValueError("exact evaluation is refused beyond n = 8")
-    nd = g.nd_view()
-    lhs = _grid_moment(mean_deviation.apply(nd), norm, p)
-    inner = _grid_moment(sign_combinations(n).apply(nd), norm, p)
-    rhs = (math.e * math.log(n)) ** p * inner
-    return _build_report(
-        "pisier", lhs, rhs, n=n, m=2, k=None, p=p, q=norm.q, d=g.d
-    )
+    return _evaluate("pisier", g, None, norm, p)
 
 
 def scheme_composite_check(
@@ -385,18 +424,20 @@ def scheme_composite_check(
     moment, using m/4 telescoping steps of two along a fixed diagonal. The
     reported bound relaxes this to 2 * 3^(p-1) (D + m^p S), which dominates
     because (m/4)^p <= 2 m^p. Both forms are asserted; m must be divisible
-    by 4 for the telescope.
+    by 4 for the telescope. The half shift, D and S are the left sides of
+    the scaled Enflo, approximation and smoothing declarations.
     """
     norm = as_norm(norm)
     p = as_exponent(p)
     g = f.geometry
     if g.m % 4 != 0:
         raise ValueError("m must be divisible by 4")
-    check_radius(k, g.m)
-    lhs = _grid_moment(half_shift(g.n, g.m).apply(f.nd_view()), norm, p)
-    smooth = box_average(f, range(g.n), k)
-    displacement = _grid_moment(smooth.values - f.values, norm, p)
-    diagonal = _diagonal_smoothing_moment(smooth.nd_view(), g.n, norm, p)
+    legs = (
+        inequality_sides("scaled_enflo", g, None, p)[0],
+        inequality_sides("approximation", g, k, p)[0],
+        inequality_sides("smoothing", g, k, p)[0],
+    )
+    lhs, displacement, diagonal = _exact_sides(legs, f, k, norm, p)
     split = 3.0 ** (p - 1.0)
     tight = split * (2.0 * displacement + (g.m / 4.0) ** p * diagonal)
     rhs = 2.0 * split * (displacement + float(g.m) ** p * diagonal)

@@ -1,12 +1,11 @@
 """Extremal search over function tables by smoothed projected gradient ascent.
 
-The objective is the log of an inequality ratio. Each side is declared as
-a scale and a list of the evaluators' difference operators, optionally
-applied after the full-box average, and is rewritten with a smoothed vector
-norm: each squared component gains eps^2 before the q-th power sum, which
-makes every objective differentiable and strictly positive, so the log
-never sees zero. The sup norm is handled through a finite surrogate power.
-Iterates live in the mean-zero subspace (every
+The objective is the log of an inequality ratio whose two sides are read
+from inequalities.inequality_sides, never restated here. Each side is
+rewritten with a smoothed vector norm: each squared component gains eps^2
+before the q-th power sum, which makes every objective differentiable and
+strictly positive, so the log never sees zero. The sup norm is handled
+through a finite surrogate power. Iterates live in the mean-zero subspace (every
 objective kills constants), steps use backtracking halving and accept only
 strict increases, and each restart draws its start from its own seeded
 stream. Scoring between restarts uses the exact evaluators, never the
@@ -18,25 +17,24 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .averaging import box_average_array, check_radius
 from .inequalities import (
-    DiffOp,
+    INEQUALITY_KINDS,
+    SOURCE_BOX,
+    SOURCE_F,
     RatioReport,
+    Side,
     approximation_ratio,
-    diagonal_differences,
     enflo_ratio,
     format_cell,
-    half_shift,
-    mean_deviation,
+    inequality_sides,
     pisier_ratio,
     scaled_enflo_ratio,
-    sign_combinations,
     smoothing_ratio,
-    unit_steps,
 )
 from .torus import FunctionTable, TorusGeometry, as_exponent, as_norm
 
@@ -46,7 +44,6 @@ __all__ = [
     "ScanRow",
     "SCAN_CSV_COLUMNS",
     "SEARCH_OBJECTIVES",
-    "OBJECTIVE_KINDS",
     "maximize_ratio",
     "gradient_check",
     "default_k_rule",
@@ -56,21 +53,16 @@ __all__ = [
 ]
 
 
-class ObjectiveKind(NamedTuple):
-    """Which cells an objective runs on."""
+SEARCH_OBJECTIVES = tuple(INEQUALITY_KINDS)
 
-    radius: bool  # takes a box radius k
-    torus: bool  # tables on a general Z_m^n; otherwise the hypercube m = 2
-
-
-OBJECTIVE_KINDS = {
-    "scaled_enflo": ObjectiveKind(radius=False, torus=True),
-    "smoothing": ObjectiveKind(radius=True, torus=True),
-    "approximation": ObjectiveKind(radius=True, torus=True),
-    "enflo": ObjectiveKind(radius=False, torus=False),
-    "pisier": ObjectiveKind(radius=False, torus=False),
+# exact evaluators, looked up by name at call time so rebinding them here takes effect
+_EXACT = {
+    "scaled_enflo": lambda f, k, norm, p: scaled_enflo_ratio(f, norm, p),
+    "approximation": lambda f, k, norm, p: approximation_ratio(f, k, norm, p),
+    "smoothing": lambda f, k, norm, p: smoothing_ratio(f, k, norm, p),
+    "enflo": lambda f, k, norm, p: enflo_ratio(f, norm, p),
+    "pisier": lambda f, k, norm, p: pisier_ratio(f, norm, p),
 }
-SEARCH_OBJECTIVES = tuple(OBJECTIVE_KINDS)
 
 # sup norm surrogate power for the smoothed objective only
 _SUP_SURROGATE_POWER = 16.0
@@ -124,20 +116,11 @@ def _smooth_piece(diff: np.ndarray, p: float, q_eff: float, eps: float):
 
 
 @dataclass(frozen=True)
-class _Side:
-    """scale times the summed smoothed moments of ops, after a full-box average if boxed."""
-
-    scale: float
-    ops: tuple[DiffOp, ...]
-    boxed: bool = False
-
-
-@dataclass(frozen=True)
 class _Objective:
     """One cell's log-ratio objective: two smoothed sides and the exact evaluator."""
 
-    lhs: _Side
-    rhs: _Side
+    lhs: Side
+    rhs: Side
     report: Callable[[FunctionTable], RatioReport]
     geometry: TorusGeometry
     shape: tuple[int, ...]  # (m,)*n + (d,)
@@ -146,12 +129,13 @@ class _Objective:
     q_eff: float
     eps: float
 
-    def _source(self, side: _Side, vals: np.ndarray) -> np.ndarray:
-        if not side.boxed:
+    def _source(self, side: Side, vals: np.ndarray) -> np.ndarray:
+        if side.source == SOURCE_F:
             return vals
-        return box_average_array(self.geometry, vals, range(self.geometry.n), self.k)
+        smooth = box_average_array(self.geometry, vals, range(self.geometry.n), self.k)
+        return smooth if side.source == SOURCE_BOX else smooth - vals
 
-    def _side_value_grad(self, side: _Side, vals: np.ndarray):
+    def _side_value_grad(self, side: Side, vals: np.ndarray):
         nd = self._source(side, vals).reshape(self.shape)
         total = 0.0
         grad = np.zeros_like(nd)
@@ -159,7 +143,7 @@ class _Objective:
             v, g = _smooth_piece(op.apply(nd), self.p, self.q_eff, self.eps)
             total += v
             grad += op.adjoint(g).reshape(nd.shape)
-        # the box operator is self adjoint, so pull the chain rule through it
+        # B and B - I are self adjoint, so the source map pulls the gradient back
         grad = self._source(side, grad.reshape(vals.shape))
         return side.scale * total, side.scale * grad
 
@@ -179,17 +163,6 @@ class _Objective:
         return worst
 
 
-def _box_displacement(geometry: TorusGeometry, k: int) -> DiffOp:
-    """f -> B f - f for the full even box average B, which is self adjoint."""
-
-    def apply(nd):
-        flat = nd.reshape(-1, nd.shape[-1])
-        averaged = box_average_array(geometry, flat, range(geometry.n), k)
-        return (averaged - flat).reshape(nd.shape)
-
-    return DiffOp(apply, apply)
-
-
 def _make_objective(
     name: str,
     geometry: TorusGeometry,
@@ -201,43 +174,9 @@ def _make_objective(
 ) -> _Objective:
     norm = as_norm(norm)
     p = as_exponent(p)
-    kind = OBJECTIVE_KINDS.get(name)
-    if kind is None:
-        raise ValueError(f"unknown objective {name!r}")
-    n, m = geometry.n, geometry.m
-    if kind.radius:
-        if k is None:
-            raise ValueError(f"objective {name!r} requires a radius k")
-        check_radius(k, m)
-    elif k is not None:
-        raise ValueError(f"objective {name!r} does not take a radius")
-    if not kind.torus and m != 2:
-        raise ValueError(f"the {name} objective needs a hypercube table")
-    steps = unit_steps(n)
-
-    if name == "scaled_enflo":
-        lhs = _Side(1.0, (half_shift(n, m),))
-        rhs = _Side(float(m) ** p, steps)
-        report = lambda f: scaled_enflo_ratio(f, norm, p)
-    elif name == "approximation":
-        lhs = _Side(1.0, (_box_displacement(geometry, k),))
-        rhs = _Side(float(k - 1) ** p * float(n) ** (p - 1.0), steps)
-        report = lambda f: approximation_ratio(f, k, norm, p)
-    elif name == "smoothing":
-        lhs = _Side(1.0 / float(2**n), diagonal_differences(n), boxed=True)
-        rhs = _Side(1.0, steps)
-        report = lambda f: smoothing_ratio(f, k, norm, p)
-    elif name == "enflo":
-        lhs = _Side(1.0, (half_shift(n, 2),))
-        rhs = _Side(1.0, steps)
-        report = lambda f: enflo_ratio(f, norm, p)
-    else:  # pisier
-        if not 2 <= n <= 8:
-            raise ValueError("the pisier objective needs n in [2, 8]")
-        lhs = _Side(1.0, (mean_deviation,))
-        rhs = _Side((math.e * math.log(n)) ** p, (sign_combinations(n),))
-        report = lambda f: pisier_ratio(f, norm, p)
-
+    lhs, rhs = inequality_sides(name, geometry, k, p)
+    exact = _EXACT[name]
+    report = lambda f: exact(f, k, norm, p)
     q_eff = _SUP_SURROGATE_POWER if math.isinf(norm.q) else float(norm.q)
     shape = geometry.shape + (d,)
     return _Objective(lhs, rhs, report, geometry, shape, k, p, q_eff, eps)

@@ -62,6 +62,8 @@ def test_parse_errors_name_the_offending_field():
         (base_config("scan", m_values=[6]), "divisible by 4"),
         (base_config("scan", p_values=[1.0, 2.0]), "p_values"),
         (base_config("fit-h", m_values=[8, 12]), "m_values"),
+        (base_config("fit-h", fit_budget=10), "fit_budget"),
+        (base_config("verify-identity", n_values=[7]), "fit_budget"),
         (base_config("check-lemmas", tolerances={"bogus": 0.1}), "bogus"),
         (base_config("check-lemmas", tolerances={"fit_h00": -1.0}), "fit_h00"),
         (base_config("estimate-constants", objectives=["warp"]), "objectives"),

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +190,32 @@ def test_composite_holds_with_margin():
         assert report.evaluator == "composite_scheme"
         assert report.ratio <= 1.0 + PROVEN_BOUND_RTOL
         assert report.rhs > report.lhs
+
+
+def test_composite_derives_from_the_three_declarations():
+    rng = np.random.default_rng(29)
+    for n, m, k, d in ((1, 8, 3, 1), (2, 8, 3, 2), (3, 12, 5, 1)):
+        f = FunctionTable.random_gaussian(TorusGeometry(n, m), d, rng)
+        for p in (1.0, 1.5, 2.0):
+            composite = scheme_composite_check(f, k, 2.0, p)
+            assert composite.lhs == scaled_enflo_ratio(f, 2.0, p).lhs
+            displacement = approximation_ratio(f, k, 2.0, p).lhs
+            diagonal = smoothing_ratio(f, k, 2.0, p).lhs
+            want = 2.0 * 3.0 ** (p - 1.0) * (displacement + float(m) ** p * diagonal)
+            assert abs(composite.rhs - want) <= 1e-15 * want, (n, m, k, p)
+
+
+def test_golden_tool_smoothing_matches_the_evaluator():
+    path = Path(__file__).resolve().parent.parent / "tools" / "make_goldens.py"
+    spec = importlib.util.spec_from_file_location("make_goldens", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for n in (1, 2, 3):
+        f = gaussian(n, 12, 2, seed=31 + n)
+        for p in (1.0, 2.0):
+            naive = tool.naive_smoothing_ratio(f, 5, 2.0, p)
+            fast = smoothing_ratio(f, 5, 2.0, p).ratio
+            assert abs(naive - fast) <= 1e-12 * fast, (n, p)
 
 
 def test_build_report_aborts_on_positive_over_zero():

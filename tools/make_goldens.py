@@ -5,9 +5,10 @@ Two artifact families:
     cells, stored with the seed and budget that produced them.
   - moment_baselines.json: empirical suprema of the smoothing ratio and the
     per-(i, l) difference-term moments over a fixed random-table protocol.
-    The smoothing side is computed here with the naive stencil convolution
-    on purpose, so the committed numbers are independent of the separable
-    fast path they are later compared against.
+    The smoothing ratio is computed here from the shared smoothing
+    declaration over the naive stencil convolution on purpose, so the
+    committed numbers are independent of the separable fast path they are
+    later compared against.
 
 Rerun only to change the protocol; commit the diff.
 """
@@ -19,8 +20,8 @@ import numpy as np
 
 from enflolab.averaging import build_even_box, convolve
 from enflolab.identity import decomposition_moment, fit_identity_coefficients
-from enflolab.inequalities import _diagonal_smoothing_moment, edge_energy
-from enflolab.torus import FunctionTable, TorusGeometry, as_norm
+from enflolab.inequalities import inequality_sides
+from enflolab.torus import FunctionTable, TorusGeometry, as_exponent, as_norm
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
 
@@ -43,9 +44,11 @@ def cell_seed(*parts: int) -> int:
 def naive_smoothing_ratio(f: FunctionTable, k: int, norm, p: float):
     """Smoothing ratio through the naive stencil, bypassing the fast path."""
     g = f.geometry
+    norm, p = as_norm(norm), as_exponent(p)
+    lhs_side, rhs_side = inequality_sides("smoothing", g, k, p)
     smooth = convolve(f, build_even_box(g, range(g.n), k))
-    lhs = _diagonal_smoothing_moment(smooth.nd_view(), g.n, norm, p)
-    rhs = edge_energy(f, norm, p)
+    lhs = lhs_side.moment(smooth.nd_view(), norm, p)
+    rhs = rhs_side.moment(f.nd_view(), norm, p)
     return None if rhs == 0.0 else lhs / rhs
 
 
