@@ -101,10 +101,6 @@ class SupportSet:
         table.setflags(write=False)
         return table
 
-    def dump(self) -> list[list[int]]:
-        """JSON-ready list of offset vectors."""
-        return self.offsets.tolist()
-
 
 def _normalize_axes(geometry: TorusGeometry, axes) -> tuple[int, ...]:
     axes = tuple(sorted(int(a) for a in axes))

@@ -19,15 +19,17 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .averaging import check_radius
 from .identity import fit_identity_coefficients, minimum_sample_budget, verify_identity
 from .inequalities import (
     INEQUALITY_KINDS,
+    PROVEN_BOUND_RTOL,
     ProvenBoundViolation,
     REPORT_CSV_COLUMNS,
     approximation_ratio,
@@ -45,7 +47,7 @@ from .search import (
     scan_grid,
     search_row,
 )
-from .torus import FunctionTable, TorusGeometry, as_norm
+from .torus import FunctionTable, TorusGeometry, as_exponent, as_norm
 
 __all__ = ["main", "parse_config", "ConfigError", "ExperimentConfig", "COMMANDS"]
 
@@ -73,8 +75,7 @@ IDENTITY_CSV_COLUMNS = (
 
 _TOLERANCE_DEFAULTS = {
     "identity_residual": 1e-8,
-    "proven_inequality_rel": 1e-9,
-    "fit_h00": 1e-6,
+    "proven_inequality_rel": PROVEN_BOUND_RTOL,
 }
 
 
@@ -170,7 +171,8 @@ def parse_config(payload: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown config key {key!r}")
     if "schema_version" not in payload:
         raise ConfigError("schema_version is required")
-    if payload["schema_version"] != 1:
+    version = payload["schema_version"]
+    if isinstance(version, bool) or not isinstance(version, int) or version != 1:
         raise ConfigError("schema_version must be 1")
     if "command" not in payload:
         raise ConfigError("command is required")
@@ -198,22 +200,21 @@ def parse_config(payload: dict) -> ExperimentConfig:
     p_values = []
     for entry in raw_p:
         p = _want_float(entry, "p_values")
-        if not 1.0 <= p <= 2.0:
-            raise ConfigError("p_values entries must lie in [1, 2]")
-        p_values.append(p)
+        try:
+            p_values.append(as_exponent(p))
+        except ValueError as exc:
+            raise ConfigError(f"p_values entry {entry!r}: {exc}") from exc
 
     raw_q = merged["q_values"]
     if not isinstance(raw_q, list) or not raw_q:
         raise ConfigError("q_values must be a nonempty list")
     q_values = []
     for entry in raw_q:
-        if entry == "inf":
-            q_values.append(math.inf)
-            continue
-        q = _want_float(entry, "q_values")
-        if q < 1.0:
-            raise ConfigError("q_values entries must be at least 1, or \"inf\"")
-        q_values.append(q)
+        q = math.inf if entry == "inf" else _want_float(entry, "q_values")
+        try:
+            q_values.append(as_norm(q).q)
+        except ValueError as exc:
+            raise ConfigError(f"q_values entry {entry!r}: {exc}") from exc
 
     objectives = merged["objectives"]
     if not isinstance(objectives, list) or not objectives:
@@ -265,18 +266,16 @@ def parse_config(payload: dict) -> ExperimentConfig:
     return cfg
 
 
-def _check_pairs(cfg: ExperimentConfig, k_values) -> None:
-    for m in cfg.m_values:
-        for k in k_values:
-            if not k < m / 2:
-                raise ConfigError(
-                    f"k_values entry {k} is not below m/2 for m_values entry {m}"
-                )
-
-
 def _validate_for_command(cfg: ExperimentConfig) -> None:
     if cfg.command in ("check-lemmas", "fit-h", "verify-identity"):
-        _check_pairs(cfg, cfg.k_values)
+        for m in cfg.m_values:
+            for k in cfg.k_values:
+                try:
+                    check_radius(k, m)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"k_values entry {k} with m_values entry {m}: {exc}"
+                    ) from exc
     if cfg.command in ("fit-h", "verify-identity"):
         if len(cfg.m_values) != 1:
             raise ConfigError("m_values must hold a single value for identity fits")
@@ -405,7 +404,6 @@ def _run_scan(cfg: ExperimentConfig, threads: int):
 def _run_identity(cfg: ExperimentConfig, threads: int, verify: bool):
     m = cfg.m_values[0]
     tolerance = cfg.tolerances["identity_residual"]
-    h00_tolerance = cfg.tolerances["fit_h00"]
     cells = [(n, k) for n in cfg.n_values for k in cfg.k_values]
 
     def run(ci: int):
@@ -426,13 +424,11 @@ def _run_identity(cfg: ExperimentConfig, threads: int, verify: bool):
             )
             residual = check.max_residual
             samples = check.samples
-            residual_ok = check.passed
+            passed = check.passed
         else:
             residual = coeffs.residual
             samples = cfg.heldout_samples
-            residual_ok = residual < tolerance
-        h00 = coeffs.coefficient(0, 0)
-        passed = residual_ok and abs(h00 - 1.0) <= h00_tolerance
+            passed = residual < tolerance
         row = [
             format_cell(n),
             format_cell(m),
@@ -440,7 +436,7 @@ def _run_identity(cfg: ExperimentConfig, threads: int, verify: bool):
             format_cell(fit_seed),
             format_cell(cfg.fit_budget),
             format_cell(samples),
-            format_cell(h00),
+            format_cell(coeffs.coefficient(0, 0)),
             format_cell(coeffs.shape_constant()),
             format_cell(residual),
             format_cell(tolerance),

@@ -33,7 +33,6 @@ from .torus import FunctionTable, TorusGeometry, as_exponent, as_norm, sign_vect
 __all__ = [
     "IdentityCoefficients",
     "IdentityCheck",
-    "decomposition_term",
     "decomposition_term_table",
     "shell_difference_sum",
     "shell_difference_sum_table",
@@ -104,23 +103,6 @@ def _complement_tables(f: FunctionTable, k: int, sizes) -> dict:
         for subset in combinations(range(g.n), i):
             comp = tuple(a for a in range(g.n) if a not in subset)
             out[subset] = box_average(f, comp, k).values
-    return out
-
-
-def decomposition_term(f: FunctionTable, i: int, l: int, k: int, x, eps) -> np.ndarray:
-    """One signed difference term evaluated at a single (x, eps)."""
-    g = f.geometry
-    _check_indices(g.n, i, l)
-    check_radius(k, g.m)
-    xv = np.asarray(x, dtype=np.int64)
-    if xv.shape != (g.n,):
-        raise ValueError("x must be a length-n point")
-    ev = _check_signs(eps, g.n)
-    tables = _complement_tables(f, k, [i])
-    out = np.zeros(f.d)
-    for subset, plus, minus in _term_shifts(g, k, i, l, ev):
-        table = tables[subset]
-        out += table[g.encode(xv + plus)] - table[g.encode(xv + minus)]
     return out
 
 
@@ -292,6 +274,22 @@ def _draw_sample(
     return row, target
 
 
+def _worst_residual(
+    geometry: TorusGeometry,
+    k: int,
+    rng,
+    pairs: list[tuple[int, int]],
+    full: np.ndarray,
+    n_samples: int,
+) -> float:
+    """Largest |target - row . coefficients| over freshly drawn equations."""
+    worst = 0.0
+    for _ in range(n_samples):
+        row, target = _draw_sample(geometry, k, rng, pairs)
+        worst = max(worst, abs(target - float(row @ full)))
+    return worst
+
+
 def fit_identity_coefficients(
     geometry: TorusGeometry,
     k: int,
@@ -322,8 +320,8 @@ def fit_identity_coefficients(
     pin = pairs.index((0, 0))
     rest = [j for j in range(unknowns) if j != pin]
     reduced = rows[:, rest]
-    shifted = targets - rows[:, pin]
-    solution, _, _, _ = np.linalg.lstsq(reduced, shifted, rcond=None)
+    reduced_targets = targets - rows[:, pin]
+    solution, _, _, _ = np.linalg.lstsq(reduced, reduced_targets, rcond=None)
 
     _, svals, vt = np.linalg.svd(reduced, full_matrices=True)
     cutoff = svals[0] * 1e-10 if svals.size and svals[0] > 0 else np.inf
@@ -347,17 +345,13 @@ def fit_identity_coefficients(
     full = np.zeros(unknowns)
     full[pin] = 1.0
     full[rest] = solution
-    worst = 0.0
-    for _ in range(heldout_samples):
-        row, target = _draw_sample(geometry, k, rng, pairs)
-        worst = max(worst, abs(target - float(row @ full)))
 
     return IdentityCoefficients(
         n=geometry.n,
         k=k,
         values=values,
         identifiable=mask,
-        residual=worst,
+        residual=_worst_residual(geometry, k, rng, pairs, full, heldout_samples),
         seed=seed,
         budget=sample_budget,
     )
@@ -370,38 +364,21 @@ def verify_identity(
     tolerance: float = 1e-8,
     n_samples: int = 200,
     seed: int = 0,
-    f: FunctionTable | None = None,
 ) -> IdentityCheck:
     """Replay the identity on fresh samples and report the worst residual.
 
-    Fresh scalar tables are drawn unless an explicit table is supplied, in
-    which case only (x, eps) vary. Unidentifiable coefficients enter with
-    their fitted values; they multiply feature directions the sampled data
-    cannot distinguish, so the prediction is unaffected.
+    Each sample draws a fresh scalar table and a fresh (x, eps).
+    Unidentifiable coefficients enter with their fitted values; they
+    multiply feature directions the sampled data cannot distinguish, so the
+    prediction is unaffected.
     """
     if coefficients.n != geometry.n or coefficients.k != k:
         raise ValueError("coefficients were fitted for a different (n, k) cell")
     check_radius(k, geometry.m)
-    if f is not None and f.d != 1:
-        raise ValueError("identity verification uses scalar tables")
-    if f is not None and f.geometry != geometry:
-        raise ValueError("table geometry mismatch")
     pairs = coefficient_pairs(geometry.n)
     full = np.array([coefficients.values[i, l] for i, l in pairs])
     rng = np.random.default_rng(seed)
-    fixed_tables = None
-    if f is not None:
-        fixed_tables = _complement_tables(f, k, range(geometry.n + 1))
-    worst = 0.0
-    for _ in range(n_samples):
-        if f is None:
-            row, target = _draw_sample(geometry, k, rng, pairs)
-        else:
-            x = rng.integers(0, geometry.m, size=geometry.n)
-            eps = 1 - 2 * rng.integers(0, 2, size=geometry.n)
-            row = _feature_row(fixed_tables, geometry, k, x, eps, pairs)
-            target = float(shell_difference_sum(f, k, x, eps)[0])
-        worst = max(worst, abs(target - float(row @ full)))
+    worst = _worst_residual(geometry, k, rng, pairs, full, n_samples)
     return IdentityCheck(
         max_residual=worst,
         samples=n_samples,

@@ -19,16 +19,11 @@ __all__ = [
     "TorusGeometry",
     "FunctionTable",
     "NormSpec",
-    "ExponentSpec",
     "as_norm",
     "as_exponent",
     "residue_abs",
-    "residue_sign",
-    "ell1_length",
     "linf_dist",
-    "shift_eval",
     "sign_vectors",
-    "flip_sign",
 ]
 
 
@@ -92,26 +87,6 @@ def residue_abs(z, m: int):
     return int(out) if out.ndim == 0 else out
 
 
-def residue_sign(z, m: int):
-    """+1 for residues in (0, m/2], -1 for residues in (m/2, m).
-
-    Undefined at residue 0, which raises.
-    """
-    r = np.asarray(z, dtype=np.int64) % m
-    if np.any(r == 0):
-        raise ValueError("sign undefined at residue 0")
-    out = np.where(r <= m // 2, 1, -1).astype(np.int64)
-    return int(out) if out.ndim == 0 else out
-
-
-def ell1_length(z, m: int):
-    """Sum of cycle distances over coordinates; accepts (..., n) stacks."""
-    arr = np.asarray(z, dtype=np.int64)
-    r = arr % m
-    out = np.minimum(r, m - r).sum(axis=-1)
-    return int(out) if np.ndim(out) == 0 else out
-
-
 def linf_dist(x, y, m: int):
     """Largest coordinatewise cycle distance between two points."""
     dx = np.asarray(x, dtype=np.int64) - np.asarray(y, dtype=np.int64)
@@ -132,17 +107,6 @@ def sign_vectors(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be a positive integer")
     return _sign_vectors(n)
-
-
-def flip_sign(eps, axis: int) -> np.ndarray:
-    """Negate one coordinate of a sign vector; applying twice restores it."""
-    arr = np.array(eps, dtype=np.int64)
-    if not np.all(np.abs(arr) == 1):
-        raise ValueError("sign vector entries must be +1 or -1")
-    if not 0 <= axis < arr.shape[-1]:
-        raise ValueError("axis out of range")
-    arr[..., axis] *= -1
-    return arr
 
 
 @dataclass(frozen=True)
@@ -167,31 +131,17 @@ class NormSpec:
             return np.abs(v).max(axis=-1)
         return (np.abs(v) ** self.q).sum(axis=-1) ** (1.0 / self.q)
 
-    @property
-    def label(self) -> str:
-        return "inf" if math.isinf(self.q) else repr(self.q)
-
-
-@dataclass(frozen=True)
-class ExponentSpec:
-    """The moment exponent p, restricted to [1, 2]."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", float(self.p))
-        if not 1.0 <= self.p <= 2.0:
-            raise ValueError("p must lie in [1, 2]")
-
 
 def as_norm(spec) -> NormSpec:
     return spec if isinstance(spec, NormSpec) else NormSpec(float(spec))
 
 
 def as_exponent(spec) -> float:
-    if isinstance(spec, ExponentSpec):
-        return spec.p
-    return ExponentSpec(float(spec)).p
+    """The moment exponent p as a float, restricted to [1, 2]."""
+    p = float(spec)
+    if not 1.0 <= p <= 2.0:
+        raise ValueError("p must lie in [1, 2]")
+    return p
 
 
 def _moment_power(lengths: np.ndarray, p: float) -> np.ndarray:
@@ -231,31 +181,6 @@ class FunctionTable:
     def nd_view(self) -> np.ndarray:
         """Read-only view shaped (m,)*n + (d,)."""
         return self.values.reshape(self.geometry.shape + (self.d,))
-
-    def value_at(self, point) -> np.ndarray:
-        return self.values[self.geometry.encode(point)].copy()
-
-    def shifted(self, z) -> "FunctionTable":
-        """Table of x -> f(x + z)."""
-        g = self.geometry
-        vec = np.asarray(z, dtype=np.int64)
-        if vec.shape != (g.n,):
-            raise ValueError("shift vector must have length n")
-        rolled = np.roll(
-            self.nd_view(),
-            tuple(int(-c) for c in vec),
-            axis=tuple(range(g.n)),
-        )
-        return FunctionTable(g, rolled.reshape(self.values.shape))
-
-    def coordinate_difference(self, axis: int) -> "FunctionTable":
-        """Table of x -> f(x + e_axis) - f(x)."""
-        g = self.geometry
-        if not 0 <= axis < g.n:
-            raise ValueError("axis out of range")
-        nd = self.nd_view()
-        diff = np.roll(nd, -1, axis=axis) - nd
-        return FunctionTable(g, diff.reshape(self.values.shape))
 
     def to_record(self) -> dict:
         """Flat serializable record {n, m, d, values}."""
@@ -298,11 +223,3 @@ class FunctionTable:
         values = sign_vectors(n).astype(np.float64) @ coeffs
         return cls(TorusGeometry(n, 2), values)
 
-
-def shift_eval(f: FunctionTable, x, z) -> np.ndarray:
-    """f(x + z) with coordinatewise reduction mod m."""
-    xv = np.asarray(x, dtype=np.int64)
-    zv = np.asarray(z, dtype=np.int64)
-    if xv.shape != (f.geometry.n,) or zv.shape != (f.geometry.n,):
-        raise ValueError("point and shift must both have length n")
-    return f.value_at(xv + zv)

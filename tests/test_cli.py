@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -12,7 +11,7 @@ from enflolab.cli import (
     parse_config,
 )
 from enflolab.identity import IdentityCoefficients
-from enflolab.inequalities import REPORT_CSV_COLUMNS
+from enflolab.inequalities import PROVEN_BOUND_RTOL, REPORT_CSV_COLUMNS
 from enflolab.search import SCAN_CSV_COLUMNS
 
 
@@ -54,11 +53,15 @@ def test_parse_errors_name_the_offending_field():
     checks = [
         ({}, "schema_version"),
         ({"schema_version": 2, "command": "scan"}, "schema_version"),
+        ({"schema_version": True, "command": "scan"}, "schema_version"),
+        ({"schema_version": 1.0, "command": "scan"}, "schema_version"),
         ({"schema_version": 1}, "command"),
         ({"schema_version": 1, "command": "dance"}, "command"),
         (base_config("scan", volume=11), "volume"),
         (base_config("check-lemmas", k_values=[2]), "k_values"),
         (base_config("check-lemmas", m_values=[8], k_values=[5]), "m/2"),
+        (base_config("check-lemmas", q_values=[float("nan")]), "q_values"),
+        (base_config("check-lemmas", p_values=[float("nan")]), "p_values"),
         (base_config("scan", m_values=[6]), "divisible by 4"),
         (base_config("scan", p_values=[1.0, 2.0]), "p_values"),
         (base_config("fit-h", m_values=[8, 12]), "m_values"),
@@ -84,7 +87,10 @@ def test_parse_errors_name_the_offending_field():
 def test_parse_round_trip_defaults():
     cfg = parse_config(base_config("check-lemmas"))
     assert cfg.command == "check-lemmas"
-    assert cfg.tolerances["identity_residual"] == 1e-8
+    assert cfg.tolerances == {
+        "identity_residual": 1e-8,
+        "proven_inequality_rel": PROVEN_BOUND_RTOL,
+    }
     echo = cfg.to_echo_dict()
     assert parse_config(echo).to_echo_dict() == echo
     assert set(COMMANDS) == {
@@ -198,6 +204,11 @@ def test_invalid_config_exits_2_and_writes_nothing(tmp_path):
     proc = run_cli(base_config("scan", m_values=[6]), out)
     assert proc.returncode == 2
     assert "divisible by 4" in proc.stderr
+    assert read_outputs(out) == {}
+    # json writes and reads NaN; it must be refused at config time, not mid-run
+    proc = run_cli(base_config("check-lemmas", n_values=[1], q_values=[float("nan")]), out)
+    assert proc.returncode == 2
+    assert "q_values" in proc.stderr
     assert read_outputs(out) == {}
     proc = subprocess.run(
         [sys.executable, "-m", "enflolab.cli", "--config", str(out / "missing.json")],

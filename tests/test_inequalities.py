@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from enflolab.inequalities import (
@@ -12,13 +12,20 @@ from enflolab.inequalities import (
     ProvenBoundViolation,
     _build_report,
     approximation_ratio,
+    diagonal_differences,
     edge_energy,
     enflo_ratio,
+    half_shift,
+    identity_op,
+    mean_deviation,
     pisier_ratio,
     rademacher_ratio,
     scaled_enflo_ratio,
     scheme_composite_check,
+    shift_difference,
+    sign_combinations,
     smoothing_ratio,
+    unit_steps,
 )
 from enflolab.torus import FunctionTable, TorusGeometry
 
@@ -84,6 +91,45 @@ def test_edge_energy_matches_pointwise_definition():
     assert abs(edge_energy(f, 2.0, 2.0) - total) < 1e-12
 
 
+@given(st.data())
+def test_diff_ops_read_the_right_points_and_transpose(data):
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.sampled_from([2, 4, 8]))
+    g = TorusGeometry(n, m)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    table = rng.standard_normal(g.shape + (2,))
+    vector = st.lists(st.integers(-10, 10), min_size=n, max_size=n)
+    plus = data.draw(vector)
+    minus = data.draw(st.none() | vector)
+
+    # apply reads f(x + plus) - f(x + minus), with minus = None meaning 0
+    flat = table.reshape(g.size, 2)
+    pts = g.points()
+    back = np.zeros(n, dtype=np.int64) if minus is None else np.asarray(minus)
+    want = flat[g.encode(pts + np.asarray(plus))] - flat[g.encode(pts + back)]
+    got = shift_difference(plus, minus).apply(table).reshape(g.size, 2)
+    assert np.array_equal(got, want)
+
+    # <apply f, w> = <f, adjoint w> for every operator the sides are built from
+    cube = rng.standard_normal((2,) * n + (2,))
+    cases = [(op, table) for op in unit_steps(n)]
+    cases += [(op, table) for op in diagonal_differences(n)]
+    cases += [
+        (half_shift(n, m), table),
+        (mean_deviation, table),
+        (identity_op, table),
+        (shift_difference(plus, minus), table),
+        (sign_combinations(n), cube),
+    ]
+    for op, f in cases:
+        image = op.apply(f)
+        w = rng.standard_normal(image.shape)
+        lhs = float(np.sum(image * w))
+        rhs = float(np.sum(f.reshape(-1) * op.adjoint(w).reshape(-1)))
+        scale = float(np.sum(np.abs(image * w)))
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+
 def test_scaled_enflo_worked_example():
     f = FunctionTable.indicator(TorusGeometry(1, 8), [0])
     report = scaled_enflo_ratio(f, 2.0, 2.0)
@@ -136,7 +182,7 @@ def test_constant_tables_degenerate_with_no_ratio():
 def test_torus_evaluators_are_translation_and_shift_invariant(p, q):
     f = gaussian(2, 8, 2, seed=13)
     g = f.geometry
-    rolled = FunctionTable(g, f.shifted([3, 5]).values)
+    rolled = FunctionTable(g, np.roll(f.nd_view(), (-3, -5), axis=(0, 1)).reshape(-1, f.d))
     lifted = FunctionTable(g, f.values + np.array([10.0, -4.0]))
     for evaluate in (
         lambda t: scaled_enflo_ratio(t, q, p),

@@ -1,8 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -100,14 +98,6 @@ def test_support_set_rejects_bad_weight_and_duplicates():
     with pytest.raises(ValueError):
         # not negation symmetric
         SupportSet(g, np.array([[0], [2]]), Fraction(1, 2))
-
-
-def test_dump_is_json_ready():
-    g = TorusGeometry(2, 8)
-    s = build_even_box(g, [0], 3)
-    dumped = s.dump()
-    assert json.loads(json.dumps(dumped)) == dumped
-    assert sorted(dumped) == sorted([[0, 0], [2, 0], [6, 0]])
 
 
 def test_axis_validation():
