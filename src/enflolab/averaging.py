@@ -45,7 +45,7 @@ def check_radius(k: int, m: int) -> None:
     """Radii must be odd positive integers below m/2."""
     if not isinstance(k, int) or k < 1 or k % 2 == 0:
         raise ValueError("radius k must be an odd positive integer")
-    if not k < m / 2:
+    if not 2 * k < m:
         raise ValueError("radius k must satisfy k < m/2")
 
 

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,14 +51,6 @@ from .torus import FunctionTable, TorusGeometry, as_exponent, as_norm
 
 __all__ = ["main", "parse_config", "ConfigError", "ExperimentConfig", "COMMANDS"]
 
-COMMANDS = (
-    "check-lemmas",
-    "estimate-constants",
-    "scan",
-    "fit-h",
-    "verify-identity",
-)
-
 IDENTITY_CSV_COLUMNS = (
     "n",
     "m",
@@ -83,185 +75,153 @@ class ConfigError(ValueError):
     """A config field is missing, unknown, or out of range."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    command: str
-    schema_version: int = 1
-    n_values: tuple[int, ...] = (1, 2, 3)
-    m_values: tuple[int, ...] = (8,)
-    k_values: tuple[int, ...] = (1, 3)
-    p_values: tuple[float, ...] = (1.0, 2.0)
-    q_values: tuple[float, ...] = (2.0,)
-    d_values: tuple[int, ...] = (1,)
-    seed: int = 0
-    tables_per_cell: int = 25
-    fit_budget: int = 120
-    heldout_samples: int = 200
-    objectives: tuple[str, ...] = ("scaled_enflo",)
-    restarts: int = 6
-    iterations: int = 120
-    step: float = 0.5
-    smoothing_eps: float = 1e-6
-    tolerances: dict = field(default_factory=lambda: dict(_TOLERANCE_DEFAULTS))
-
-    def to_echo_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "schema_version": self.schema_version,
-            "n_values": list(self.n_values),
-            "m_values": list(self.m_values),
-            "k_values": list(self.k_values),
-            "p_values": list(self.p_values),
-            "q_values": ["inf" if math.isinf(q) else q for q in self.q_values],
-            "d_values": list(self.d_values),
-            "seed": self.seed,
-            "tables_per_cell": self.tables_per_cell,
-            "fit_budget": self.fit_budget,
-            "heldout_samples": self.heldout_samples,
-            "objectives": list(self.objectives),
-            "restarts": self.restarts,
-            "iterations": self.iterations,
-            "step": self.step,
-            "smoothing_eps": self.smoothing_eps,
-            "tolerances": dict(sorted(self.tolerances.items())),
-        }
-
-    def optimizer(self) -> OptimizationConfig:
-        return OptimizationConfig(
-            restarts=self.restarts,
-            iterations=self.iterations,
-            step=self.step,
-            seed=self.seed,
-            smoothing_eps=self.smoothing_eps,
-        )
+# Field parsers take (JSON value, label) and return the field value or raise a
+# ConfigError naming the label. They check JSON types and the rules no library
+# function owns; a rule that has an owner is applied by calling the owner.
 
 
-def _want_int(payload: dict, key: str, minimum: int) -> int:
-    value = payload[key]
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{key} must be an integer of at least {minimum}")
+def _integer(minimum: int | None = None, parity: str | None = None):
+    """An int, never a bool; fields whose bound has an owner pass no minimum."""
+    rule = "an integer" if minimum is None else f"an integer of at least {minimum}"
+
+    def parse(value, label: str) -> int:
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, int)
+            or (minimum is not None and value < minimum)
+        ):
+            raise ConfigError(f"{label} must be {rule}")
+        if parity is not None and value % 2 != (parity == "odd"):
+            raise ConfigError(f"{label} must be {parity}")
+        return value
+
+    return parse
+
+
+def _number(value, label: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{label} must be a number")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{label} is beyond the float range") from exc
+
+
+def _owned(label: str, rule, *args):
+    """Apply an owner's rule; its ValueError becomes a ConfigError naming label."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
+def _list_of(entry):
+    def parse(value, label: str) -> tuple:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{label} must be a nonempty list")
+        return tuple(entry(item, f"{label} entry {item!r}") for item in value)
+
+    return parse
+
+
+def _exponent(value, label: str) -> float:
+    return _owned(label, as_exponent, _number(value, label))
+
+
+def _norm_power(value, label: str) -> float:
+    return _owned(label, as_norm, math.inf if value == "inf" else _number(value, label)).q
+
+
+def _objective(value, label: str) -> str:
+    if value not in SEARCH_OBJECTIVES:
+        raise ConfigError(f"{label} is not recognized")
     return value
 
 
-def _want_int_list(payload: dict, key: str, minimum: int) -> tuple[int, ...]:
-    value = payload[key]
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{key} must be a nonempty list")
-    out = []
-    for entry in value:
-        if not isinstance(entry, int) or isinstance(entry, bool) or entry < minimum:
-            raise ConfigError(f"{key} entries must be integers of at least {minimum}")
-        out.append(entry)
-    return tuple(out)
+def _command(value, label: str) -> str:
+    if value not in COMMANDS:
+        raise ConfigError(f"{label} must be one of {', '.join(COMMANDS)}")
+    return value
 
 
-def _want_float(value, key: str):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number")
-    return float(value)
+def _schema_version(value, label: str) -> int:
+    if _integer()(value, label) != 1:
+        raise ConfigError(f"{label} must be 1")
+    return value
+
+
+def _tolerances(value, label: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{label} must be an object")
+    out = dict(_TOLERANCE_DEFAULTS)
+    for key, entry in value.items():
+        if key not in _TOLERANCE_DEFAULTS:
+            raise ConfigError(f"unknown tolerance key {key!r}")
+        out[key] = _number(entry, f"{label}.{key}")
+        if not 0 < out[key] < math.inf:
+            raise ConfigError(f"{label}.{key} must be positive and finite")
+    return out
+
+
+def _key(parse, **default):
+    return field(metadata={"parse": parse}, **default)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One run's config; each field declares its default and its JSON parser."""
+
+    command: str = _key(_command)
+    schema_version: int = _key(_schema_version, default=1)
+    n_values: tuple[int, ...] = _key(_list_of(_integer(1)), default=(1, 2, 3))
+    m_values: tuple[int, ...] = _key(_list_of(_integer(2, parity="even")), default=(8,))
+    k_values: tuple[int, ...] = _key(_list_of(_integer(1, parity="odd")), default=(1, 3))
+    p_values: tuple[float, ...] = _key(_list_of(_exponent), default=(1.0, 2.0))
+    q_values: tuple[float, ...] = _key(_list_of(_norm_power), default=(2.0,))
+    d_values: tuple[int, ...] = _key(_list_of(_integer(1)), default=(1,))
+    seed: int = _key(_integer(), default=OptimizationConfig.seed)
+    tables_per_cell: int = _key(_integer(1), default=25)
+    fit_budget: int = _key(_integer(1), default=120)
+    heldout_samples: int = _key(_integer(1), default=200)
+    objectives: tuple[str, ...] = _key(_list_of(_objective), default=("scaled_enflo",))
+    restarts: int = _key(_integer(), default=OptimizationConfig.restarts)
+    iterations: int = _key(_integer(), default=OptimizationConfig.iterations)
+    step: float = _key(_number, default=OptimizationConfig.step)
+    smoothing_eps: float = _key(_number, default=OptimizationConfig.smoothing_eps)
+    tolerances: dict = _key(_tolerances, default_factory=lambda: dict(_TOLERANCE_DEFAULTS))
+
+    def to_echo_dict(self) -> dict:
+        """The config as strict JSON: lists for tuples, and "inf" for an infinite q."""
+        echo = asdict(self)
+        for key, value in echo.items():
+            if isinstance(value, tuple):
+                echo[key] = ["inf" if entry == math.inf else entry for entry in value]
+        return echo
+
+    def optimizer(self) -> OptimizationConfig:
+        """The ascent knobs, read by the names OptimizationConfig declares."""
+        shared = OptimizationConfig.__dataclass_fields__
+        return OptimizationConfig(**{name: getattr(self, name) for name in shared})
 
 
 def parse_config(payload: dict) -> ExperimentConfig:
     """Validate a raw config mapping; messages always name the bad field."""
     if not isinstance(payload, dict):
         raise ConfigError("config must be a JSON object")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    for key in payload:
+    for key in ("schema_version", "command"):
+        if key not in payload:
+            raise ConfigError(f"{key} is required")
+    known = ExperimentConfig.__dataclass_fields__
+    values = {}
+    for key, value in payload.items():
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-    if "schema_version" not in payload:
-        raise ConfigError("schema_version is required")
-    version = payload["schema_version"]
-    if isinstance(version, bool) or not isinstance(version, int) or version != 1:
-        raise ConfigError("schema_version must be 1")
-    if "command" not in payload:
-        raise ConfigError("command is required")
-    command = payload["command"]
-    if command not in COMMANDS:
-        raise ConfigError(f"command must be one of {', '.join(COMMANDS)}")
-
-    merged = ExperimentConfig(command=command).to_echo_dict()
-    merged.update(payload)
-
-    n_values = _want_int_list(merged, "n_values", 1)
-    m_values = _want_int_list(merged, "m_values", 2)
-    for m in m_values:
-        if m % 2 != 0:
-            raise ConfigError("m_values entries must be even")
-    k_values = _want_int_list(merged, "k_values", 1)
-    for k in k_values:
-        if k % 2 == 0:
-            raise ConfigError("k_values entries must be odd")
-    d_values = _want_int_list(merged, "d_values", 1)
-
-    raw_p = merged["p_values"]
-    if not isinstance(raw_p, list) or not raw_p:
-        raise ConfigError("p_values must be a nonempty list")
-    p_values = []
-    for entry in raw_p:
-        p = _want_float(entry, "p_values")
-        try:
-            p_values.append(as_exponent(p))
-        except ValueError as exc:
-            raise ConfigError(f"p_values entry {entry!r}: {exc}") from exc
-
-    raw_q = merged["q_values"]
-    if not isinstance(raw_q, list) or not raw_q:
-        raise ConfigError("q_values must be a nonempty list")
-    q_values = []
-    for entry in raw_q:
-        q = math.inf if entry == "inf" else _want_float(entry, "q_values")
-        try:
-            q_values.append(as_norm(q).q)
-        except ValueError as exc:
-            raise ConfigError(f"q_values entry {entry!r}: {exc}") from exc
-
-    objectives = merged["objectives"]
-    if not isinstance(objectives, list) or not objectives:
-        raise ConfigError("objectives must be a nonempty list")
-    for name in objectives:
-        if name not in SEARCH_OBJECTIVES:
-            raise ConfigError(f"objectives entry {name!r} is not recognized")
-
-    tolerances = merged["tolerances"]
-    if not isinstance(tolerances, dict):
-        raise ConfigError("tolerances must be an object")
-    tol = dict(_TOLERANCE_DEFAULTS)
-    for key, value in tolerances.items():
-        if key not in _TOLERANCE_DEFAULTS:
-            raise ConfigError(f"unknown tolerance key {key!r}")
-        value = _want_float(value, f"tolerances.{key}")
-        if not value > 0:
-            raise ConfigError(f"tolerances.{key} must be positive")
-        tol[key] = value
-
-    step = _want_float(merged["step"], "step")
-    if not step > 0:
-        raise ConfigError("step must be positive")
-    smoothing_eps = _want_float(merged["smoothing_eps"], "smoothing_eps")
-    if not smoothing_eps > 0:
-        raise ConfigError("smoothing_eps must be positive")
-
-    cfg = ExperimentConfig(
-        command=command,
-        schema_version=1,
-        n_values=n_values,
-        m_values=m_values,
-        k_values=k_values,
-        p_values=tuple(p_values),
-        q_values=tuple(q_values),
-        d_values=d_values,
-        seed=_want_int(merged, "seed", 0),
-        tables_per_cell=_want_int(merged, "tables_per_cell", 1),
-        fit_budget=_want_int(merged, "fit_budget", 1),
-        heldout_samples=_want_int(merged, "heldout_samples", 1),
-        objectives=tuple(objectives),
-        restarts=_want_int(merged, "restarts", 1),
-        iterations=_want_int(merged, "iterations", 1),
-        step=step,
-        smoothing_eps=smoothing_eps,
-        tolerances=tol,
-    )
+        values[key] = known[key].metadata["parse"](value, key)
+    cfg = ExperimentConfig(**values)
+    try:
+        cfg.optimizer()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _validate_for_command(cfg)
     return cfg
 
@@ -270,12 +230,7 @@ def _validate_for_command(cfg: ExperimentConfig) -> None:
     if cfg.command in ("check-lemmas", "fit-h", "verify-identity"):
         for m in cfg.m_values:
             for k in cfg.k_values:
-                try:
-                    check_radius(k, m)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"k_values entry {k} with m_values entry {m}: {exc}"
-                    ) from exc
+                _owned(f"k_values entry {k} with m_values entry {m}", check_radius, k, m)
     if cfg.command in ("fit-h", "verify-identity"):
         if len(cfg.m_values) != 1:
             raise ConfigError("m_values must hold a single value for identity fits")
@@ -300,12 +255,8 @@ def _validate_for_command(cfg: ExperimentConfig) -> None:
                         "include approximation"
                     )
         for objective, n, m, k, *_ in _search_cells(cfg):
-            try:
-                check_cell(objective, n, m, k)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"objectives entry {objective!r} at n={n}, m={m}, k={k}: {exc}"
-                ) from exc
+            label = f"objectives entry {objective!r} at n={n}, m={m}, k={k}"
+            _owned(label, check_cell, objective, n, m, k)
 
 
 def _csv_text(columns, rows) -> str:
@@ -457,16 +408,14 @@ def _run_identity(cfg: ExperimentConfig, threads: int, verify: bool):
     return outputs, all_passed
 
 
-def _dispatch(cfg: ExperimentConfig, threads: int):
-    if cfg.command == "check-lemmas":
-        return _run_check_lemmas(cfg, threads)
-    if cfg.command == "estimate-constants":
-        return _run_estimate_constants(cfg, threads)
-    if cfg.command == "scan":
-        return _run_scan(cfg, threads)
-    if cfg.command == "fit-h":
-        return _run_identity(cfg, threads, verify=False)
-    return _run_identity(cfg, threads, verify=True)
+_RUNNERS = {
+    "check-lemmas": _run_check_lemmas,
+    "estimate-constants": _run_estimate_constants,
+    "scan": _run_scan,
+    "fit-h": lambda cfg, threads: _run_identity(cfg, threads, verify=False),
+    "verify-identity": lambda cfg, threads: _run_identity(cfg, threads, verify=True),
+}
+COMMANDS = tuple(_RUNNERS)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -499,13 +448,11 @@ def main(argv=None) -> int:
         return 2
     try:
         payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond Python's digit limit
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.seed is not None:
-            if not isinstance(payload, dict):
-                raise ConfigError("config must be a JSON object")
+        if args.seed is not None and isinstance(payload, dict):
             payload = dict(payload, seed=args.seed)
         cfg = parse_config(payload)
     except ConfigError as exc:
@@ -517,7 +464,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        outputs, passed = _dispatch(cfg, args.threads)
+        outputs, passed = _RUNNERS[cfg.command](cfg, args.threads)
     except ProvenBoundViolation as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1

@@ -54,8 +54,11 @@ def coefficient_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def minimum_sample_budget(n: int) -> int:
-    """Fewest random equations a fit takes: four per unknown coefficient."""
-    return 4 * len(coefficient_pairs(n))
+    """Fewest random equations a fit takes: four per unknown coefficient.
+
+    Counts coefficient_pairs(n) in closed form, so checking a huge n is cheap.
+    """
+    return 2 * (n + 1) * (n + 2)
 
 
 def coefficient_scale(n: int, k: int, i: int) -> float:

@@ -82,23 +82,28 @@ class OptimizationConfig:
     smoothing_eps: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not isinstance(self.restarts, int) or self.restarts < 1:
+        if not _is_count(self.restarts, 1):
             raise ValueError("restarts must be a positive integer")
-        if not isinstance(self.iterations, int) or self.iterations < 1:
+        if not _is_count(self.iterations, 1):
             raise ValueError("iterations must be a positive integer")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
-        if not self.smoothing_eps > 0:
-            raise ValueError("smoothing_eps must be positive")
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
+        if not 0 < self.smoothing_eps < math.inf:
+            raise ValueError("smoothing_eps must be positive and finite")
         _seed_tuple(self.seed)
+
+
+def _is_count(value, minimum: int) -> bool:
+    """An int of at least minimum; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
     if isinstance(seed, (tuple, list)):
-        if not all(isinstance(s, int) and s >= 0 for s in seed):
+        if not all(_is_count(s, 0) for s in seed):
             raise ValueError("seed tuple entries must be nonnegative integers")
         return tuple(seed)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_count(seed, 0):
         raise ValueError("seed must be a nonnegative integer or a tuple of them")
     return (seed,)
 
@@ -216,11 +221,10 @@ def _ascend(values: np.ndarray, value_grad, step: float, iterations: int):
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Best table found, its exact report, and which restart produced it."""
+    """Best table found, its exact report, and the ascent that produced it."""
 
     table: FunctionTable
     report: RatioReport
-    best_restart: int
     accepted_steps: int
     trace: tuple[float, ...]
 
@@ -251,7 +255,7 @@ def _maximize_full(
         if report.degenerate:
             continue
         if best is None or report.ratio > best.report.ratio:
-            best = SearchOutcome(table, report, r, accepted, tuple(trace))
+            best = SearchOutcome(table, report, accepted, tuple(trace))
     if best is None:
         raise RuntimeError("every restart produced a degenerate table")
     return best
@@ -367,7 +371,6 @@ class ScanRow:
     iterations: int
     seed: int
     k_capped: bool = False
-    best_restart: int = 0
 
     def to_csv_row(self) -> list[str]:
         return [format_cell(getattr(self, column)) for column in SCAN_CSV_COLUMNS]
@@ -402,7 +405,6 @@ def search_row(
         restarts=config.restarts,
         iterations=out.accepted_steps,
         seed=config.seed,
-        best_restart=out.best_restart,
     )
 
 

@@ -1,18 +1,23 @@
 import json
+import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from enflolab.cli import (
     COMMANDS,
     ConfigError,
+    ExperimentConfig,
     IDENTITY_CSV_COLUMNS,
     parse_config,
 )
 from enflolab.identity import IdentityCoefficients
 from enflolab.inequalities import PROVEN_BOUND_RTOL, REPORT_CSV_COLUMNS
-from enflolab.search import SCAN_CSV_COLUMNS
+from enflolab.search import SCAN_CSV_COLUMNS, SEARCH_OBJECTIVES
 
 
 def run_cli(config, out_dir, *extra):
@@ -49,6 +54,12 @@ def base_config(command, **overrides):
     return cfg
 
 
+# the smallest valid config of each command; scan refuses the defaults alone,
+# because the default p_values holds two entries
+MINIMAL_CONFIGS = {command: base_config(command) for command in COMMANDS}
+MINIMAL_CONFIGS["scan"] = base_config("scan", p_values=[2.0])
+
+
 def test_parse_errors_name_the_offending_field():
     checks = [
         ({}, "schema_version"),
@@ -69,6 +80,17 @@ def test_parse_errors_name_the_offending_field():
         (base_config("verify-identity", n_values=[7]), "fit_budget"),
         (base_config("check-lemmas", tolerances={"bogus": 0.1}), "bogus"),
         (base_config("check-lemmas", tolerances={"fit_h00": -1.0}), "fit_h00"),
+        (
+            base_config("check-lemmas", tolerances={"proven_inequality_rel": float("inf")}),
+            "proven_inequality_rel",
+        ),
+        (base_config("fit-h", tolerances={"identity_residual": 10**400}), "identity_residual"),
+        (base_config("estimate-constants", step=float("inf")), "step"),
+        (base_config("estimate-constants", smoothing_eps=float("inf")), "smoothing_eps"),
+        (base_config("estimate-constants", restarts=True), "restarts"),
+        (base_config("estimate-constants", restarts=0), "restarts"),
+        (base_config("scan", p_values=[2.0], iterations=0), "iterations"),
+        (base_config("check-lemmas", seed=-1), "seed"),
         (base_config("estimate-constants", objectives=["warp"]), "objectives"),
         (
             base_config("estimate-constants", objectives=["pisier"], n_values=[9]),
@@ -85,14 +107,15 @@ def test_parse_errors_name_the_offending_field():
 
 
 def test_parse_round_trip_defaults():
-    cfg = parse_config(base_config("check-lemmas"))
-    assert cfg.command == "check-lemmas"
-    assert cfg.tolerances == {
-        "identity_residual": 1e-8,
-        "proven_inequality_rel": PROVEN_BOUND_RTOL,
-    }
-    echo = cfg.to_echo_dict()
-    assert parse_config(echo).to_echo_dict() == echo
+    for command, payload in MINIMAL_CONFIGS.items():
+        cfg = parse_config(payload)
+        assert cfg.command == command
+        assert cfg.tolerances == {
+            "identity_residual": 1e-8,
+            "proven_inequality_rel": PROVEN_BOUND_RTOL,
+        }
+        echo = cfg.to_echo_dict()
+        assert parse_config(echo).to_echo_dict() == echo
     assert set(COMMANDS) == {
         "check-lemmas",
         "estimate-constants",
@@ -100,6 +123,41 @@ def test_parse_round_trip_defaults():
         "fit-h",
         "verify-identity",
     }
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400)])
+    | st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan])
+    | st.text(max_size=8)
+    | st.sampled_from(["inf", *COMMANDS, *SEARCH_OBJECTIVES]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.text(max_size=8) | st.sampled_from(["identity_residual", "proven_inequality_rel"]),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=8,
+)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from([f.name for f in fields(ExperimentConfig)]), value=JSON_VALUES)
+@example(key="step", value=math.inf)
+@example(key="tolerances", value={"proven_inequality_rel": math.inf})
+def test_any_json_field_value_is_parsed_or_refused(command, key, value):
+    payload = dict(MINIMAL_CONFIGS[command], **{key: value})
+    try:
+        cfg = parse_config(payload)
+    except ConfigError:
+        return
+    echo = cfg.to_echo_dict()
+    text = json.dumps(echo, allow_nan=False)
+    assert parse_config(json.loads(text)).to_echo_dict() == echo
 
 
 def check_lemmas_config():
@@ -210,12 +268,21 @@ def test_invalid_config_exits_2_and_writes_nothing(tmp_path):
     assert proc.returncode == 2
     assert "q_values" in proc.stderr
     assert read_outputs(out) == {}
-    proc = subprocess.run(
-        [sys.executable, "-m", "enflolab.cli", "--config", str(out / "missing.json")],
-        capture_output=True,
-        text=True,
-    )
+    # json writes and reads Infinity too; the ascent must never start with it
+    proc = run_cli(base_config("estimate-constants", n_values=[1], step=float("inf")), out)
     assert proc.returncode == 2
+    assert "step" in proc.stderr
+    assert read_outputs(out) == {}
+    # an integer literal past Python's 4300-digit limit is a config error too
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"schema_version": 1, "command": "scan", "seed": ' + "9" * 5000 + "}")
+    for path in (tmp_path / "missing.json", huge):
+        proc = subprocess.run(
+            [sys.executable, "-m", "enflolab.cli", "--config", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
 
 
 def test_scan_outputs_are_thread_independent(tmp_path):

@@ -159,6 +159,17 @@ def test_optimization_config_validation():
         OptimizationConfig(seed=-3)
     with pytest.raises(ValueError):
         OptimizationConfig(seed=(1, -2))
+    for bad in (
+        {"step": math.inf},
+        {"smoothing_eps": math.inf},
+        {"step": math.nan},
+        {"restarts": True},
+        {"iterations": True},
+        {"seed": True},
+        {"seed": (1, True)},
+    ):
+        with pytest.raises(ValueError):
+            OptimizationConfig(**bad)
     assert OptimizationConfig(seed=(1, 2)).seed == (1, 2)
 
 
