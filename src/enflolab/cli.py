@@ -6,7 +6,8 @@ and thread count. Every output is byte deterministic: cells are seeded by
 (base seed, cell index), collected in cell order, and written atomically
 after all computation has finished, so the thread count never changes a
 byte and a failed run leaves nothing behind. Proven-bound violations and
-over-tolerance residuals exit 1; malformed configs exit 2.
+over-tolerance residuals exit 1; malformed configs, and cells too large to
+compute, exit 2.
 """
 
 from __future__ import annotations
@@ -73,6 +74,41 @@ _TOLERANCE_DEFAULTS = {
 
 class ConfigError(ValueError):
     """A config field is missing, unknown, or out of range."""
+
+
+# Size limits on one table evaluation, in float64 entries: those it holds at
+# once and those it computes. Measured on a 2-core Xeon (Python 3.11, numpy
+# 2.4), a check-lemmas table peaks at about 32 bytes per held entry over the
+# interpreter's 40 MB (0.30 GB at 2^23) and takes about 30 ns per computed
+# entry (8 s at 2^28). The largest benchmark cell, check-lemmas at n=4, m=16,
+# d=3, holds 2^17.6 and computes 2^21.6.
+MAX_HELD_ENTRIES = 2**23
+MAX_COMPUTED_ENTRIES = 2**28
+
+
+def _check_size(work: str, n: int, m: int, d: int) -> None:
+    """Refuse a cell whose one table evaluation is past the size limits.
+
+    work is a command or a search objective. A table holds m^n d entries; the
+    diagonal moment of smoothing, which check-lemmas also runs, sums 2^n fields
+    of that size; Pisier's sign combinations hold 4^n d; each identity sample
+    holds the box average over the complement of every coordinate subset,
+    2^n scalar tables.
+    """
+    if n > MAX_HELD_ENTRIES.bit_length():  # m >= 2, so m^n alone is too large
+        held = computed = math.inf
+    elif work == "pisier":
+        held = computed = 4**n * d
+    elif work == "verify-identity":
+        held = computed = 2**n * m**n * d
+    else:
+        held = m**n * d
+        computed = 2**n * held if work in ("check-lemmas", "smoothing") else held
+    if held > MAX_HELD_ENTRIES or computed > MAX_COMPUTED_ENTRIES:
+        raise ConfigError(
+            f"{work} cell n={n}, m={m}, d={d} is too large: one table may hold "
+            f"{MAX_HELD_ENTRIES} and compute {MAX_COMPUTED_ENTRIES} float64 entries"
+        )
 
 
 # Field parsers take (JSON value, label) and return the field value or raise a
@@ -227,17 +263,24 @@ def parse_config(payload: dict) -> ExperimentConfig:
 
 
 def _validate_for_command(cfg: ExperimentConfig) -> None:
-    if cfg.command in ("check-lemmas", "fit-h", "verify-identity"):
+    if cfg.command in ("check-lemmas", "verify-identity"):
         for m in cfg.m_values:
             for k in cfg.k_values:
                 _owned(f"k_values entry {k} with m_values entry {m}", check_radius, k, m)
-    if cfg.command in ("fit-h", "verify-identity"):
+    if cfg.command == "check-lemmas":
+        for n in cfg.n_values:
+            for m in cfg.m_values:
+                for d in cfg.d_values:
+                    _check_size(cfg.command, n, m, d)
+    if cfg.command == "verify-identity":
         if len(cfg.m_values) != 1:
             raise ConfigError("m_values must hold a single value for identity fits")
         for n in cfg.n_values:
             need = minimum_sample_budget(n)
             if cfg.fit_budget < need:
                 raise ConfigError(f"fit_budget must be at least {need} for n_values entry {n}")
+            # identity samples are scalar tables
+            _check_size(cfg.command, n, cfg.m_values[0], 1)
     if cfg.command == "scan":
         for m in cfg.m_values:
             if m % 4 != 0:
@@ -245,6 +288,9 @@ def _validate_for_command(cfg: ExperimentConfig) -> None:
         for key in ("p_values", "q_values", "d_values"):
             if len(getattr(cfg, key)) != 1:
                 raise ConfigError(f"{key} must hold a single value for scan")
+        for n in cfg.n_values:
+            for m in cfg.m_values:
+                _check_size("scaled_enflo", n, m, cfg.d_values[0])
     if cfg.command == "estimate-constants":
         if "approximation" in cfg.objectives:
             # radius 1 makes every table a 0/0 approximation cell
@@ -254,9 +300,10 @@ def _validate_for_command(cfg: ExperimentConfig) -> None:
                         "k_values entries must be at least 3 when objectives "
                         "include approximation"
                     )
-        for objective, n, m, k, *_ in _search_cells(cfg):
+        for objective, n, m, k, _, _, d in _search_cells(cfg):
             label = f"objectives entry {objective!r} at n={n}, m={m}, k={k}"
             _owned(label, check_cell, objective, n, m, k)
+            _check_size(objective, n, m, d)
 
 
 def _csv_text(columns, rows) -> str:
@@ -303,7 +350,7 @@ def _run_check_lemmas(cfg: ExperimentConfig, threads: int):
                 smoothing_ratio(f, k, norm, p),
             ]
             if m % 4 == 0:
-                reports.append(scheme_composite_check(f, k, norm, p, rtol=rtol))
+                reports.append(scheme_composite_check(*reports, rtol=rtol))
             rows.extend(r.with_seed(cfg.seed).to_csv_row() for r in reports)
         return rows
 
@@ -352,7 +399,7 @@ def _run_scan(cfg: ExperimentConfig, threads: int):
     return {"report.csv": _csv_text(SCAN_CSV_COLUMNS, [r.to_csv_row() for r in rows])}, True
 
 
-def _run_identity(cfg: ExperimentConfig, threads: int, verify: bool):
+def _run_verify_identity(cfg: ExperimentConfig, threads: int):
     m = cfg.m_values[0]
     tolerance = cfg.tolerances["identity_residual"]
     cells = [(n, k) for n in cfg.n_values for k in cfg.k_values]
@@ -361,40 +408,30 @@ def _run_identity(cfg: ExperimentConfig, threads: int, verify: bool):
         n, k = cells[ci]
         geometry = TorusGeometry(n, m)
         fit_seed = _cell_seed_int(cfg.seed, ci)
-        coeffs = fit_identity_coefficients(
-            geometry, k, cfg.fit_budget, fit_seed, cfg.heldout_samples
+        coeffs = fit_identity_coefficients(geometry, k, cfg.fit_budget, fit_seed)
+        check = verify_identity(
+            coeffs,
+            geometry,
+            k,
+            tolerance=tolerance,
+            n_samples=cfg.heldout_samples,
+            seed=fit_seed + 1,
         )
-        if verify:
-            check = verify_identity(
-                coeffs,
-                geometry,
-                k,
-                tolerance=tolerance,
-                n_samples=cfg.heldout_samples,
-                seed=fit_seed + 1,
-            )
-            residual = check.max_residual
-            samples = check.samples
-            passed = check.passed
-        else:
-            residual = coeffs.residual
-            samples = cfg.heldout_samples
-            passed = residual < tolerance
         row = [
             format_cell(n),
             format_cell(m),
             format_cell(k),
             format_cell(fit_seed),
             format_cell(cfg.fit_budget),
-            format_cell(samples),
+            format_cell(check.samples),
             format_cell(coeffs.coefficient(0, 0)),
             format_cell(coeffs.shape_constant()),
-            format_cell(residual),
+            format_cell(check.max_residual),
             format_cell(tolerance),
-            format_cell(passed),
+            format_cell(check.passed),
         ]
         name = f"h_coeffs_{n}_{k}.json"
-        return row, passed, name, _json_text(coeffs.to_json_dict())
+        return row, check.passed, name, _json_text(coeffs.to_json_dict())
 
     collected = map_cells(run, len(cells), threads)
     outputs = {}
@@ -412,8 +449,7 @@ _RUNNERS = {
     "check-lemmas": _run_check_lemmas,
     "estimate-constants": _run_estimate_constants,
     "scan": _run_scan,
-    "fit-h": lambda cfg, threads: _run_identity(cfg, threads, verify=False),
-    "verify-identity": lambda cfg, threads: _run_identity(cfg, threads, verify=True),
+    "verify-identity": _run_verify_identity,
 }
 COMMANDS = tuple(_RUNNERS)
 

@@ -160,14 +160,15 @@ class IdentityCoefficients:
 
     values and identifiable are (n+1, n+1) arrays whose lower triangle is
     meaningful; entry (i, l) is the coefficient for subset size i and
-    disagreement count l. residual is the largest held-out pointwise error.
+    disagreement count l. seed and budget name the fit's sample stream and
+    its equation count; how well the coefficients hold is verify_identity's
+    to say.
     """
 
     n: int
     k: int
     values: np.ndarray
     identifiable: np.ndarray
-    residual: float
     seed: int
     budget: int
 
@@ -208,7 +209,6 @@ class IdentityCoefficients:
                 [bool(self.identifiable[i, l]) for l in range(i + 1)]
                 for i in range(self.n + 1)
             ],
-            "residual": self.residual,
             "seed": self.seed,
             "budget": self.budget,
         }
@@ -227,7 +227,6 @@ class IdentityCoefficients:
             k=int(payload["k"]),
             values=values,
             identifiable=mask,
-            residual=float(payload["residual"]),
             seed=int(payload["seed"]),
             budget=int(payload["budget"]),
         )
@@ -277,35 +276,20 @@ def _draw_sample(
     return row, target
 
 
-def _worst_residual(
-    geometry: TorusGeometry,
-    k: int,
-    rng,
-    pairs: list[tuple[int, int]],
-    full: np.ndarray,
-    n_samples: int,
-) -> float:
-    """Largest |target - row . coefficients| over freshly drawn equations."""
-    worst = 0.0
-    for _ in range(n_samples):
-        row, target = _draw_sample(geometry, k, rng, pairs)
-        worst = max(worst, abs(target - float(row @ full)))
-    return worst
-
-
 def fit_identity_coefficients(
     geometry: TorusGeometry,
     k: int,
     sample_budget: int,
     seed: int,
-    heldout_samples: int = 200,
 ) -> IdentityCoefficients:
     """Recover the combination coefficients for one (n, k) cell.
 
-    Random scalar tables with random (x, eps) give one linear equation each.
-    The (0, 0) coefficient is pinned to its known value 1, the rest are the
+    Random scalar tables with random (x, eps) give one linear equation each,
+    and exactly sample_budget of them are drawn from the seeded stream. The
+    (0, 0) coefficient is pinned to its known value 1, the rest are the
     minimum-norm least-squares solution, and coefficients with any weight in
     the numerical null space of the feature map are flagged unidentifiable.
+    The fit replays nothing; verify_identity measures the residual.
     """
     check_radius(k, geometry.m)
     pairs = coefficient_pairs(geometry.n)
@@ -345,16 +329,11 @@ def fit_identity_coefficients(
         values[i, l] = solution[pos]
         mask[i, l] = rest_mask[pos]
 
-    full = np.zeros(unknowns)
-    full[pin] = 1.0
-    full[rest] = solution
-
     return IdentityCoefficients(
         n=geometry.n,
         k=k,
         values=values,
         identifiable=mask,
-        residual=_worst_residual(geometry, k, rng, pairs, full, heldout_samples),
         seed=seed,
         budget=sample_budget,
     )
@@ -381,7 +360,10 @@ def verify_identity(
     pairs = coefficient_pairs(geometry.n)
     full = np.array([coefficients.values[i, l] for i, l in pairs])
     rng = np.random.default_rng(seed)
-    worst = _worst_residual(geometry, k, rng, pairs, full, n_samples)
+    worst = 0.0
+    for _ in range(n_samples):
+        row, target = _draw_sample(geometry, k, rng, pairs)
+        worst = max(worst, abs(target - float(row @ full)))
     return IdentityCheck(
         max_residual=worst,
         samples=n_samples,

@@ -340,28 +340,22 @@ def inequality_sides(name: str, geometry: TorusGeometry, k: int | None, p: float
     return Side(1.0, (mean_deviation,)), rhs
 
 
-def _exact_sides(sides, f: FunctionTable, k: int | None, norm: NormSpec, p: float):
-    """Exact value of each side on f; the sides share one full-box average."""
+def _evaluate(name: str, f: FunctionTable, k: int | None, norm, p) -> RatioReport:
+    norm = as_norm(norm)
+    p = as_exponent(p)
     g = f.geometry
-    smooth = None
     values = []
-    for side in sides:
+    for side in inequality_sides(name, g, k, p):
         if side.source == SOURCE_F and side.ops == unit_steps(g.n):
             values.append(side.scale * edge_energy(f, norm, p))
             continue
         source = f.values
         if side.source != SOURCE_F:
-            smooth = box_average(f, range(g.n), k) if smooth is None else smooth
-            source = smooth.values if side.source == SOURCE_BOX else smooth.values - f.values
+            source = box_average(f, range(g.n), k).values
+            if side.source == SOURCE_BOX_DISPLACEMENT:
+                source = source - f.values
         values.append(side.moment(source.reshape(g.shape + (f.d,)), norm, p))
-    return values
-
-
-def _evaluate(name: str, f: FunctionTable, k: int | None, norm, p) -> RatioReport:
-    norm = as_norm(norm)
-    p = as_exponent(p)
-    g = f.geometry
-    lhs, rhs = _exact_sides(inequality_sides(name, g, k, p), f, k, norm, p)
+    lhs, rhs = values
     return _build_report(name, lhs, rhs, n=g.n, m=g.m, k=k, p=p, q=norm.q, d=f.d)
 
 
@@ -411,7 +405,10 @@ def pisier_ratio(g: FunctionTable, norm, p) -> RatioReport:
 
 
 def scheme_composite_check(
-    f: FunctionTable, k: int, norm, p, rtol: float = PROVEN_BOUND_RTOL
+    half_shift: RatioReport,
+    approximation: RatioReport,
+    smoothing: RatioReport,
+    rtol: float = PROVEN_BOUND_RTOL,
 ) -> RatioReport:
     """Half-torus shift moment against an explicit-constant composite bound.
 
@@ -423,24 +420,26 @@ def scheme_composite_check(
     where D is the box displacement moment and S the diagonal smoothing
     moment, using m/4 telescoping steps of two along a fixed diagonal. The
     reported bound relaxes this to 2 * 3^(p-1) (D + m^p S), which dominates
-    because (m/4)^p <= 2 m^p. Both forms are asserted; m must be divisible
-    by 4 for the telescope. The half shift, D and S are the left sides of
-    the scaled Enflo, approximation and smoothing declarations.
+    because (m/4)^p <= 2 m^p. Both forms are asserted.
+
+    The half shift, D and S are the left sides of the scaled Enflo,
+    approximation and smoothing reports, in that order, of one cell (n, m,
+    k, p, q, d) with m divisible by 4 for the telescope; any other legs are
+    a ValueError. Nothing is evaluated again here.
     """
-    norm = as_norm(norm)
-    p = as_exponent(p)
-    g = f.geometry
-    if g.m % 4 != 0:
+    legs = (half_shift, approximation, smoothing)
+    if tuple(r.evaluator for r in legs) != ("scaled_enflo", "approximation", "smoothing"):
+        raise ValueError("legs must be scaled_enflo, approximation and smoothing reports")
+    cells = {(r.n, r.m, r.p, r.q, r.d) for r in legs}
+    if len(cells) != 1 or approximation.k != smoothing.k:
+        raise ValueError("legs must come from one cell (n, m, k, p, q, d)")
+    n, m, p, q, d = cells.pop()
+    if m % 4 != 0:
         raise ValueError("m must be divisible by 4")
-    legs = (
-        inequality_sides("scaled_enflo", g, None, p)[0],
-        inequality_sides("approximation", g, k, p)[0],
-        inequality_sides("smoothing", g, k, p)[0],
-    )
-    lhs, displacement, diagonal = _exact_sides(legs, f, k, norm, p)
+    lhs, displacement, diagonal = (r.lhs for r in legs)
     split = 3.0 ** (p - 1.0)
-    tight = split * (2.0 * displacement + (g.m / 4.0) ** p * diagonal)
-    rhs = 2.0 * split * (displacement + float(g.m) ** p * diagonal)
+    tight = split * (2.0 * displacement + (m / 4.0) ** p * diagonal)
+    rhs = 2.0 * split * (displacement + float(m) ** p * diagonal)
     if lhs > tight * (1.0 + rtol):
         raise ProvenBoundViolation(
             f"composite chain violated: lhs={lhs!r} tight rhs={tight!r}"
@@ -450,5 +449,5 @@ def scheme_composite_check(
             f"composite bound violated: lhs={lhs!r} rhs={rhs!r}"
         )
     return _build_report(
-        "composite_scheme", lhs, rhs, n=g.n, m=g.m, k=k, p=p, q=norm.q, d=f.d
+        "composite_scheme", lhs, rhs, n=n, m=m, k=smoothing.k, p=p, q=q, d=d
     )

@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import math
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,7 @@ from enflolab.cli import (
 from enflolab.identity import IdentityCoefficients
 from enflolab.inequalities import PROVEN_BOUND_RTOL, REPORT_CSV_COLUMNS
 from enflolab.search import SCAN_CSV_COLUMNS, SEARCH_OBJECTIVES
+from enflolab.torus import FunctionTable
 
 
 def run_cli(config, out_dir, *extra):
@@ -68,6 +71,7 @@ def test_parse_errors_name_the_offending_field():
         ({"schema_version": 1.0, "command": "scan"}, "schema_version"),
         ({"schema_version": 1}, "command"),
         ({"schema_version": 1, "command": "dance"}, "command"),
+        ({"schema_version": 1, "command": "fit-h"}, "command"),
         (base_config("scan", volume=11), "volume"),
         (base_config("check-lemmas", k_values=[2]), "k_values"),
         (base_config("check-lemmas", m_values=[8], k_values=[5]), "m/2"),
@@ -75,8 +79,8 @@ def test_parse_errors_name_the_offending_field():
         (base_config("check-lemmas", p_values=[float("nan")]), "p_values"),
         (base_config("scan", m_values=[6]), "divisible by 4"),
         (base_config("scan", p_values=[1.0, 2.0]), "p_values"),
-        (base_config("fit-h", m_values=[8, 12]), "m_values"),
-        (base_config("fit-h", fit_budget=10), "fit_budget"),
+        (base_config("verify-identity", m_values=[8, 12]), "m_values"),
+        (base_config("verify-identity", fit_budget=10), "fit_budget"),
         (base_config("verify-identity", n_values=[7]), "fit_budget"),
         (base_config("check-lemmas", tolerances={"bogus": 0.1}), "bogus"),
         (base_config("check-lemmas", tolerances={"fit_h00": -1.0}), "fit_h00"),
@@ -84,7 +88,10 @@ def test_parse_errors_name_the_offending_field():
             base_config("check-lemmas", tolerances={"proven_inequality_rel": float("inf")}),
             "proven_inequality_rel",
         ),
-        (base_config("fit-h", tolerances={"identity_residual": 10**400}), "identity_residual"),
+        (
+            base_config("verify-identity", tolerances={"identity_residual": 10**400}),
+            "identity_residual",
+        ),
         (base_config("estimate-constants", step=float("inf")), "step"),
         (base_config("estimate-constants", smoothing_eps=float("inf")), "smoothing_eps"),
         (base_config("estimate-constants", restarts=True), "restarts"),
@@ -120,7 +127,6 @@ def test_parse_round_trip_defaults():
         "check-lemmas",
         "estimate-constants",
         "scan",
-        "fit-h",
         "verify-identity",
     }
 
@@ -237,12 +243,13 @@ def test_identity_run_writes_coefficients_and_report(tmp_path):
     blob = json.loads((out / "h_coeffs_2_3.json").read_text())
     coeffs = IdentityCoefficients.from_json_dict(blob)
     assert coeffs.coefficient(0, 0) == 1.0
-    assert coeffs.residual < 1e-8
+    assert "residual" not in blob
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[0] == ",".join(IDENTITY_CSV_COLUMNS)
     assert len(lines) == 2
-    row = lines[1].split(",")
-    assert row[-1] == "true"
+    row = dict(zip(IDENTITY_CSV_COLUMNS, lines[1].split(",")))
+    assert float(row["residual"]) < 1e-8
+    assert row["passed"] == "true"
 
 
 def test_identity_failure_still_writes_outputs(tmp_path):
@@ -262,6 +269,11 @@ def test_invalid_config_exits_2_and_writes_nothing(tmp_path):
     proc = run_cli(base_config("scan", m_values=[6]), out)
     assert proc.returncode == 2
     assert "divisible by 4" in proc.stderr
+    assert read_outputs(out) == {}
+    # fit-h is no longer a command; verify-identity fits and replays
+    proc = run_cli(base_config("fit-h", n_values=[1]), out)
+    assert proc.returncode == 2
+    assert "command" in proc.stderr
     assert read_outputs(out) == {}
     # json writes and reads NaN; it must be refused at config time, not mid-run
     proc = run_cli(base_config("check-lemmas", n_values=[1], q_values=[float("nan")]), out)
@@ -308,3 +320,91 @@ def test_scan_outputs_are_thread_independent(tmp_path):
     lines = outs["one"]["report.csv"].decode().splitlines()
     assert lines[0] == ",".join(SCAN_CSV_COLUMNS)
     assert len(lines) == 5
+
+
+# cells past the size limits, each refused at config time: a table too large to
+# hold, a diagonal moment too long to compute, and identity complement tables
+OVERSIZED_CONFIGS = [
+    base_config("check-lemmas", n_values=[40]),
+    base_config("check-lemmas", n_values=[9], m_values=[16]),
+    base_config("check-lemmas", n_values=[7], m_values=[8], d_values=[2]),
+    base_config("estimate-constants", n_values=[9], m_values=[16]),
+    base_config(
+        "estimate-constants", objectives=["smoothing"], n_values=[6], k_values=[3], d_values=[32]
+    ),
+    base_config("estimate-constants", objectives=["pisier"], n_values=[8], d_values=[256]),
+    base_config("scan", n_values=[9], m_values=[16], p_values=[2.0]),
+    base_config("verify-identity", n_values=[6], fit_budget=112),
+    base_config("verify-identity", n_values=[40], fit_budget=10**4),
+]
+
+
+def test_oversized_cells_are_refused_before_any_table_exists(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(FunctionTable, "__init__", no_table)
+    for payload in OVERSIZED_CONFIGS:
+        with pytest.raises(ConfigError, match="too large"):
+            parse_config(payload)
+    # check-lemmas at n=7, m=8 computes exactly the 2^28 limit; it still parses
+    parse_config(base_config("check-lemmas", n_values=[7], m_values=[8]))
+
+
+@pytest.mark.parametrize("payload", OVERSIZED_CONFIGS)
+def test_oversized_cells_exit_2_and_write_nothing(tmp_path, payload):
+    proc = run_cli(payload, tmp_path)
+    assert proc.returncode == 2
+    assert "too large" in proc.stderr
+    assert read_outputs(tmp_path) == {}
+
+
+def test_every_benchmark_config_passes_the_size_guard(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        for payload in workloads.configs(workload, seed=0):
+            parse_config(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(
+            base_config(
+                "verify-identity",
+                n_values=[1, 2],
+                k_values=[1, 3],
+                heldout_samples=20,
+                seed=17,
+            ),
+            id="verify-identity",
+        ),
+        pytest.param(
+            base_config(
+                "estimate-constants",
+                objectives=["scaled_enflo", "smoothing", "enflo"],
+                n_values=[2],
+                k_values=[3],
+                p_values=[1.5, 2.0],
+                restarts=2,
+                iterations=15,
+                seed=13,
+            ),
+            id="estimate-constants",
+        ),
+    ],
+)
+def test_outputs_are_byte_identical_across_threads(tmp_path, payload):
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        proc = run_cli(payload, out, "--threads", threads)
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = read_outputs(out)
+    assert runs["1"] == runs["2"]
+    assert "report.csv" in runs["1"]

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from enflolab import identity
 from enflolab.averaging import box_average
 from enflolab.identity import (
     IdentityCoefficients,
@@ -136,13 +137,21 @@ def test_fit_recovers_the_known_coefficients():
     g = TorusGeometry(2, 8)
     fitted = fit_identity_coefficients(g, 3, sample_budget=96, seed=42)
     assert fitted.coefficient(0, 0) == 1.0
-    assert fitted.residual < 1e-8
+    assert verify_identity(fitted, g, 3, n_samples=200).max_residual < 1e-8
     for i, l in coefficient_pairs(2):
         if i < 2:
             assert fitted.is_identifiable(i, l)
             assert abs(fitted.coefficient(i, l) - true_coefficient(i, l)) < 1e-6
         else:
             assert not fitted.is_identifiable(i, l)
+
+
+def test_fit_draws_exactly_its_sample_budget(monkeypatch):
+    draws = []
+    draw = identity._draw_sample
+    monkeypatch.setattr(identity, "_draw_sample", lambda *args: draws.append(1) or draw(*args))
+    fit_identity_coefficients(TorusGeometry(2, 8), 3, sample_budget=50, seed=3)
+    assert len(draws) == 50
 
 
 def test_fit_budget_guard_names_the_parameter():

@@ -165,13 +165,13 @@ def test_smoothing_kills_the_parity_indicator():
     assert not report.degenerate
 
 
-def test_constant_tables_degenerate_with_no_ratio():
+def test_constant_tables_degenerate_with_no_ratio(composite):
     g = TorusGeometry(2, 8)
     c = FunctionTable.constant(g, [2.5, -1.0])
     for report in (
         scaled_enflo_ratio(c, 2.0, 2.0),
         smoothing_ratio(c, 3, 2.0, 2.0),
-        scheme_composite_check(c, 3, 2.0, 2.0),
+        composite(c, 3, 2.0, 2.0),
     ):
         assert report.lhs == 0.0
         assert report.degenerate
@@ -179,7 +179,7 @@ def test_constant_tables_degenerate_with_no_ratio():
 
 
 @pytest.mark.parametrize("p,q", [(1.0, 1.0), (1.5, 2.0), (2.0, math.inf)])
-def test_torus_evaluators_are_translation_and_shift_invariant(p, q):
+def test_torus_evaluators_are_translation_and_shift_invariant(p, q, composite):
     f = gaussian(2, 8, 2, seed=13)
     g = f.geometry
     rolled = FunctionTable(g, np.roll(f.nd_view(), (-3, -5), axis=(0, 1)).reshape(-1, f.d))
@@ -188,7 +188,7 @@ def test_torus_evaluators_are_translation_and_shift_invariant(p, q):
         lambda t: scaled_enflo_ratio(t, q, p),
         lambda t: approximation_ratio(t, 3, q, p),
         lambda t: smoothing_ratio(t, 3, q, p),
-        lambda t: scheme_composite_check(t, 3, q, p),
+        lambda t: composite(t, 3, q, p),
     ):
         base = evaluate(f)
         for other in (rolled, lifted):
@@ -225,14 +225,14 @@ def test_pisier_guards():
         pisier_ratio(gaussian(3, 4, 1, 0), 2.0, 2.0)
 
 
-def test_composite_needs_m_divisible_by_four():
+def test_composite_needs_m_divisible_by_four(composite):
     with pytest.raises(ValueError):
-        scheme_composite_check(gaussian(2, 6, 1, 0), 1, 2.0, 2.0)
+        composite(gaussian(2, 6, 1, 0), 1, 2.0, 2.0)
 
 
-def test_composite_holds_with_margin():
+def test_composite_holds_with_margin(composite):
     for p in (1.0, 2.0):
-        report = scheme_composite_check(gaussian(2, 8, 2, seed=23), 3, 2.0, p)
+        report = composite(gaussian(2, 8, 2, seed=23), 3, 2.0, p)
         assert report.evaluator == "composite_scheme"
         assert report.ratio <= 1.0 + PROVEN_BOUND_RTOL
         assert report.rhs > report.lhs
@@ -243,12 +243,34 @@ def test_composite_derives_from_the_three_declarations():
     for n, m, k, d in ((1, 8, 3, 1), (2, 8, 3, 2), (3, 12, 5, 1)):
         f = FunctionTable.random_gaussian(TorusGeometry(n, m), d, rng)
         for p in (1.0, 1.5, 2.0):
-            composite = scheme_composite_check(f, k, 2.0, p)
-            assert composite.lhs == scaled_enflo_ratio(f, 2.0, p).lhs
-            displacement = approximation_ratio(f, k, 2.0, p).lhs
-            diagonal = smoothing_ratio(f, k, 2.0, p).lhs
-            want = 2.0 * 3.0 ** (p - 1.0) * (displacement + float(m) ** p * diagonal)
-            assert abs(composite.rhs - want) <= 1e-15 * want, (n, m, k, p)
+            half = scaled_enflo_ratio(f, 2.0, p)
+            displacement = approximation_ratio(f, k, 2.0, p)
+            diagonal = smoothing_ratio(f, k, 2.0, p)
+            composite = scheme_composite_check(half, displacement, diagonal)
+            assert composite.lhs == half.lhs
+            want = 2.0 * 3.0 ** (p - 1.0) * (displacement.lhs + float(m) ** p * diagonal.lhs)
+            assert composite.rhs == want, (n, m, k, p)
+
+
+# each swaps one leg of a matched (scaled_enflo, approximation, smoothing) triple
+MISMATCHED_LEGS = {
+    "another-p": lambda f, legs: (scaled_enflo_ratio(f, 2.0, 1.5), *legs[1:]),
+    "another-k": lambda f, legs: (*legs[:2], smoothing_ratio(f, 1, 2.0, 2.0)),
+    "wrong-order": lambda f, legs: (legs[1], legs[0], legs[2]),
+}
+
+
+@pytest.mark.parametrize("mismatch", MISMATCHED_LEGS)
+def test_composite_refuses_legs_of_another_cell(mismatch):
+    f = gaussian(2, 8, 1, seed=37)
+    legs = (
+        scaled_enflo_ratio(f, 2.0, 2.0),
+        approximation_ratio(f, 3, 2.0, 2.0),
+        smoothing_ratio(f, 3, 2.0, 2.0),
+    )
+    scheme_composite_check(*legs)
+    with pytest.raises(ValueError, match="legs"):
+        scheme_composite_check(*MISMATCHED_LEGS[mismatch](f, legs))
 
 
 def test_golden_tool_smoothing_matches_the_evaluator():
