@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .averaging import check_radius
-from .identity import fit_identity_coefficients, minimum_sample_budget, verify_identity
+from .identity import fit_identity_coefficients, verify_identity
 from .inequalities import (
     INEQUALITY_KINDS,
     PROVEN_BOUND_RTOL,
@@ -91,16 +91,19 @@ def _check_size(work: str, n: int, m: int, d: int) -> None:
 
     work is a command or a search objective. A table holds m^n d entries; the
     diagonal moment of smoothing, which check-lemmas also runs, sums 2^n fields
-    of that size; Pisier's sign combinations hold 4^n d; each identity sample
-    holds the box average over the complement of every coordinate subset,
-    2^n scalar tables.
+    of that size; Pisier's sign combinations hold 4^n d. An identity fit
+    holds the box average over the complement of every coordinate subset
+    (2^n scalar tables, as each replayed sample does) plus its impulse system
+    of (n+1)(n+2)/2 columns, and computes one shifted difference per subset
+    and sign pattern: sum_{i,l} C(n,i) C(i,l) = 3^n scalar tables.
     """
     if n > MAX_HELD_ENTRIES.bit_length():  # m >= 2, so m^n alone is too large
         held = computed = math.inf
     elif work == "pisier":
         held = computed = 4**n * d
     elif work == "verify-identity":
-        held = computed = 2**n * m**n * d
+        held = (2**n + (n + 1) * (n + 2) // 2) * m**n * d
+        computed = 3**n * m**n * d
     else:
         held = m**n * d
         computed = 2**n * held if work in ("check-lemmas", "smoothing") else held
@@ -217,7 +220,6 @@ class ExperimentConfig:
     d_values: tuple[int, ...] = _key(_list_of(_integer(1)), default=(1,))
     seed: int = _key(_integer(), default=OptimizationConfig.seed)
     tables_per_cell: int = _key(_integer(1), default=25)
-    fit_budget: int = _key(_integer(1), default=120)
     heldout_samples: int = _key(_integer(1), default=200)
     objectives: tuple[str, ...] = _key(_list_of(_objective), default=("scaled_enflo",))
     restarts: int = _key(_integer(), default=OptimizationConfig.restarts)
@@ -276,10 +278,7 @@ def _validate_for_command(cfg: ExperimentConfig) -> None:
         if len(cfg.m_values) != 1:
             raise ConfigError("m_values must hold a single value for identity fits")
         for n in cfg.n_values:
-            need = minimum_sample_budget(n)
-            if cfg.fit_budget < need:
-                raise ConfigError(f"fit_budget must be at least {need} for n_values entry {n}")
-            # identity samples are scalar tables
+            # identity fits and samples are scalar tables
             _check_size(cfg.command, n, cfg.m_values[0], 1)
     if cfg.command == "scan":
         for m in cfg.m_values:
@@ -407,22 +406,22 @@ def _run_verify_identity(cfg: ExperimentConfig, threads: int):
     def run(ci: int):
         n, k = cells[ci]
         geometry = TorusGeometry(n, m)
-        fit_seed = _cell_seed_int(cfg.seed, ci)
-        coeffs = fit_identity_coefficients(geometry, k, cfg.fit_budget, fit_seed)
+        replay_seed = _cell_seed_int(cfg.seed, ci)
+        coeffs = fit_identity_coefficients(geometry, k)
         check = verify_identity(
             coeffs,
             geometry,
             k,
             tolerance=tolerance,
             n_samples=cfg.heldout_samples,
-            seed=fit_seed + 1,
+            seed=replay_seed,
         )
         row = [
             format_cell(n),
             format_cell(m),
             format_cell(k),
-            format_cell(fit_seed),
-            format_cell(cfg.fit_budget),
+            format_cell(replay_seed),
+            format_cell(geometry.size),  # the fit's equations, one per point
             format_cell(check.samples),
             format_cell(coeffs.coefficient(0, 0)),
             format_cell(coeffs.shape_constant()),

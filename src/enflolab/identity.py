@@ -9,9 +9,11 @@ that disagree with eps in exactly l places of S, the difference of the box
 average over the complement of S at x + k delta + eps_off and at
 x + k delta - eps_off, where eps_off carries the signs of eps off S.
 
-The coefficients are recovered per (n, k) by least squares over random
-scalar tables. The combination is exactly satisfiable, but the feature map
-can be rank deficient (the full-subset terms vanish identically, and more
+Both sides are translation-invariant linear maps of the table, so the
+coefficients are recovered per (n, k) by least squares over the impulse
+response: one deterministic equation per point of the torus. The
+combination is exactly satisfiable, but the feature map can be rank
+deficient (the full-subset terms vanish identically, and more
 dependencies appear at k = 1), so the known normalization at (0, 0) is
 pinned to 1, the remaining coefficients are solved minimum-norm, and a
 per-coefficient identifiability mask derived from the feature null space is
@@ -37,7 +39,6 @@ __all__ = [
     "shell_difference_sum",
     "shell_difference_sum_table",
     "fit_identity_coefficients",
-    "minimum_sample_budget",
     "verify_identity",
     "decomposition_moment",
     "coefficient_pairs",
@@ -51,14 +52,6 @@ _NULL_COMPONENT_TOL = 1e-8
 def coefficient_pairs(n: int) -> list[tuple[int, int]]:
     """All (subset size, disagreement count) index pairs for dimension n."""
     return [(i, l) for i in range(n + 1) for l in range(i + 1)]
-
-
-def minimum_sample_budget(n: int) -> int:
-    """Fewest random equations a fit takes: four per unknown coefficient.
-
-    Counts coefficient_pairs(n) in closed form, so checking a huge n is cheap.
-    """
-    return 2 * (n + 1) * (n + 2)
 
 
 def coefficient_scale(n: int, k: int, i: int) -> float:
@@ -160,8 +153,7 @@ class IdentityCoefficients:
 
     values and identifiable are (n+1, n+1) arrays whose lower triangle is
     meaningful; entry (i, l) is the coefficient for subset size i and
-    disagreement count l. seed and budget name the fit's sample stream and
-    its equation count; how well the coefficients hold is verify_identity's
+    disagreement count l. How well the coefficients hold is verify_identity's
     to say.
     """
 
@@ -169,8 +161,6 @@ class IdentityCoefficients:
     k: int
     values: np.ndarray
     identifiable: np.ndarray
-    seed: int
-    budget: int
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64).copy()
@@ -209,8 +199,6 @@ class IdentityCoefficients:
                 [bool(self.identifiable[i, l]) for l in range(i + 1)]
                 for i in range(self.n + 1)
             ],
-            "seed": self.seed,
-            "budget": self.budget,
         }
 
     @classmethod
@@ -222,14 +210,7 @@ class IdentityCoefficients:
             for l in range(i + 1):
                 values[i, l] = payload["h"][i][l]
                 mask[i, l] = payload["identifiable"][i][l]
-        return cls(
-            n=n,
-            k=int(payload["k"]),
-            values=values,
-            identifiable=mask,
-            seed=int(payload["seed"]),
-            budget=int(payload["budget"]),
-        )
+        return cls(n=n, k=int(payload["k"]), values=values, identifiable=mask)
 
 
 @dataclass(frozen=True)
@@ -276,67 +257,56 @@ def _draw_sample(
     return row, target
 
 
-def fit_identity_coefficients(
-    geometry: TorusGeometry,
-    k: int,
-    sample_budget: int,
-    seed: int,
-) -> IdentityCoefficients:
+def fit_identity_coefficients(geometry: TorusGeometry, k: int) -> IdentityCoefficients:
     """Recover the combination coefficients for one (n, k) cell.
 
-    Random scalar tables with random (x, eps) give one linear equation each,
-    and exactly sample_budget of them are drawn from the seeded stream. The
-    (0, 0) coefficient is pinned to its known value 1, the rest are the
-    minimum-norm least-squares solution, and coefficients with any weight in
-    the numerical null space of the feature map are flagged unidentifiable.
-    The fit replays nothing; verify_identity measures the residual.
+    Both sides of the identity are translation-invariant linear maps of f, so
+    the identity holds for every f exactly when it holds for the point mass
+    at 0. Tabulating each term and the shell difference sum on that point
+    mass at eps = (1, ..., 1) gives one linear equation per x: m^n rows, no
+    sampling. The (0, 0) coefficient is pinned to its known value 1, the rest
+    are the minimum-norm least-squares solution, and coefficients with any
+    weight in the numerical null space of the feature map are flagged
+    unidentifiable; one thin SVD gives the solution, the rank and the null
+    space. The fit replays nothing; verify_identity measures the residual.
     """
     check_radius(k, geometry.m)
-    pairs = coefficient_pairs(geometry.n)
-    unknowns = len(pairs)
-    if sample_budget < minimum_sample_budget(geometry.n):
-        raise ValueError("sample_budget must be at least 4 times the unknown count")
-    rng = np.random.default_rng(seed)
-    rows = np.empty((sample_budget, unknowns))
-    targets = np.empty(sample_budget)
-    for s in range(sample_budget):
-        rows[s], targets[s] = _draw_sample(geometry, k, rng, pairs)
-    if np.linalg.matrix_rank(rows) == 0:
-        raise RuntimeError("feature matrix has rank 0")
-
-    pin = pairs.index((0, 0))
-    rest = [j for j in range(unknowns) if j != pin]
-    reduced = rows[:, rest]
-    reduced_targets = targets - rows[:, pin]
-    solution, _, _, _ = np.linalg.lstsq(reduced, reduced_targets, rcond=None)
-
-    _, svals, vt = np.linalg.svd(reduced, full_matrices=True)
-    cutoff = svals[0] * 1e-10 if svals.size and svals[0] > 0 else np.inf
-    rank = int(np.sum(svals > cutoff))
-    null_rows = vt[rank:]
-    if null_rows.size:
-        rest_mask = np.all(np.abs(null_rows) < _NULL_COMPONENT_TOL, axis=0)
-    else:
-        rest_mask = np.ones(len(rest), dtype=bool)
-
-    values = np.zeros((geometry.n + 1, geometry.n + 1))
-    mask = np.zeros((geometry.n + 1, geometry.n + 1), dtype=bool)
-    i0, l0 = pairs[pin]
-    values[i0, l0] = 1.0
-    mask[i0, l0] = True
-    for pos, j in enumerate(rest):
-        i, l = pairs[j]
-        values[i, l] = solution[pos]
-        mask[i, l] = rest_mask[pos]
-
-    return IdentityCoefficients(
-        n=geometry.n,
-        k=k,
-        values=values,
-        identifiable=mask,
-        seed=seed,
-        budget=sample_budget,
+    n = geometry.n
+    pairs = coefficient_pairs(n)
+    impulse = FunctionTable.indicator(geometry, np.zeros(n, dtype=np.int64))
+    eps = np.ones(n, dtype=np.int64)
+    tables = _complement_tables(impulse, k, range(n + 1))
+    rows = np.stack(
+        [
+            coefficient_scale(n, k, i)
+            * decomposition_term_table(impulse, i, l, k, eps, tables=tables)[:, 0]
+            for i, l in pairs
+        ],
+        axis=1,
     )
+    targets = shell_difference_sum_table(impulse, k, eps)[:, 0]
+    # pairs[0] is the pinned (0, 0); a zero column there leaves nothing to pin
+    if not np.any(rows[:, 0]):
+        raise RuntimeError("the pinned (0, 0) feature column is zero")
+
+    reduced = rows[:, 1:]
+    reduced_targets = targets - rows[:, 0]
+    # m >= 4, so the m^n rows outnumber the columns: vt is square and its
+    # rows past the rank span the null space
+    u, svals, vt = np.linalg.svd(reduced, full_matrices=False)
+    cutoff = svals[0] * 1e-10 if svals[0] > 0 else np.inf
+    rank = int(np.sum(svals > cutoff))
+    solution = vt[:rank].T @ ((u[:, :rank].T @ reduced_targets) / svals[:rank])
+    rest_mask = np.all(np.abs(vt[rank:]) < _NULL_COMPONENT_TOL, axis=0)
+
+    values = np.zeros((n + 1, n + 1))
+    mask = np.zeros((n + 1, n + 1), dtype=bool)
+    values[0, 0] = 1.0
+    mask[0, 0] = True
+    for (i, l), value, known in zip(pairs[1:], solution, rest_mask):
+        values[i, l] = value
+        mask[i, l] = known
+    return IdentityCoefficients(n=n, k=k, values=values, identifiable=mask)
 
 
 def verify_identity(
@@ -349,7 +319,9 @@ def verify_identity(
 ) -> IdentityCheck:
     """Replay the identity on fresh samples and report the worst residual.
 
-    Each sample draws a fresh scalar table and a fresh (x, eps).
+    Each sample draws a fresh random scalar table and a fresh (x, eps) from
+    the seeded stream, so the check is independent of the impulse system
+    the coefficients were fitted on.
     Unidentifiable coefficients enter with their fitted values; they
     multiply feature directions the sampled data cannot distinguish, so the
     prediction is unaffected.

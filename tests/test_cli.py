@@ -80,8 +80,9 @@ def test_parse_errors_name_the_offending_field():
         (base_config("scan", m_values=[6]), "divisible by 4"),
         (base_config("scan", p_values=[1.0, 2.0]), "p_values"),
         (base_config("verify-identity", m_values=[8, 12]), "m_values"),
-        (base_config("verify-identity", fit_budget=10), "fit_budget"),
-        (base_config("verify-identity", n_values=[7]), "fit_budget"),
+        (base_config("verify-identity", fit_budget=10), "unknown config key 'fit_budget'"),
+        (base_config("verify-identity", fit_budget=120), "unknown config key 'fit_budget'"),
+        (base_config("verify-identity", n_values=[7]), "too large"),
         (base_config("check-lemmas", tolerances={"bogus": 0.1}), "bogus"),
         (base_config("check-lemmas", tolerances={"fit_h00": -1.0}), "fit_h00"),
         (
@@ -228,7 +229,6 @@ def fit_config(**overrides):
         n_values=[2],
         m_values=[8],
         k_values=[3],
-        fit_budget=120,
         heldout_samples=60,
         seed=5,
         **overrides,
@@ -323,7 +323,7 @@ def test_scan_outputs_are_thread_independent(tmp_path):
 
 
 # cells past the size limits, each refused at config time: a table too large to
-# hold, a diagonal moment too long to compute, and identity complement tables
+# hold, a diagonal moment too long to compute, and identity fits too large to hold
 OVERSIZED_CONFIGS = [
     base_config("check-lemmas", n_values=[40]),
     base_config("check-lemmas", n_values=[9], m_values=[16]),
@@ -334,8 +334,8 @@ OVERSIZED_CONFIGS = [
     ),
     base_config("estimate-constants", objectives=["pisier"], n_values=[8], d_values=[256]),
     base_config("scan", n_values=[9], m_values=[16], p_values=[2.0]),
-    base_config("verify-identity", n_values=[6], fit_budget=112),
-    base_config("verify-identity", n_values=[40], fit_budget=10**4),
+    base_config("verify-identity", n_values=[6]),
+    base_config("verify-identity", n_values=[40]),
 ]
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -24,6 +25,7 @@ from enflolab.identity import (
 from enflolab.torus import FunctionTable, TorusGeometry, sign_vectors
 
 GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_goldens.py"
 
 
 def true_coefficient(i, l):
@@ -33,6 +35,23 @@ def true_coefficient(i, l):
 def gaussian(n, m, d, seed):
     g = TorusGeometry(n, m)
     return FunctionTable.random_gaussian(g, d, np.random.default_rng(seed))
+
+
+def worst_identity_residual(f, k, coefficient):
+    """Largest residual of the tabulated identity over every x and every eps."""
+    n = f.geometry.n
+    worst = 0.0
+    for eps in sign_vectors(n):
+        lhs = shell_difference_sum_table(f, k, eps)
+        rhs = np.zeros_like(lhs)
+        for i, l in coefficient_pairs(n):
+            rhs += (
+                coefficient(i, l)
+                * coefficient_scale(n, k, i)
+                * decomposition_term_table(f, i, l, k, eps)
+            )
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
 
 
 def test_coefficient_bookkeeping():
@@ -119,49 +138,46 @@ def test_shell_sum_antisymmetry_and_pointwise_match():
 @pytest.mark.parametrize("n,m,k", [(1, 8, 3), (2, 8, 3), (3, 8, 1)])
 def test_identity_holds_with_the_known_coefficients(n, m, k):
     f = gaussian(n, m, 1, seed=100 + n)
-    worst = 0.0
-    for eps in sign_vectors(n):
-        lhs = shell_difference_sum_table(f, k, eps)
-        rhs = np.zeros_like(lhs)
-        for i, l in coefficient_pairs(n):
-            rhs += (
-                true_coefficient(i, l)
-                * coefficient_scale(n, k, i)
-                * decomposition_term_table(f, i, l, k, eps)
-            )
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    worst = worst_identity_residual(f, k, true_coefficient)
     assert worst < 1e-10, worst
 
 
 def test_fit_recovers_the_known_coefficients():
-    g = TorusGeometry(2, 8)
-    fitted = fit_identity_coefficients(g, 3, sample_budget=96, seed=42)
+    for n in (2, 3):
+        g = TorusGeometry(n, 8)
+        fitted = fit_identity_coefficients(g, 3)
+        assert fitted.coefficient(0, 0) == 1.0
+        assert verify_identity(fitted, g, 3, n_samples=200).max_residual < 1e-8
+        for i, l in coefficient_pairs(n):
+            if i < n:
+                assert fitted.is_identifiable(i, l)
+                assert abs(fitted.coefficient(i, l) - true_coefficient(i, l)) < 1e-12
+            else:
+                assert not fitted.is_identifiable(i, l)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 3), (3, 1), (3, 3)])
+def test_fitted_coefficients_satisfy_the_tabulated_identity(n, k):
+    # the fit sees only the impulse at eps = 1; linearity must carry it to
+    # a random table at every x and every sign vector
+    f = gaussian(n, 8, 1, seed=200 + 10 * n + k)
+    fitted = fit_identity_coefficients(f.geometry, k)
+    worst = worst_identity_residual(f, k, fitted.coefficient)
+    assert worst < 1e-12, worst
+
+
+def test_fit_draws_no_random_numbers(monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("the fit drew random numbers")
+
+    monkeypatch.setattr(identity.np.random, "default_rng", no_rng)
+    fitted = fit_identity_coefficients(TorusGeometry(2, 8), 3)
     assert fitted.coefficient(0, 0) == 1.0
-    assert verify_identity(fitted, g, 3, n_samples=200).max_residual < 1e-8
-    for i, l in coefficient_pairs(2):
-        if i < 2:
-            assert fitted.is_identifiable(i, l)
-            assert abs(fitted.coefficient(i, l) - true_coefficient(i, l)) < 1e-6
-        else:
-            assert not fitted.is_identifiable(i, l)
-
-
-def test_fit_draws_exactly_its_sample_budget(monkeypatch):
-    draws = []
-    draw = identity._draw_sample
-    monkeypatch.setattr(identity, "_draw_sample", lambda *args: draws.append(1) or draw(*args))
-    fit_identity_coefficients(TorusGeometry(2, 8), 3, sample_budget=50, seed=3)
-    assert len(draws) == 50
-
-
-def test_fit_budget_guard_names_the_parameter():
-    with pytest.raises(ValueError, match="sample_budget"):
-        fit_identity_coefficients(TorusGeometry(2, 8), 3, sample_budget=10, seed=0)
 
 
 def test_verify_rejects_mismatched_inputs():
     g = TorusGeometry(2, 8)
-    fitted = fit_identity_coefficients(g, 3, sample_budget=96, seed=1)
+    fitted = fit_identity_coefficients(g, 3)
     with pytest.raises(ValueError):
         verify_identity(fitted, TorusGeometry(3, 8), 3)
     with pytest.raises(ValueError):
@@ -176,6 +192,18 @@ def test_golden_coefficients_replay_on_fresh_samples(n, k):
     check = verify_identity(coeffs, TorusGeometry(n, 8), k, seed=999)
     assert check.passed, check.max_residual
     assert check.samples == 200
+
+
+def test_golden_tool_reproduces_the_committed_fits():
+    spec = importlib.util.spec_from_file_location("make_goldens", GOLDEN_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    fits = tool.fit_goldens()
+    assert len(fits) == 4
+    for name, fitted in fits.items():
+        committed = IdentityCoefficients.from_json_dict(json.loads((GOLDEN / name).read_text()))
+        assert np.abs(fitted.values - committed.values).max() <= 1e-12, name
+        assert np.array_equal(fitted.identifiable, committed.identifiable), name
 
 
 def test_golden_shape_constants():

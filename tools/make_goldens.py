@@ -2,7 +2,8 @@
 
 Two artifact families:
   - h_coeffs_{n}_{k}.json: fitted identity coefficients for the reference
-    cells, stored with the seed and budget that produced them.
+    cells. The fit is deterministic (it solves the impulse-response
+    system), so the files carry no seed.
   - moment_baselines.json: empirical suprema of the smoothing ratio and the
     per-(i, l) difference-term moments over a fixed random-table protocol.
     The smoothing ratio is computed here from the shared smoothing
@@ -27,17 +28,12 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 FIT_CELLS = [(1, 3), (2, 1), (2, 3), (3, 3)]
 FIT_M = 8
-FIT_BUDGET = 120
 
 MOMENT_CELLS = [(2, 8, 3), (3, 12, 5)]
 MOMENT_TABLES = 200
 MOMENT_SEED_TAG = 8301
 MOMENT_P = 2.0
 MOMENT_Q = 2.0
-
-
-def cell_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
 def naive_smoothing_ratio(f: FunctionTable, k: int, norm, p: float):
@@ -51,12 +47,17 @@ def naive_smoothing_ratio(f: FunctionTable, k: int, norm, p: float):
     return None if rhs == 0.0 else lhs / rhs
 
 
+def fit_goldens() -> dict:
+    """The fitted coefficients of every reference cell, by golden file name."""
+    return {
+        f"h_coeffs_{n}_{k}.json": fit_identity_coefficients(TorusGeometry(n, FIT_M), k)
+        for n, k in FIT_CELLS
+    }
+
+
 def make_fit_goldens() -> None:
-    for n, k in FIT_CELLS:
-        geometry = TorusGeometry(n, FIT_M)
-        seed = cell_seed(MOMENT_SEED_TAG, n, FIT_M, k)
-        coeffs = fit_identity_coefficients(geometry, k, FIT_BUDGET, seed)
-        path = GOLDEN_DIR / f"h_coeffs_{n}_{k}.json"
+    for name, coeffs in fit_goldens().items():
+        path = GOLDEN_DIR / name
         path.write_text(json.dumps(coeffs.to_json_dict(), sort_keys=True, indent=2) + "\n")
         print(f"wrote {path.name}")
 
