@@ -78,10 +78,11 @@ class ConfigError(ValueError):
 
 # Size limits on one table evaluation, in float64 entries: those it holds at
 # once and those it computes. Measured on a 2-core Xeon (Python 3.11, numpy
-# 2.4), a check-lemmas table peaks at about 32 bytes per held entry over the
-# interpreter's 40 MB (0.30 GB at 2^23) and takes about 30 ns per computed
-# entry (8 s at 2^28). The largest benchmark cell, check-lemmas at n=4, m=16,
-# d=3, holds 2^17.6 and computes 2^21.6.
+# 2.4) at n=7, m=8, d=1, which holds 2^21 and computes 2^28 entries by the
+# rules below, a check-lemmas table peaks at 175 MB, about 70 bytes per held
+# entry over the interpreter's 30 MB (0.6 GB at 2^23), and takes 2.4 to 3.3 s
+# across (p, q), about 10 ns per computed entry. The largest benchmark cell,
+# check-lemmas at n=4, m=16, d=3, holds 2^17.6 and computes 2^21.6.
 MAX_HELD_ENTRIES = 2**23
 MAX_COMPUTED_ENTRIES = 2**28
 
@@ -90,12 +91,15 @@ def _check_size(work: str, n: int, m: int, d: int) -> None:
     """Refuse a cell whose one table evaluation is past the size limits.
 
     work is a command or a search objective. A table holds m^n d entries; the
-    diagonal moment of smoothing, which check-lemmas also runs, sums 2^n fields
-    of that size; Pisier's sign combinations hold 4^n d. An identity fit
-    holds the box average over the complement of every coordinate subset
-    (2^n scalar tables, as each replayed sample does) plus its impulse system
-    of (n+1)(n+2)/2 columns, and computes one shifted difference per subset
-    and sign pattern: sum_{i,l} C(n,i) C(i,l) = 3^n scalar tables.
+    diagonal moment of smoothing, which check-lemmas also runs, is counted as
+    2^n fields of that size, though it computes only the 2^(n-1) fields of
+    diagonal_differences: the rule over-counts it twice, and keeps refusing
+    the cells it refused when the moment summed all 2^n. Pisier's sign
+    combinations hold 4^n d. An identity fit holds the box average over the
+    complement of every coordinate subset (2^n scalar tables, as each
+    replayed sample does) plus its impulse system of (n+1)(n+2)/2 columns,
+    and computes one shifted difference per subset and sign pattern:
+    sum_{i,l} C(n,i) C(i,l) = 3^n scalar tables.
     """
     if n > MAX_HELD_ENTRIES.bit_length():  # m >= 2, so m^n alone is too large
         held = computed = math.inf

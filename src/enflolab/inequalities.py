@@ -13,6 +13,11 @@ full-box average B f, or B f - f. The operators are (apply, adjoint) pairs on
 (m,)*n + (d,) arrays. inequality_sides declares each inequality's two sides,
 constants and valid cells once; the evaluators here and the extremal search
 in search.py, which differentiates the same pairs, both read it.
+
+The evaluators keep what they derive from a table in the table's memo: B f
+per radius k, and each side's unscaled moment per (source, k, ops, q, p).
+Inequalities that share a moment on one table therefore compute it once;
+the edge energy, say, serves scaled Enflo, approximation and smoothing.
 """
 
 from __future__ import annotations
@@ -201,8 +206,14 @@ def half_shift(n: int, m: int) -> DiffOp:
 
 @lru_cache(maxsize=None)
 def diagonal_differences(n: int) -> tuple[DiffOp, ...]:
-    """f(x + eps) - f(x - eps) for each sign vector eps, in sign_vectors order."""
-    return tuple(shift_difference(eps, -eps) for eps in sign_vectors(n))
+    """f(x + 2 eps) - f(x) for each sign vector eps with eps_0 = +1, in sign_vectors order.
+
+    These 2^(n-1) fields carry every diagonal increment f(x + eps) - f(x - eps):
+    translating x by eps maps that increment onto f(x + 2 eps) - f(x), and
+    -eps gives the negated field. So a mean of p-th moments over these ops
+    equals the mean over all 2^n sign vectors, at one roll per op.
+    """
+    return tuple(shift_difference(2 * eps) for eps in sign_vectors(n)[: 2 ** (n - 1)])
 
 
 def _deviation(nd: np.ndarray) -> np.ndarray:
@@ -263,7 +274,13 @@ identity_op = DiffOp(lambda nd: nd, lambda w: w)
 
 
 class Side(NamedTuple):
-    """One side of an inequality: scale times the summed p-th moments of ops(source)."""
+    """One side of an inequality: scale times the summed p-th moments of ops(source).
+
+    The ops and the source fix the side's unscaled moment on a table; the
+    exact evaluators memoize it on the table under (source, k, ops, q, p),
+    with k dropped for the source f. The ops tuples come from lru_cache'd
+    declarations, so equal sides share one key.
+    """
 
     scale: float
     ops: tuple[DiffOp, ...]
@@ -332,29 +349,45 @@ def inequality_sides(name: str, geometry: TorusGeometry, k: int | None, p: float
         scale = float(k - 1) ** p * float(n) ** (p - 1.0)
         return Side(1.0, (identity_op,), SOURCE_BOX_DISPLACEMENT), Side(scale, steps)
     if name == "smoothing":
-        # the mean over all 2^n sign vectors eps of B f(x + eps) - B f(x - eps)
-        return Side(1.0 / float(2**n), diagonal_differences(n), SOURCE_BOX), Side(1.0, steps)
+        # the mean over all 2^n sign vectors eps of B f(x + eps) - B f(x - eps),
+        # read off the 2^(n-1) fields of diagonal_differences
+        diagonal = diagonal_differences(n)
+        return Side(1.0 / float(len(diagonal)), diagonal, SOURCE_BOX), Side(1.0, steps)
     if name == "enflo":
         return Side(1.0, (half_shift(n, m),)), Side(1.0, steps)
     rhs = Side((math.e * math.log(n)) ** p, (sign_combinations(n),))
     return Side(1.0, (mean_deviation,)), rhs
 
 
+def _source(f: FunctionTable, source: str, k: int | None) -> np.ndarray:
+    """A side's source on f, shaped (m,)*n + (d,); B f is memoized per k."""
+    if source == SOURCE_F:
+        return f.nd_view()
+    smooth = f._memo.get((SOURCE_BOX, k))
+    if smooth is None:
+        smooth = box_average(f, range(f.geometry.n), k).values
+        f._memo[(SOURCE_BOX, k)] = smooth
+    if source == SOURCE_BOX_DISPLACEMENT:
+        smooth = smooth - f.values
+    return smooth.reshape(f.geometry.shape + (f.d,))
+
+
 def _evaluate(name: str, f: FunctionTable, k: int | None, norm, p) -> RatioReport:
+    """Both sides of the named inequality on f; each moment is computed once per table."""
     norm = as_norm(norm)
     p = as_exponent(p)
     g = f.geometry
     values = []
     for side in inequality_sides(name, g, k, p):
-        if side.source == SOURCE_F and side.ops == unit_steps(g.n):
-            values.append(side.scale * edge_energy(f, norm, p))
-            continue
-        source = f.values
-        if side.source != SOURCE_F:
-            source = box_average(f, range(g.n), k).values
-            if side.source == SOURCE_BOX_DISPLACEMENT:
-                source = source - f.values
-        values.append(side.moment(source.reshape(g.shape + (f.d,)), norm, p))
+        key = (side.source, None if side.source == SOURCE_F else k, side.ops, norm.q, p)
+        moment = f._memo.get(key)
+        if moment is None:
+            if side.source == SOURCE_F and side.ops == unit_steps(g.n):
+                moment = edge_energy(f, norm, p)
+            else:
+                moment = Side(1.0, side.ops).moment(_source(f, side.source, k), norm, p)
+            f._memo[key] = moment
+        values.append(side.scale * moment)
     lhs, rhs = values
     return _build_report(name, lhs, rhs, n=g.n, m=g.m, k=k, p=p, q=norm.q, d=f.d)
 

@@ -10,7 +10,7 @@ never Monte Carlo estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -109,6 +109,12 @@ def sign_vectors(n: int) -> np.ndarray:
     return _sign_vectors(n)
 
 
+# numpy adds up to 7 terms of a reduction one after another, from the first;
+# past that its pairwise summation regroups them, and a fold would round
+# differently
+_FOLD_MAX_D = 7
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """The l_q norm on the target space R^d, 1 <= q <= inf."""
@@ -125,10 +131,17 @@ class NormSpec:
         v = np.asarray(vectors, dtype=np.float64)
         if self.q == 2.0:
             return np.sqrt(np.einsum("...i,...i->...", v, v))
-        if self.q == 1.0:
-            return np.abs(v).sum(axis=-1)
-        if math.isinf(self.q):
-            return np.abs(v).max(axis=-1)
+        if self.q == 1.0 or math.isinf(self.q):
+            a = np.abs(v)
+            combine = np.add if self.q == 1.0 else np.maximum
+            if a.shape[-1] > _FOLD_MAX_D:
+                return combine.reduce(a, axis=-1)
+            # a reduction over a short trailing axis is slow; fold its slices
+            # instead, in the reduction's order, so the result is the same bits
+            out = a[..., 0].copy()
+            for j in range(1, a.shape[-1]):
+                combine(out, a[..., j], out=out)
+            return out
         return (np.abs(v) ** self.q).sum(axis=-1) ** (1.0 / self.q)
 
 
@@ -155,10 +168,18 @@ def _moment_power(lengths: np.ndarray, p: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FunctionTable:
-    """Dense table of R^d samples over a torus grid, immutable once built."""
+    """Dense table of R^d samples over a torus grid, immutable once built.
+
+    _memo holds what the exact evaluators derive from the values (the box
+    averages and the moments of inequality sides), so that evaluating several
+    inequalities on one table computes each of them once. The values are
+    read-only, so an entry never goes stale; two threads evaluating one table
+    may both compute an entry, and both store the same value.
+    """
 
     geometry: TorusGeometry
     values: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from enflolab import inequalities
+from enflolab.averaging import build_even_box, convolve
 from enflolab.inequalities import (
     PROVEN_BOUND_RTOL,
     ProvenBoundViolation,
@@ -27,7 +29,7 @@ from enflolab.inequalities import (
     smoothing_ratio,
     unit_steps,
 )
-from enflolab.torus import FunctionTable, TorusGeometry
+from enflolab.torus import FunctionTable, TorusGeometry, sign_vectors
 
 
 def gaussian(n, m, d, seed):
@@ -284,6 +286,88 @@ def test_golden_tool_smoothing_matches_the_evaluator():
             naive = tool.naive_smoothing_ratio(f, 5, 2.0, p)
             fast = smoothing_ratio(f, 5, 2.0, p).ratio
             assert abs(naive - fast) <= 1e-12 * fast, (n, p)
+
+
+def stencil_box_average(f, k):
+    """B f through the naive stencil, independent of the separable path."""
+    return convolve(f, build_even_box(f.geometry, range(f.geometry.n), k))
+
+
+def pointwise_smoothing_lhs(f, k, q, p):
+    """Mean over x and all 2^n eps of |B f(x + eps) - B f(x - eps)|_q^p, point by point."""
+    g = f.geometry
+    smooth = stencil_box_average(f, k).values
+    pts = g.points()
+    total = 0.0
+    for eps in sign_vectors(g.n):
+        ahead, behind = g.encode(pts + eps), g.encode(pts - eps)
+        for x in range(g.size):
+            total += np.linalg.norm(smooth[ahead[x]] - smooth[behind[x]], ord=q) ** p
+    return total / (2**g.n * g.size)
+
+
+@pytest.mark.parametrize("n, m, k", [(1, 8, 3), (2, 12, 5), (3, 8, 3)])
+def test_smoothing_lhs_matches_the_pointwise_sum_over_all_sign_vectors(n, m, k):
+    f = gaussian(n, m, 2, seed=41 + n)
+    for p in (1.0, 1.5, 2.0):
+        for q in (1.0, 2.0, math.inf):
+            want = pointwise_smoothing_lhs(f, k, q, p)
+            got = smoothing_ratio(f, k, q, p).lhs
+            assert abs(got - want) <= 1e-12 * want, (p, q)
+
+
+@pytest.mark.parametrize("n, m, k", [(1, 8, 3), (2, 12, 5), (3, 8, 3)])
+def test_smoothing_lhs_matches_parseval_at_p_q_two(n, m, k):
+    # mean over eps of |h_eps|^2 for h_eps(x) = B f(x + eps) - B f(x - eps) is
+    # 2 sum_a |B^f(a)|^2 (1 - prod_j cos(4 pi a_j / m)), normalized transform
+    f = gaussian(n, m, 2, seed=47 + n)
+    axes = tuple(range(n))
+    coeffs = np.fft.fftn(stencil_box_average(f, k).nd_view(), axes=axes) / f.geometry.size
+    power = np.sum(np.abs(coeffs) ** 2, axis=-1)
+    freqs = np.meshgrid(*[np.arange(m)] * n, indexing="ij")
+    multiplier = 1.0 - np.prod([np.cos(4.0 * np.pi * a / m) for a in freqs], axis=0)
+    want = 2.0 * float(np.sum(power * multiplier))
+    got = smoothing_ratio(f, k, 2.0, 2.0).lhs
+    assert abs(got - want) <= 1e-12 * want
+
+
+MEMO_EVALUATORS = {
+    "scaled_enflo": lambda f, k, q, p: scaled_enflo_ratio(f, q, p),
+    "approximation": lambda f, k, q, p: approximation_ratio(f, k, q, p),
+    "smoothing": lambda f, k, q, p: smoothing_ratio(f, k, q, p),
+}
+
+
+def test_table_memo_answers_only_its_own_cell():
+    f = gaussian(2, 12, 2, seed=53)
+    calls = [
+        (name, k, q, p)
+        for k in (3, 5)
+        for p, q in ((1.0, 1.0), (1.0, math.inf), (2.0, math.inf))
+        for name in MEMO_EVALUATORS
+    ]
+    for order in (calls, calls[::-1]):
+        shared = FunctionTable(f.geometry, f.values)
+        for name, k, q, p in order:
+            fresh = FunctionTable(f.geometry, f.values)
+            want = MEMO_EVALUATORS[name](fresh, k, q, p)
+            assert MEMO_EVALUATORS[name](shared, k, q, p) == want, (name, k, q, p)
+
+
+def test_table_memo_computes_the_edge_energy_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return edge_energy(*args)
+
+    monkeypatch.setattr(inequalities, "edge_energy", counted)
+    f = gaussian(2, 8, 1, seed=59)
+    for evaluate in MEMO_EVALUATORS.values():
+        evaluate(f, 3, 2.0, 1.5)
+    assert len(calls) == 1
+    smoothing_ratio(f, 3, 1.0, 1.5)
+    assert len(calls) == 2
 
 
 def test_build_report_aborts_on_positive_over_zero():

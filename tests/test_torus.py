@@ -91,6 +91,21 @@ def test_norm_lengths_match_numpy(rows):
         assert np.allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_l1_and_sup_lengths_equal_numpy_reductions_bitwise(d):
+    rng = np.random.default_rng(d)
+    v = rng.standard_normal((64, 33, d)) * rng.uniform(0.0, 1e3, (64, 33, 1))
+    assert np.array_equal(NormSpec(1.0).lengths(v), np.abs(v).sum(axis=-1))
+    assert np.array_equal(NormSpec(np.inf).lengths(v), np.abs(v).max(axis=-1))
+
+
+def test_lengths_on_a_long_trailing_axis_match_numpy_norm():
+    v = np.random.default_rng(2048).standard_normal((6, 2048))
+    for q in (1.0, 1.5, 2.0, np.inf):
+        want = np.linalg.norm(v, ord=q, axis=-1)
+        np.testing.assert_allclose(NormSpec(q).lengths(v), want, rtol=1e-12, atol=0.0)
+
+
 def test_norm_and_exponent_validation():
     with pytest.raises(ValueError):
         NormSpec(0.5)

@@ -9,7 +9,9 @@ Two artifact families:
     The smoothing ratio is computed here from the shared smoothing
     declaration over the naive stencil convolution on purpose, so the
     committed numbers are independent of the separable fast path they are
-    later compared against.
+    later compared against. The suprema are written to 12 significant
+    digits: their last bits follow the platform's summation order, and a
+    rerun should reproduce the file byte for byte.
 
 Rerun only to change the protocol; commit the diff.
 """
@@ -34,6 +36,11 @@ MOMENT_TABLES = 200
 MOMENT_SEED_TAG = 8301
 MOMENT_P = 2.0
 MOMENT_Q = 2.0
+BASELINE_DIGITS = 12
+
+
+def rounded(value: float) -> float:
+    return float(f"{value:.{BASELINE_DIGITS}g}")
 
 
 def naive_smoothing_ratio(f: FunctionTable, k: int, norm, p: float):
@@ -85,8 +92,8 @@ def make_moment_baselines() -> None:
                 "n": n,
                 "m": m,
                 "k": k,
-                "smoothing_sup": smoothing_sup,
-                "moment_sup": {f"{i},{l}": v for (i, l), v in moment_sup.items()},
+                "smoothing_sup": rounded(smoothing_sup),
+                "moment_sup": {f"{i},{l}": rounded(v) for (i, l), v in moment_sup.items()},
             }
         )
         print(f"cell ({n},{m},{k}): smoothing_sup={smoothing_sup:.6f}")
@@ -98,6 +105,7 @@ def make_moment_baselines() -> None:
             "q": MOMENT_Q,
             "d": 1,
             "rng": "default_rng([seed_tag, n, m, k])",
+            "significant_digits": BASELINE_DIGITS,
         },
         "cells": cells,
     }
