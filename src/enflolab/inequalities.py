@@ -14,15 +14,17 @@ full-box average B f, or B f - f. The operators are (apply, adjoint) pairs on
 constants and valid cells once; the evaluators here and the extremal search
 in search.py, which differentiates the same pairs, both read it.
 
-The evaluators keep what they derive from a table in the table's memo: B f
-per radius k, and each side's unscaled moment per (source, k, ops, q, p).
-Inequalities that share a moment on one table therefore compute it once;
-the edge energy, say, serves scaled Enflo, approximation and smoothing.
+The evaluators keep what they derive from a table in a memo of their own,
+held only as long as the table: B f per radius k, and each side's unscaled
+moment per (source, k, ops, q, p). Inequalities that share a moment on one
+table therefore compute it once; the edge energy, say, serves scaled Enflo,
+approximation and smoothing.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -277,7 +279,7 @@ class Side(NamedTuple):
     """One side of an inequality: scale times the summed p-th moments of ops(source).
 
     The ops and the source fix the side's unscaled moment on a table; the
-    exact evaluators memoize it on the table under (source, k, ops, q, p),
+    exact evaluators memoize it per table under (source, k, ops, q, p),
     with k dropped for the source f. The ops tuples come from lru_cache'd
     declarations, so equal sides share one key.
     """
@@ -359,14 +361,21 @@ def inequality_sides(name: str, geometry: TorusGeometry, k: int | None, p: float
     return Side(1.0, (mean_deviation,)), rhs
 
 
-def _source(f: FunctionTable, source: str, k: int | None) -> np.ndarray:
+# What the evaluators derived from each live table. FunctionTable compares
+# by identity and its values are read-only, so an entry never goes stale and
+# dies with its table; two threads evaluating one table may both compute an
+# entry, and both store the same value.
+_TABLE_MEMO: weakref.WeakKeyDictionary[FunctionTable, dict] = weakref.WeakKeyDictionary()
+
+
+def _source(f: FunctionTable, memo: dict, source: str, k: int | None) -> np.ndarray:
     """A side's source on f, shaped (m,)*n + (d,); B f is memoized per k."""
     if source == SOURCE_F:
         return f.nd_view()
-    smooth = f._memo.get((SOURCE_BOX, k))
+    smooth = memo.get((SOURCE_BOX, k))
     if smooth is None:
         smooth = box_average(f, range(f.geometry.n), k).values
-        f._memo[(SOURCE_BOX, k)] = smooth
+        memo[(SOURCE_BOX, k)] = smooth
     if source == SOURCE_BOX_DISPLACEMENT:
         smooth = smooth - f.values
     return smooth.reshape(f.geometry.shape + (f.d,))
@@ -377,16 +386,17 @@ def _evaluate(name: str, f: FunctionTable, k: int | None, norm, p) -> RatioRepor
     norm = as_norm(norm)
     p = as_exponent(p)
     g = f.geometry
+    memo = _TABLE_MEMO.setdefault(f, {})
     values = []
     for side in inequality_sides(name, g, k, p):
         key = (side.source, None if side.source == SOURCE_F else k, side.ops, norm.q, p)
-        moment = f._memo.get(key)
+        moment = memo.get(key)
         if moment is None:
             if side.source == SOURCE_F and side.ops == unit_steps(g.n):
                 moment = edge_energy(f, norm, p)
             else:
-                moment = Side(1.0, side.ops).moment(_source(f, side.source, k), norm, p)
-            f._memo[key] = moment
+                moment = Side(1.0, side.ops).moment(_source(f, memo, side.source, k), norm, p)
+            memo[key] = moment
         values.append(side.scale * moment)
     lhs, rhs = values
     return _build_report(name, lhs, rhs, n=g.n, m=g.m, k=k, p=p, q=norm.q, d=f.d)

@@ -2,13 +2,13 @@
 
 Usage:
   python tools/bench_pairs.py --workload {sweep,search,identity} --base DIR
-                              --base-label LABEL --label LABEL
-                              [--pairs N] [--seconds S] [--seed N]
+                              --base-label LABEL --label LABEL [--pairs N]
 
 DIR is a checkout of the commit to compare against (``git archive`` or
 ``git clone``). Each pair runs ``python3 perfbench/run.py`` once in each tree,
 the base first in even pairs and this tree first in odd ones, with the same
-workload, seed and run length. The full output of every run (its detail line
+workload and perfbench's own default seed and run length, so every pair runs
+as the benchmark does. The full output of every run (its detail line
 and its result line) is written to BENCH_<LABEL>_<workload>.json at the repo
 root, one file per tree. The summary printed at the end gives each side's
 median and quartiles of every end-to-end metric, and how many pairs this
@@ -27,10 +27,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(tree: Path, workload: str) -> dict:
     """One perfbench run in the given tree: {"detail": ..., "result": ...}."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds)]
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or len(lines) < 2:
@@ -69,11 +68,9 @@ def main(argv=None) -> int:
     parser.add_argument("--base-label", required=True)
     parser.add_argument("--label", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=40)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds < 1:
-        parser.error("--pairs and --seconds must be positive")
+    if args.pairs < 1:
+        parser.error("--pairs must be positive")
     if args.base_label == args.label:
         parser.error("--base-label and --label must differ")
     if not (args.base / "perfbench" / "run.py").is_file():
@@ -84,13 +81,12 @@ def main(argv=None) -> int:
         order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
         for label in order:
             tree, runs = sides[label]
-            runs.append(run_once(tree, args.workload, args.seed, args.seconds))
+            runs.append(run_once(tree, args.workload))
             wall = runs[-1]["result"]["metrics"]["wall_s"]["value"]
             print(f"pair {pair} {label}: wall_s {wall:.3f}", flush=True)
 
     for label, (_, runs) in sides.items():
-        record = {"label": label, "workload": args.workload, "seed": args.seed,
-                  "seconds": args.seconds, "runs": runs}
+        record = {"label": label, "workload": args.workload, "runs": runs}
         path = ROOT / f"BENCH_{label}_{args.workload}.json"
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path.name}")
