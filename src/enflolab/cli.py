@@ -5,9 +5,11 @@ locate the config, override the base seed, and pick the output directory
 and thread count. Every output is byte deterministic: cells are seeded by
 (base seed, cell index), collected in cell order, and written atomically
 after all computation has finished, so the thread count never changes a
-byte and a failed run leaves nothing behind. Proven-bound violations and
-over-tolerance residuals exit 1; malformed configs, and cells too large to
-compute, exit 2.
+byte and a failed run leaves nothing behind. Each check compares against a
+fixed module constant that no config sets: a proven bound violated past
+inequalities.PROVEN_BOUND_RTOL exits 1 and writes nothing, and an identity
+residual at or past identity.IDENTITY_RESIDUAL_TOL exits 1 after writing its
+outputs. Malformed configs, and cells too large to compute, exit 2.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ import numpy as np
 
 from . import __version__
 from .averaging import check_radius
-from .identity import fit_identity_coefficients, verify_identity
+from .identity import REPLAY_SAMPLES, fit_identity_coefficients, verify_identity
 from .inequalities import (
     INEQUALITY_KINDS,
-    PROVEN_BOUND_RTOL,
     ProvenBoundViolation,
     REPORT_CSV_COLUMNS,
     approximation_ratio,
@@ -65,11 +66,6 @@ IDENTITY_CSV_COLUMNS = (
     "tolerance",
     "passed",
 )
-
-_TOLERANCE_DEFAULTS = {
-    "identity_residual": 1e-8,
-    "proven_inequality_rel": PROVEN_BOUND_RTOL,
-}
 
 
 class ConfigError(ValueError):
@@ -193,19 +189,6 @@ def _schema_version(value, label: str) -> int:
     return value
 
 
-def _tolerances(value, label: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{label} must be an object")
-    out = dict(_TOLERANCE_DEFAULTS)
-    for key, entry in value.items():
-        if key not in _TOLERANCE_DEFAULTS:
-            raise ConfigError(f"unknown tolerance key {key!r}")
-        out[key] = _number(entry, f"{label}.{key}")
-        if not 0 < out[key] < math.inf:
-            raise ConfigError(f"{label}.{key} must be positive and finite")
-    return out
-
-
 def _key(parse, **default):
     return field(metadata={"parse": parse}, **default)
 
@@ -224,13 +207,12 @@ class ExperimentConfig:
     d_values: tuple[int, ...] = _key(_list_of(_integer(1)), default=(1,))
     seed: int = _key(_integer(), default=OptimizationConfig.seed)
     tables_per_cell: int = _key(_integer(1), default=25)
-    heldout_samples: int = _key(_integer(1), default=200)
+    heldout_samples: int = _key(_integer(1), default=REPLAY_SAMPLES)
     objectives: tuple[str, ...] = _key(_list_of(_objective), default=("scaled_enflo",))
     restarts: int = _key(_integer(), default=OptimizationConfig.restarts)
     iterations: int = _key(_integer(), default=OptimizationConfig.iterations)
     step: float = _key(_number, default=OptimizationConfig.step)
     smoothing_eps: float = _key(_number, default=OptimizationConfig.smoothing_eps)
-    tolerances: dict = _key(_tolerances, default_factory=lambda: dict(_TOLERANCE_DEFAULTS))
 
     def to_echo_dict(self) -> dict:
         """The config as strict JSON: lists for tuples, and "inf" for an infinite q."""
@@ -328,7 +310,6 @@ def _cell_seed_int(base: int, index: int) -> int:
 
 
 def _run_check_lemmas(cfg: ExperimentConfig, threads: int):
-    rtol = cfg.tolerances["proven_inequality_rel"]
     cells = [
         (n, m, k, p, q, d)
         for n in cfg.n_values
@@ -349,11 +330,11 @@ def _run_check_lemmas(cfg: ExperimentConfig, threads: int):
             f = FunctionTable.random_gaussian(geometry, d, rng)
             reports = [
                 scaled_enflo_ratio(f, norm, p),
-                approximation_ratio(f, k, norm, p, rtol=rtol),
+                approximation_ratio(f, k, norm, p),
                 smoothing_ratio(f, k, norm, p),
             ]
             if m % 4 == 0:
-                reports.append(scheme_composite_check(*reports, rtol=rtol))
+                reports.append(scheme_composite_check(*reports))
             rows.extend(r.with_seed(cfg.seed).to_csv_row() for r in reports)
         return rows
 
@@ -404,7 +385,6 @@ def _run_scan(cfg: ExperimentConfig, threads: int):
 
 def _run_verify_identity(cfg: ExperimentConfig, threads: int):
     m = cfg.m_values[0]
-    tolerance = cfg.tolerances["identity_residual"]
     cells = [(n, k) for n in cfg.n_values for k in cfg.k_values]
 
     def run(ci: int):
@@ -413,12 +393,7 @@ def _run_verify_identity(cfg: ExperimentConfig, threads: int):
         replay_seed = _cell_seed_int(cfg.seed, ci)
         coeffs = fit_identity_coefficients(geometry, k)
         check = verify_identity(
-            coeffs,
-            geometry,
-            k,
-            tolerance=tolerance,
-            n_samples=cfg.heldout_samples,
-            seed=replay_seed,
+            coeffs, geometry, k, n_samples=cfg.heldout_samples, seed=replay_seed
         )
         row = [
             format_cell(n),
@@ -430,7 +405,7 @@ def _run_verify_identity(cfg: ExperimentConfig, threads: int):
             format_cell(coeffs.coefficient(0, 0)),
             format_cell(coeffs.shape_constant()),
             format_cell(check.max_residual),
-            format_cell(tolerance),
+            format_cell(check.tolerance),
             format_cell(check.passed),
         ]
         name = f"h_coeffs_{n}_{k}.json"

@@ -43,10 +43,19 @@ __all__ = [
     "decomposition_moment",
     "coefficient_pairs",
     "coefficient_scale",
+    "IDENTITY_RESIDUAL_TOL",
+    "REPLAY_SAMPLES",
 ]
 
 # fitted values below this size count as zero when masking identifiability
 _NULL_COMPONENT_TOL = 1e-8
+
+# a replayed identity passes when its worst residual is below this; read at
+# call time, and no config or argument overrides it
+IDENTITY_RESIDUAL_TOL = 1e-8
+
+# the replay's default sample count, also the heldout_samples config default
+REPLAY_SAMPLES = 200
 
 
 def coefficient_pairs(n: int) -> list[tuple[int, int]]:
@@ -313,11 +322,13 @@ def verify_identity(
     coefficients: IdentityCoefficients,
     geometry: TorusGeometry,
     k: int,
-    tolerance: float = 1e-8,
-    n_samples: int = 200,
+    n_samples: int = REPLAY_SAMPLES,
     seed: int = 0,
 ) -> IdentityCheck:
     """Replay the identity on fresh samples and report the worst residual.
+
+    The check passes when that residual is below IDENTITY_RESIDUAL_TOL,
+    which it also reports as its tolerance.
 
     Each sample draws a fresh random scalar table and a fresh (x, eps) from
     the seeded stream, so the check is independent of the impulse system
@@ -339,8 +350,8 @@ def verify_identity(
     return IdentityCheck(
         max_residual=worst,
         samples=n_samples,
-        tolerance=tolerance,
-        passed=worst < tolerance,
+        tolerance=IDENTITY_RESIDUAL_TOL,
+        passed=worst < IDENTITY_RESIDUAL_TOL,
     )
 
 

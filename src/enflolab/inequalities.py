@@ -82,7 +82,8 @@ REPORT_CSV_COLUMNS = (
     "seed",
 )
 
-# relative slack for proven bounds, covering float accumulation only
+# relative slack for proven bounds, covering float accumulation only; the
+# checks read it at call time, and no config or argument overrides it
 PROVEN_BOUND_RTOL = 1e-9
 
 
@@ -412,16 +413,14 @@ def scaled_enflo_ratio(f: FunctionTable, norm, p) -> RatioReport:
     return _evaluate("scaled_enflo", f, None, norm, p)
 
 
-def approximation_ratio(
-    f: FunctionTable, k: int, norm, p, rtol: float = PROVEN_BOUND_RTOL
-) -> RatioReport:
+def approximation_ratio(f: FunctionTable, k: int, norm, p) -> RatioReport:
     """Box-average displacement against (k-1)^p n^(p-1) times the edge energy.
 
-    This bound is a theorem with no hidden constant, so a violation beyond
-    float tolerance aborts.
+    This bound is a theorem with no hidden constant, so an lhs past rhs times
+    1 + PROVEN_BOUND_RTOL raises ProvenBoundViolation.
     """
     report = _evaluate("approximation", f, k, norm, p)
-    if report.lhs > report.rhs * (1.0 + rtol):
+    if report.lhs > report.rhs * (1.0 + PROVEN_BOUND_RTOL):
         raise ProvenBoundViolation(
             f"approximation bound violated: lhs={report.lhs!r} rhs={report.rhs!r}"
         )
@@ -451,7 +450,6 @@ def scheme_composite_check(
     half_shift: RatioReport,
     approximation: RatioReport,
     smoothing: RatioReport,
-    rtol: float = PROVEN_BOUND_RTOL,
 ) -> RatioReport:
     """Half-torus shift moment against an explicit-constant composite bound.
 
@@ -463,7 +461,8 @@ def scheme_composite_check(
     where D is the box displacement moment and S the diagonal smoothing
     moment, using m/4 telescoping steps of two along a fixed diagonal. The
     reported bound relaxes this to 2 * 3^(p-1) (D + m^p S), which dominates
-    because (m/4)^p <= 2 m^p. Both forms are asserted.
+    because (m/4)^p <= 2 m^p. Both forms are asserted: an lhs past either
+    times 1 + PROVEN_BOUND_RTOL raises ProvenBoundViolation.
 
     The half shift, D and S are the left sides of the scaled Enflo,
     approximation and smoothing reports, in that order, of one cell (n, m,
@@ -483,11 +482,11 @@ def scheme_composite_check(
     split = 3.0 ** (p - 1.0)
     tight = split * (2.0 * displacement + (m / 4.0) ** p * diagonal)
     rhs = 2.0 * split * (displacement + float(m) ** p * diagonal)
-    if lhs > tight * (1.0 + rtol):
+    if lhs > tight * (1.0 + PROVEN_BOUND_RTOL):
         raise ProvenBoundViolation(
             f"composite chain violated: lhs={lhs!r} tight rhs={tight!r}"
         )
-    if lhs > rhs * (1.0 + rtol):
+    if lhs > rhs * (1.0 + PROVEN_BOUND_RTOL):
         raise ProvenBoundViolation(
             f"composite bound violated: lhs={lhs!r} rhs={rhs!r}"
         )

@@ -67,6 +67,9 @@ _EXACT = {
 # sup norm surrogate power for the smoothed objective only
 _SUP_SURROGATE_POWER = 16.0
 
+# central-difference step of gradient_check
+_FD_STEP = 1e-5
+
 _MAX_BACKTRACKS = 40
 _MAX_DEGENERATE_RESAMPLES = 50
 
@@ -277,25 +280,19 @@ def maximize_ratio(
     return out.table, out.report
 
 
-def gradient_check(
-    objective: str,
-    f: FunctionTable,
-    norm,
-    p,
-    h: float = 1e-5,
-    k: int | None = None,
-    smoothing_eps: float = 1e-6,
-) -> float:
+def gradient_check(objective: str, f: FunctionTable, norm, p, k: int | None = None) -> float:
     """Worst relative error of the analytic gradient against central differences.
 
-    Checks the smoothed log-ratio objective at the given table over 20
-    coordinates. Refuses p = 1 and tables whose smallest difference vector
+    Checks the smoothed log-ratio objective, at OptimizationConfig's default
+    smoothing_eps, at the given table over 20 coordinates, with steps of
+    _FD_STEP. Refuses p = 1 and tables whose smallest difference vector
     sits at the smoothing scale; both would compare derivatives across a
     near kink, where finite differences say nothing.
     """
     p = as_exponent(p)
     if not p > 1:
         raise ValueError("gradient checks need p above 1")
+    smoothing_eps = OptimizationConfig.smoothing_eps
     obj = _make_objective(objective, f.geometry, f.d, norm, p, k, smoothing_eps)
     vals = f.values
     if obj.min_diff(vals) < 10.0 * smoothing_eps:
@@ -308,12 +305,12 @@ def gradient_check(
     worst = 0.0
     for j in picks:
         plus = flat.copy()
-        plus[j] += h
+        plus[j] += _FD_STEP
         minus = flat.copy()
-        minus[j] -= h
+        minus[j] -= _FD_STEP
         lp, _, rp, _ = obj.value_grad(plus.reshape(vals.shape))
         lm, _, rm, _ = obj.value_grad(minus.reshape(vals.shape))
-        numeric = ((math.log(lp) - math.log(rp)) - (math.log(lm) - math.log(rm))) / (2 * h)
+        numeric = ((math.log(lp) - math.log(rp)) - (math.log(lm) - math.log(rm))) / (2 * _FD_STEP)
         denom = max(abs(numeric), abs(grad[j]), 1e-8)
         worst = max(worst, abs(numeric - grad[j]) / denom)
     return worst
@@ -370,7 +367,6 @@ class ScanRow:
     restarts: int
     iterations: int
     seed: int
-    k_capped: bool = False
 
     def to_csv_row(self) -> list[str]:
         return [format_cell(getattr(self, column)) for column in SCAN_CSV_COLUMNS]
@@ -411,7 +407,6 @@ def search_row(
 def scan_grid(
     n_values,
     m_values,
-    k_rule=None,
     p=2.0,
     q=2.0,
     d: int = 1,
@@ -422,13 +417,12 @@ def scan_grid(
 
     Each cell runs an independent search seeded by (base seed, cell index),
     so results do not depend on the thread count. The radius column records
-    what the radius rule picks for the cell; the half-shift objective itself
+    what default_k_rule picks for the cell; the half-shift objective itself
     does not use it.
     """
     cfg = config if config is not None else OptimizationConfig()
     if not isinstance(cfg.seed, int):
         raise ValueError("scan_grid needs an integer base seed")
-    rule = k_rule if k_rule is not None else default_k_rule
     cells = []
     for n in n_values:
         for m in m_values:
@@ -438,9 +432,9 @@ def scan_grid(
 
     def run(ci: int) -> ScanRow:
         n, m = cells[ci]
-        k = rule(n, m)
+        k = default_k_rule(n, m)
         check_radius(k, m)
         row = search_row("scaled_enflo", TorusGeometry(n, m), d, q, p, None, cfg, ci)
-        return replace(row, k=k, k_capped=k < rule(n, 1 << 30))
+        return replace(row, k=k)
 
     return map_cells(run, len(cells), threads)

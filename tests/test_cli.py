@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from enflolab import cli, identity, inequalities
 from enflolab.cli import (
     COMMANDS,
     ConfigError,
@@ -18,7 +19,7 @@ from enflolab.cli import (
     parse_config,
 )
 from enflolab.identity import IdentityCoefficients
-from enflolab.inequalities import PROVEN_BOUND_RTOL, REPORT_CSV_COLUMNS
+from enflolab.inequalities import REPORT_CSV_COLUMNS
 from enflolab.search import SCAN_CSV_COLUMNS, SEARCH_OBJECTIVES
 from enflolab.torus import FunctionTable
 
@@ -83,15 +84,9 @@ def test_parse_errors_name_the_offending_field():
         (base_config("verify-identity", fit_budget=10), "unknown config key 'fit_budget'"),
         (base_config("verify-identity", fit_budget=120), "unknown config key 'fit_budget'"),
         (base_config("verify-identity", n_values=[7]), "too large"),
-        (base_config("check-lemmas", tolerances={"bogus": 0.1}), "bogus"),
-        (base_config("check-lemmas", tolerances={"fit_h00": -1.0}), "fit_h00"),
         (
-            base_config("check-lemmas", tolerances={"proven_inequality_rel": float("inf")}),
-            "proven_inequality_rel",
-        ),
-        (
-            base_config("verify-identity", tolerances={"identity_residual": 10**400}),
-            "identity_residual",
+            base_config("check-lemmas", tolerances={"proven_inequality_rel": 1e-3}),
+            "unknown config key 'tolerances'",
         ),
         (base_config("estimate-constants", step=float("inf")), "step"),
         (base_config("estimate-constants", smoothing_eps=float("inf")), "smoothing_eps"),
@@ -118,10 +113,6 @@ def test_parse_round_trip_defaults():
     for command, payload in MINIMAL_CONFIGS.items():
         cfg = parse_config(payload)
         assert cfg.command == command
-        assert cfg.tolerances == {
-            "identity_residual": 1e-8,
-            "proven_inequality_rel": PROVEN_BOUND_RTOL,
-        }
         echo = cfg.to_echo_dict()
         assert parse_config(echo).to_echo_dict() == echo
     assert set(COMMANDS) == {
@@ -142,11 +133,7 @@ JSON_VALUES = st.recursive(
     | st.text(max_size=8)
     | st.sampled_from(["inf", *COMMANDS, *SEARCH_OBJECTIVES]),
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(
-        st.text(max_size=8) | st.sampled_from(["identity_residual", "proven_inequality_rel"]),
-        inner,
-        max_size=3,
-    ),
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=8,
 )
 
@@ -155,7 +142,6 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(key=st.sampled_from([f.name for f in fields(ExperimentConfig)]), value=JSON_VALUES)
 @example(key="step", value=math.inf)
-@example(key="tolerances", value={"proven_inequality_rel": math.inf})
 def test_any_json_field_value_is_parsed_or_refused(command, key, value):
     payload = dict(MINIMAL_CONFIGS[command], **{key: value})
     try:
@@ -252,15 +238,33 @@ def test_identity_run_writes_coefficients_and_report(tmp_path):
     assert row["passed"] == "true"
 
 
-def test_identity_failure_still_writes_outputs(tmp_path):
-    out = tmp_path / "strict"
-    out.mkdir()
-    cfg = fit_config(tolerances={"identity_residual": 1e-30})
-    proc = run_cli(cfg, out)
-    assert proc.returncode == 1
-    lines = (out / "report.csv").read_text().splitlines()
+def run_main(config, tmp_path, *extra):
+    """cli.main in this process, so a test can patch the module constants it reads."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    return cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), *extra])
+
+
+def test_identity_failure_still_writes_outputs(tmp_path, monkeypatch):
+    monkeypatch.setattr(identity, "IDENTITY_RESIDUAL_TOL", 1e-30)
+    assert run_main(fit_config(), tmp_path) == 1
+    lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
     assert lines[1].split(",")[-1] == "false"
-    assert (out / "run_manifest.json").exists()
+    assert (tmp_path / "out" / "run_manifest.json").exists()
+
+
+def test_proven_bound_violation_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # a negative slack puts every bound at a thousandth of its value
+    monkeypatch.setattr(inequalities, "PROVEN_BOUND_RTOL", -0.999)
+    assert run_main(check_lemmas_config(), tmp_path) == 1
+    assert any(line.startswith("violation:") for line in capsys.readouterr().err.splitlines())
+    assert not (tmp_path / "out").exists()
+
+
+def test_nonpositive_threads_exit_2_and_write_nothing(tmp_path, capsys):
+    assert run_main(check_lemmas_config(), tmp_path, "--threads", "0") == 2
+    assert "--threads must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path):
