@@ -8,8 +8,8 @@ axis, odd in every other, and of sup-norm length at most k; it has exactly
 k (k+1)^(n-1) points. Both are coordinate product sets, so averaging against
 them factors into one-dimensional circular window sums over the stride-2
 parity subcircles of each coordinate. The separable paths below exploit that
-and cost O(#axes * m^n * d) independent of the radius, versus the k^n taps
-of the naive stencil.
+and cost O(#axes * m^n * d * log k), since a window sum of width k takes
+O(log k) adds, versus the k^n taps of the naive stencil.
 
 Averaging against a probability measure fixes constant tables; constant
 inputs are returned unchanged so that property holds exactly in floating

@@ -92,10 +92,12 @@ def _check_size(work: str, n: int, m: int, d: int) -> None:
     diagonal_differences: the rule over-counts it twice, and keeps refusing
     the cells it refused when the moment summed all 2^n. Pisier's sign
     combinations hold 4^n d. An identity fit holds the box average over the
-    complement of every coordinate subset (2^n scalar tables, as each
-    replayed sample does) plus its impulse system of (n+1)(n+2)/2 columns,
-    and computes one shifted difference per subset and sign pattern:
-    sum_{i,l} C(n,i) C(i,l) = 3^n scalar tables.
+    complement of every coordinate subset (2^n scalar tables) plus its
+    impulse system of (n+1)(n+2)/2 columns, and computes one shifted
+    difference per subset and sign pattern: sum_{i,l} C(n,i) C(i,l) = 3^n
+    scalar tables. The rule bounds the fit. The replay holds one batch of
+    samples, the columns of one table of at most 2^15 entries (one sample's
+    m^n when that is larger), and a few averages of it at a time.
     """
     if n > MAX_HELD_ENTRIES.bit_length():  # m >= 2, so m^n alone is too large
         held = computed = math.inf

@@ -36,7 +36,6 @@ __all__ = [
     "IdentityCoefficients",
     "IdentityCheck",
     "decomposition_term_table",
-    "shell_difference_sum",
     "shell_difference_sum_table",
     "fit_identity_coefficients",
     "verify_identity",
@@ -56,6 +55,11 @@ IDENTITY_RESIDUAL_TOL = 1e-8
 
 # the replay's default sample count, also the heldout_samples config default
 REPLAY_SAMPLES = 200
+
+# the replay stacks its samples as the columns of one table of at most this
+# many float64 entries (8 samples at n = 4, m = 8), so each average is one
+# call per batch rather than per sample
+_REPLAY_BATCH_ENTRIES = 2**15
 
 
 def coefficient_pairs(n: int) -> list[tuple[int, int]]:
@@ -82,33 +86,43 @@ def _check_signs(eps, n: int) -> np.ndarray:
     return arr
 
 
-def _term_shifts(geometry: TorusGeometry, k: int, i: int, l: int, eps: np.ndarray):
-    """Yield (subset, plus shift, minus shift) for every signed configuration.
+def _subset_shifts(geometry: TorusGeometry, k: int, subset, l: int, eps: np.ndarray):
+    """Yield (plus shift, minus shift) for the sign patterns of one subset.
 
-    For each size-i subset there are exactly binom(i, l) sign patterns with l
-    disagreements, generated directly by choosing the flipped positions.
+    There are exactly binom(i, l) patterns with l disagreements, generated
+    directly by choosing the flipped positions. eps is one sign vector or a
+    (count, n) stack of them, and the shifts take its shape.
     """
-    n, m = geometry.n, geometry.m
-    for subset in combinations(range(n), i):
-        eps_off = eps.copy()
-        eps_off[list(subset)] = 0
-        base = np.zeros(n, dtype=np.int64)
-        for flips in combinations(subset, l):
-            for a in subset:
-                sign = -eps[a] if a in flips else eps[a]
-                base[a] = (k * sign) % m
-            yield subset, (base + eps_off) % m, (base - eps_off) % m
+    on = list(subset)
+    eps_off = eps.copy()
+    eps_off[..., on] = 0
+    for flips in combinations(subset, l):
+        signs = eps.copy()
+        signs[..., list(flips)] *= -1
+        base = np.zeros_like(eps)
+        base[..., on] = (k * signs[..., on]) % geometry.m
+        yield (base + eps_off) % geometry.m, (base - eps_off) % geometry.m
+
+
+def _term_shifts(geometry: TorusGeometry, k: int, i: int, l: int, eps: np.ndarray):
+    """Yield (subset, plus shift, minus shift) for every signed configuration."""
+    for subset in combinations(range(geometry.n), i):
+        for plus, minus in _subset_shifts(geometry, k, subset, l, eps):
+            yield subset, plus, minus
+
+
+def _complement(n: int, subset) -> tuple[int, ...]:
+    return tuple(a for a in range(n) if a not in subset)
 
 
 def _complement_tables(f: FunctionTable, k: int, sizes) -> dict:
     """Box averages over the complement of every subset of the given sizes."""
-    g = f.geometry
-    out = {}
-    for i in sizes:
-        for subset in combinations(range(g.n), i):
-            comp = tuple(a for a in range(g.n) if a not in subset)
-            out[subset] = box_average(f, comp, k).values
-    return out
+    n = f.geometry.n
+    return {
+        subset: box_average(f, _complement(n, subset), k).values
+        for i in sizes
+        for subset in combinations(range(n), i)
+    }
 
 
 def decomposition_term_table(
@@ -126,21 +140,6 @@ def decomposition_term_table(
     for subset, plus, minus in _term_shifts(g, k, i, l, ev):
         acc += shift_difference(plus, minus).apply(tables[subset].reshape(shape))
     return acc.reshape(f.values.shape)
-
-
-def shell_difference_sum(f: FunctionTable, k: int, x, eps) -> np.ndarray:
-    """Sum over axes of eps_j times the shell-average difference at x +- e_j."""
-    g = f.geometry
-    check_radius(k, g.m)
-    xv = np.asarray(x, dtype=np.int64)
-    ev = _check_signs(eps, g.n)
-    out = np.zeros(f.d)
-    for axis in range(g.n):
-        avg = convolve_shell_separable(f, axis, k)
-        step = np.zeros(g.n, dtype=np.int64)
-        step[axis] = 1
-        out += ev[axis] * (avg.values[g.encode(xv + step)] - avg.values[g.encode(xv - step)])
-    return out
 
 
 def shell_difference_sum_table(f: FunctionTable, k: int, eps) -> np.ndarray:
@@ -232,38 +231,52 @@ class IdentityCheck:
     passed: bool
 
 
-def _feature_row(
-    tables: dict,
-    geometry: TorusGeometry,
-    k: int,
-    x: np.ndarray,
-    eps: np.ndarray,
-    pairs: list[tuple[int, int]],
-) -> np.ndarray:
-    row = np.empty(len(pairs))
-    for idx, (i, l) in enumerate(pairs):
-        total = 0.0
-        for subset, plus, minus in _term_shifts(geometry, k, i, l, eps):
-            table = tables[subset]
-            total += table[geometry.encode(x + plus), 0]
-            total -= table[geometry.encode(x + minus), 0]
-        row[idx] = coefficient_scale(geometry.n, k, i) * total
-    return row
-
-
-def _draw_sample(
+def _replay_batch(
     geometry: TorusGeometry,
     k: int,
     rng,
     pairs: list[tuple[int, int]],
-) -> tuple[np.ndarray, float]:
-    f = FunctionTable.random_gaussian(geometry, 1, rng)
-    x = rng.integers(0, geometry.m, size=geometry.n)
-    eps = 1 - 2 * rng.integers(0, 2, size=geometry.n)
-    tables = _complement_tables(f, k, range(geometry.n + 1))
-    row = _feature_row(tables, geometry, k, x, eps, pairs)
-    target = float(shell_difference_sum(f, k, x, eps)[0])
-    return row, target
+    size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows (size, len(pairs)) and targets (size,) of fresh samples.
+
+    Each sample draws a scalar table, then its x, then its eps, in that order,
+    and becomes one column of a shared table. Every average acts on each
+    column alone, and each feature accumulates over subsets, then sign
+    patterns, in _term_shifts' order, so every row is bitwise the one a
+    pointwise read of that sample's own table gives.
+    """
+    n, m = geometry.n, geometry.m
+    values = np.empty((geometry.size, size))
+    x = np.empty((size, n), dtype=np.int64)
+    eps = np.empty((size, n), dtype=np.int64)
+    for s in range(size):
+        values[:, s] = rng.standard_normal((geometry.size, 1))[:, 0]
+        x[s] = rng.integers(0, m, size=n)
+        eps[s] = 1 - 2 * rng.integers(0, 2, size=n)
+    f = FunctionTable(geometry, values)
+    samples = np.arange(size)
+
+    totals = {pair: np.zeros(size) for pair in pairs}
+    for i in range(n + 1):
+        for subset in combinations(range(n), i):
+            table = box_average(f, _complement(n, subset), k).values
+            for l in range(i + 1):
+                total = totals[i, l]
+                for plus, minus in _subset_shifts(geometry, k, subset, l, eps):
+                    total += table[geometry.encode(x + plus), samples]
+                    total -= table[geometry.encode(x + minus), samples]
+    rows = np.stack([coefficient_scale(n, k, i) * totals[i, l] for i, l in pairs], axis=1)
+
+    targets = np.zeros(size)
+    for axis in range(n):
+        shell = convolve_shell_separable(f, axis, k).values
+        step = np.zeros(n, dtype=np.int64)
+        step[axis] = 1
+        forward = shell[geometry.encode(x + step), samples]
+        backward = shell[geometry.encode(x - step), samples]
+        targets += eps[:, axis] * (forward - backward)
+    return rows, targets
 
 
 def fit_identity_coefficients(geometry: TorusGeometry, k: int) -> IdentityCoefficients:
@@ -332,7 +345,9 @@ def verify_identity(
 
     Each sample draws a fresh random scalar table and a fresh (x, eps) from
     the seeded stream, so the check is independent of the impulse system
-    the coefficients were fitted on.
+    the coefficients were fitted on. The samples are drawn and replayed in
+    batches of table columns; the worst residual is bitwise the one a replay
+    of one sample at a time gives.
     Unidentifiable coefficients enter with their fitted values; they
     multiply feature directions the sampled data cannot distinguish, so the
     prediction is unaffected.
@@ -343,10 +358,12 @@ def verify_identity(
     pairs = coefficient_pairs(geometry.n)
     full = np.array([coefficients.values[i, l] for i, l in pairs])
     rng = np.random.default_rng(seed)
+    batch = max(1, _REPLAY_BATCH_ENTRIES // geometry.size)
     worst = 0.0
-    for _ in range(n_samples):
-        row, target = _draw_sample(geometry, k, rng, pairs)
-        worst = max(worst, abs(target - float(row @ full)))
+    for begin in range(0, n_samples, batch):
+        rows, targets = _replay_batch(geometry, k, rng, pairs, min(batch, n_samples - begin))
+        for row, target in zip(rows, targets):
+            worst = max(worst, abs(float(target) - float(row @ full)))
     return IdentityCheck(
         max_residual=worst,
         samples=n_samples,

@@ -35,15 +35,27 @@ def random_table(n, m, d, seed):
 
 def test_window_sums_match_direct():
     rng = np.random.default_rng(0)
-    blocks = rng.normal(size=(5, 8))
-    for start in (-3, -1, 0, 2):
-        for width in (1, 2, 4, 7):
-            got = window_sums(blocks, start, width)
-            want = np.zeros_like(blocks)
-            for s in range(8):
-                for t in range(width):
-                    want[:, s] += blocks[:, (s + start + t) % 8]
-            assert np.allclose(got, want, atol=1e-12)
+    shapes = [
+        (5, 8, (1, 2, 4, 7, 8)),
+        (1, 8, (1, 3, 8)),
+        (3, 4, (1, 2, 3, 4)),
+        (2, 32, (31, 32)),
+        (2, 64, (63, 64)),
+    ]
+    for rows, length, widths in shapes:
+        blocks = rng.normal(size=(rows, length))
+        for start in (-2 * length - 3, -length - 1, -3, -1, 0, 2, length + 5):
+            for width in widths:
+                got = window_sums(blocks, start, width)
+                assert got.shape == (rows, length)
+                want = np.zeros_like(blocks)
+                for s in range(length):
+                    for t in range(width):
+                        want[:, s] += blocks[:, (s + start + t) % length]
+                assert np.allclose(got, want, atol=1e-12)
+    for width in (0, 9):
+        with pytest.raises(ValueError):
+            window_sums(np.ones((2, 8)), 0, width)
 
 
 def test_box_worked_example():

@@ -7,18 +7,17 @@ import numpy as np
 import pytest
 
 from enflolab import identity
-from enflolab.averaging import box_average
+from enflolab.averaging import box_average, check_radius, convolve_shell_separable
 from enflolab.identity import (
     IdentityCoefficients,
+    _check_signs,
     _complement_tables,
-    _feature_row,
     _term_shifts,
     coefficient_pairs,
     coefficient_scale,
     decomposition_moment,
     decomposition_term_table,
     fit_identity_coefficients,
-    shell_difference_sum,
     shell_difference_sum_table,
     verify_identity,
 )
@@ -35,6 +34,59 @@ def true_coefficient(i, l):
 def gaussian(n, m, d, seed):
     g = TorusGeometry(n, m)
     return FunctionTable.random_gaussian(g, d, np.random.default_rng(seed))
+
+
+# The per-sample replay: the oracle verify_identity's batched replay must
+# match bitwise. Each sample reads its own scalar table point by point.
+
+
+def shell_difference_sum(f, k, x, eps):
+    """Sum over axes of eps_j times the shell-average difference at x +- e_j."""
+    g = f.geometry
+    check_radius(k, g.m)
+    xv = np.asarray(x, dtype=np.int64)
+    ev = _check_signs(eps, g.n)
+    out = np.zeros(f.d)
+    for axis in range(g.n):
+        avg = convolve_shell_separable(f, axis, k)
+        step = np.zeros(g.n, dtype=np.int64)
+        step[axis] = 1
+        out += ev[axis] * (avg.values[g.encode(xv + step)] - avg.values[g.encode(xv - step)])
+    return out
+
+
+def _feature_row(tables, geometry, k, x, eps, pairs):
+    row = np.empty(len(pairs))
+    for idx, (i, l) in enumerate(pairs):
+        total = 0.0
+        for subset, plus, minus in _term_shifts(geometry, k, i, l, eps):
+            table = tables[subset]
+            total += table[geometry.encode(x + plus), 0]
+            total -= table[geometry.encode(x + minus), 0]
+        row[idx] = coefficient_scale(geometry.n, k, i) * total
+    return row
+
+
+def _draw_sample(geometry, k, rng, pairs):
+    f = FunctionTable.random_gaussian(geometry, 1, rng)
+    x = rng.integers(0, geometry.m, size=geometry.n)
+    eps = 1 - 2 * rng.integers(0, 2, size=geometry.n)
+    tables = _complement_tables(f, k, range(geometry.n + 1))
+    row = _feature_row(tables, geometry, k, x, eps, pairs)
+    target = float(shell_difference_sum(f, k, x, eps)[0])
+    return row, target
+
+
+def sample_residuals(coefficients, geometry, k, n_samples, seed):
+    """Residual of each sample, replayed one at a time in draw order."""
+    pairs = coefficient_pairs(geometry.n)
+    full = np.array([coefficients.values[i, l] for i, l in pairs])
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_samples):
+        row, target = _draw_sample(geometry, k, rng, pairs)
+        out.append(abs(target - float(row @ full)))
+    return out
 
 
 def worst_identity_residual(f, k, coefficient):
@@ -84,7 +136,7 @@ def test_zero_subset_term_is_the_full_diagonal_difference():
 
 
 def test_term_table_matches_pointwise_terms():
-    # _feature_row is the pointwise reader the fit builds its equations from
+    # _feature_row is the pointwise reader of the per-sample replay oracle
     f = gaussian(2, 8, 1, seed=5)
     g = f.geometry
     eps = np.array([-1, 1])
@@ -164,6 +216,22 @@ def test_fitted_coefficients_satisfy_the_tabulated_identity(n, k):
     fitted = fit_identity_coefficients(f.geometry, k)
     worst = worst_identity_residual(f, k, fitted.coefficient)
     assert worst < 1e-12, worst
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3, 4) for k in (1, 3)])
+def test_batched_replay_is_bitwise_the_per_sample_replay(n, k):
+    # sample counts below, at and past a batch (4096 columns at n = 1, 8 at
+    # n = 4), and not multiples of it; the first N samples of the oracle's
+    # stream are the ones an N-sample replay draws, so one oracle pass per
+    # seed serves every N
+    g = TorusGeometry(n, 8)
+    fitted = fit_identity_coefficients(g, k)
+    for seed in (0, 99):
+        residuals = sample_residuals(fitted, g, k, 100, seed)
+        for n_samples in (1, 7, 37, 100):
+            check = verify_identity(fitted, g, k, n_samples=n_samples, seed=seed)
+            assert check.max_residual == max(residuals[:n_samples]), (seed, n_samples)
+            assert check.samples == n_samples
 
 
 def test_fit_draws_no_random_numbers(monkeypatch):
