@@ -9,7 +9,11 @@ k (k+1)^(n-1) points. Both are coordinate product sets, so averaging against
 them factors into one-dimensional circular window sums over the stride-2
 parity subcircles of each coordinate. The separable paths below exploit that
 and cost O(#axes * m^n * d * log k), since a window sum of width k takes
-O(log k) adds, versus the k^n taps of the naive stencil.
+O(log k) adds, versus the k^n taps of the naive stencil. Each axis pass
+makes two copies: one transposing copy puts the subcircles of both parities
+on rows, and one writes the sums back in grid order. An even window sums
+all those rows in a single window_sums call; an odd window, whose start
+differs by parity, takes one call per parity.
 
 Averaging against a probability measure fixes constant tables; constant
 inputs are returned unchanged so that property holds exactly in floating
@@ -174,28 +178,32 @@ def _axis_window_pass(
     Even windows sum f over offsets {0, +-2, ..., +-(k-1)}; odd windows over
     {+-1, +-3, ..., +-k}. Each output parity class reads one stride-2
     subcircle, so both reduce to plain circular window sums of width k or
-    k + 1 on circles of length m/2.
+    k + 1 on circles of length m/2. One transposing copy puts every
+    subcircle of both parities on a row, circle last; an even window then
+    sums all rows in one window_sums call, an odd window each parity's rows
+    in one call, and one copy writes the sums back in grid order.
     """
-    n, m = geometry.n, geometry.m
-    d = values.shape[1]
-    nd = values.reshape(geometry.shape + (d,))
-    arr = np.moveaxis(nd, axis, n)  # active grid axis last, after d
-    lead = arr.shape[:-1]
-    flat = np.ascontiguousarray(arr).reshape(-1, m)
-    even_rows = np.ascontiguousarray(flat[:, 0::2])
-    odd_rows = np.ascontiguousarray(flat[:, 1::2])
+    m = geometry.m
+    half = m // 2
+    pre = m**axis
+    post = values.size // (pre * m)
+    # row c * pre * post + i * post + j is the parity-c subcircle through (i, ., j)
+    rows = values.reshape(pre, half, 2, post).transpose(2, 0, 3, 1).reshape(-1, half)
     if odd_window:
-        out_even = window_sums(odd_rows, -((k + 1) // 2), k + 1)
-        out_odd = window_sums(even_rows, -((k - 1) // 2), k + 1)
+        split = pre * post
+        out_even = window_sums(rows[split:], -((k + 1) // 2), k + 1)
+        out_odd = window_sums(rows[:split], -((k - 1) // 2), k + 1)
     else:
-        r = (k - 1) // 2
-        out_even = window_sums(even_rows, -r, k)
-        out_odd = window_sums(odd_rows, -r, k)
-    out = np.empty_like(flat)
-    out[:, 0::2] = out_even
-    out[:, 1::2] = out_odd
-    restored = np.moveaxis(out.reshape(lead + (m,)), n, axis)
-    return restored.reshape(values.shape)
+        sums = window_sums(rows, -((k - 1) // 2), k)
+    del rows  # freed before the output exists, which bounds the peak
+    out = np.empty((pre, half, 2, post))
+    blocks = out.transpose(2, 0, 3, 1)
+    if odd_window:
+        blocks[0] = out_even.reshape(blocks.shape[1:])
+        blocks[1] = out_odd.reshape(blocks.shape[1:])
+    else:
+        blocks[...] = sums.reshape(blocks.shape)
+    return out.reshape(values.shape)
 
 
 def _separable_box(values: np.ndarray, geometry: TorusGeometry, axes, k: int):

@@ -167,32 +167,120 @@ class DiffOp(NamedTuple):
 
     apply maps a table to an array of difference vectors (last axis d);
     adjoint maps an array of that shape back to a table, transposing apply
-    under the entrywise inner product.
+    under the entrywise inner product. The shift operators copy through
+    slice plans built once per array shape and held by the op itself, so a
+    plan lives exactly as long as its op.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
 
 
+_ALL = slice(None)
+_FLIP = slice(None, None, -1)
+
+
+def _roll_plan(shape: tuple[int, ...], shifts: dict) -> tuple[tuple[int, ...], list]:
+    """Slice-copy plan for out[x] = a[x - shifts] on arrays of the given shape.
+
+    shifts maps an axis (possibly negative) to its shift, as np.roll reads it.
+    Returns a view shape shared by a and out, and (dst, src) index pairs such
+    that out_view[dst] = a_view[src] over all pairs fills every entry once.
+    An axis shifted by half its length r becomes the view axes (2, r), and
+    reading the 2 reversed swaps the halves at no extra pair; any other
+    shifted axis takes two slice pairs. Neighbouring unshifted axes merge
+    into one view axis, and so do neighbouring reversed ones.
+    """
+    ndim = len(shape)
+    resolved = {}
+    for axis, shift in shifts.items():
+        if not -ndim <= axis < ndim:
+            raise ValueError(f"axis {axis} out of range for {ndim} dimensions")
+        if axis % ndim in resolved:
+            raise ValueError("shift axes must be distinct")
+        resolved[axis % ndim] = shift
+    segments: list[list] = []  # [size, (dst, src) choices]
+
+    def add(size, choices):
+        if size == 1:
+            return
+        if segments and len(choices) == 1 and segments[-1][1] == choices:
+            segments[-1][0] *= size
+        else:
+            segments.append([size, choices])
+
+    for axis, size in enumerate(shape):
+        r = resolved.get(axis, 0) % size
+        if r and 2 * r == size:
+            add(2, ((_ALL, _FLIP),))
+            add(r, ((_ALL, _ALL),))
+        elif r:
+            add(size, ((slice(r, None), slice(None, size - r)), (slice(None, r), slice(size - r, None))))
+        else:
+            add(size, ((_ALL, _ALL),))
+    view = tuple(size for size, _ in segments)
+    while segments and segments[-1][1] == ((_ALL, _ALL),):
+        segments.pop()
+    pairs = [((), ())]
+    for _, choices in segments:
+        pairs = [(d + (cd,), s + (cs,)) for d, s in pairs for cd, cs in choices]
+    return view, pairs
+
+
+def _shifted(shifts: dict) -> Callable[[np.ndarray], np.ndarray]:
+    """a -> np.roll(a, shifts) as a planned slice copy; the plans live in this closure."""
+    plans: dict = {}
+
+    def shifted(a):
+        plan = plans.get(a.shape)
+        if plan is None:
+            plan = plans[a.shape] = _roll_plan(a.shape, shifts)
+        view, pairs = plan
+        out = np.empty(a.shape, a.dtype)
+        src, dst = a.reshape(view), out.reshape(view)
+        for d, s in pairs:
+            dst[d] = src[s]
+        return out
+
+    return shifted
+
+
+def _difference(ahead: dict, behind: dict | None) -> Callable[[np.ndarray], np.ndarray]:
+    """a -> np.roll(a, ahead) - np.roll(a, behind), or - a where behind is None."""
+    first = _shifted(ahead)
+    second = (lambda a: a) if behind is None else _shifted(behind)
+
+    def diff(a):
+        out = first(a)
+        return np.subtract(out, second(a), out=out)
+
+    return diff
+
+
 def shift_difference(plus, minus=None, axes=None) -> DiffOp:
     """x -> f(x + plus) - f(x + minus) over the given grid axes; minus defaults to 0.
 
-    np.roll by -z reads f(x + z), so the adjoint rolls the other way.
+    Reading f(x + z) is a circular copy that shifts every axis by -z, and the
+    adjoint shifts by +z. Each copy follows a slice plan built on the first
+    call for an array shape and kept in the op's closure: an axis shifted by
+    exactly half its length is one flipped (2, m/2) view, any other shifted
+    axis two slice pairs. The result is bitwise equal to np.roll's. axes may
+    be negative; repeated axes raise ValueError.
     """
     plus = tuple(int(v) for v in plus)
-    axes = tuple(range(len(plus))) if axes is None else tuple(axes)
-    ahead = tuple(-v for v in plus)
+    axes = tuple(range(len(plus))) if axes is None else tuple(int(a) for a in axes)
+    if len(axes) != len(plus) or (minus is not None and len(minus) != len(plus)):
+        raise ValueError("plus, minus and axes must have equal lengths")
+    if len(set(axes)) != len(axes):
+        raise ValueError("shift axes must be distinct")
+    ahead = {a: -v for a, v in zip(axes, plus)}
+    back = {a: v for a, v in zip(axes, plus)}
     if minus is None:
-        return DiffOp(
-            lambda nd: np.roll(nd, ahead, axis=axes) - nd,
-            lambda w: np.roll(w, plus, axis=axes) - w,
-        )
+        return DiffOp(_difference(ahead, None), _difference(back, None))
     minus = tuple(int(v) for v in minus)
-    behind = tuple(-v for v in minus)
-    return DiffOp(
-        lambda nd: np.roll(nd, ahead, axis=axes) - np.roll(nd, behind, axis=axes),
-        lambda w: np.roll(w, plus, axis=axes) - np.roll(w, minus, axis=axes),
-    )
+    behind = {a: -v for a, v in zip(axes, minus)}
+    forth = {a: v for a, v in zip(axes, minus)}
+    return DiffOp(_difference(ahead, behind), _difference(back, forth))
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +302,7 @@ def diagonal_differences(n: int) -> tuple[DiffOp, ...]:
     These 2^(n-1) fields carry every diagonal increment f(x + eps) - f(x - eps):
     translating x by eps maps that increment onto f(x + 2 eps) - f(x), and
     -eps gives the negated field. So a mean of p-th moments over these ops
-    equals the mean over all 2^n sign vectors, at one roll per op.
+    equals the mean over all 2^n sign vectors, at one shifted copy per op.
     """
     return tuple(shift_difference(2 * eps) for eps in sign_vectors(n)[: 2 ** (n - 1)])
 

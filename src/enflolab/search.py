@@ -112,8 +112,18 @@ def _seed_tuple(seed) -> tuple[int, ...]:
 
 
 def _smooth_piece(diff: np.ndarray, p: float, q_eff: float, eps: float):
-    """Mean smoothed q-norm^p over leading axes, and its gradient in diff."""
+    """Mean smoothed q-norm^p over leading axes, and its gradient in diff.
+
+    At q = 2 the powers sq^(q/2) and sq^((q-2)/2) are sq and 1, so that
+    branch skips them; its value and gradient are bitwise the general ones.
+    """
     sq = diff * diff + eps * eps
+    if q_eff == 2.0:
+        nrm = np.sqrt(sq.sum(axis=-1))
+        count = nrm.size
+        value = float((nrm**p).sum()) / count
+        weight = (p / count) * nrm ** (p - 2.0)
+        return value, weight[..., None] * diff
     s = np.sum(sq ** (q_eff / 2.0), axis=-1)
     nrm = s ** (1.0 / q_eff)
     count = nrm.size

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from enflolab import averaging
 from enflolab.averaging import (
     box_average,
     box_average_array,
@@ -130,6 +131,55 @@ def test_box_average_array_matches_table_path():
     assert np.array_equal(out, f.values)
     out.fill(0.0)  # must be a safe copy
     assert not np.array_equal(out, f.values)
+
+
+def oracle_axis_window_pass(values, geometry, axis, k, odd_window):
+    """The per-axis window pass by moveaxis and parity copies, kept as an oracle."""
+    n, m = geometry.n, geometry.m
+    d = values.shape[1]
+    nd = values.reshape(geometry.shape + (d,))
+    arr = np.moveaxis(nd, axis, n)  # active grid axis last, after d
+    lead = arr.shape[:-1]
+    flat = np.ascontiguousarray(arr).reshape(-1, m)
+    even_rows = np.ascontiguousarray(flat[:, 0::2])
+    odd_rows = np.ascontiguousarray(flat[:, 1::2])
+    if odd_window:
+        out_even = window_sums(odd_rows, -((k + 1) // 2), k + 1)
+        out_odd = window_sums(even_rows, -((k - 1) // 2), k + 1)
+    else:
+        r = (k - 1) // 2
+        out_even = window_sums(even_rows, -r, k)
+        out_odd = window_sums(odd_rows, -r, k)
+    out = np.empty_like(flat)
+    out[:, 0::2] = out_even
+    out[:, 1::2] = out_odd
+    restored = np.moveaxis(out.reshape(lead + (m,)), n, axis)
+    return restored.reshape(values.shape)
+
+
+def test_separable_paths_are_bitwise_the_oracle_pass(monkeypatch):
+    def averages(f, axis_sets):
+        out = [convolve_shell_separable(f, axis, k).values for axis in range(n)]
+        for axes in axis_sets:
+            out.append(convolve_box_separable(f, axes, k).values)
+            out.append(box_average_array(f.geometry, f.values, axes, k))
+        return out
+
+    for n in (1, 2, 3, 4):
+        if n <= 3:
+            axis_sets = [c for size in range(n + 1) for c in combinations(range(n), size)]
+        else:
+            axis_sets = [(0, 1, 2, 3), (1, 3), (2,)]
+        for m in (4, 8, 12, 16):
+            for d in (1, 3, 9):
+                f = random_table(n, m, d, seed=n * 1000 + m * 10 + d)
+                for k in range(1, m // 2, 2):
+                    got = averages(f, axis_sets)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(averaging, "_axis_window_pass", oracle_axis_window_pass)
+                        want = averages(f, axis_sets)
+                    for a, b in zip(got, want):
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (n, m, d, k)
 
 
 @given(st.sampled_from(cells()), st.integers(0, 500))

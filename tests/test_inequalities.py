@@ -1,5 +1,7 @@
+import gc
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -93,24 +95,47 @@ def test_edge_energy_matches_pointwise_definition():
     assert abs(edge_energy(f, 2.0, 2.0) - total) < 1e-12
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @given(st.data())
 def test_diff_ops_read_the_right_points_and_transpose(data):
     n = data.draw(st.integers(1, 3))
-    m = data.draw(st.sampled_from([2, 4, 8]))
+    m = data.draw(st.sampled_from([2, 4, 6, 8, 12]))
+    d = data.draw(st.integers(1, 9))
     g = TorusGeometry(n, m)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    table = rng.standard_normal(g.shape + (2,))
-    vector = st.lists(st.integers(-10, 10), min_size=n, max_size=n)
+    table = rng.standard_normal(g.shape + (d,))
+    vector = st.lists(st.integers(-2 * m, 2 * m), min_size=n, max_size=n)
     plus = data.draw(vector)
     minus = data.draw(st.none() | vector)
 
     # apply reads f(x + plus) - f(x + minus), with minus = None meaning 0
-    flat = table.reshape(g.size, 2)
+    flat = table.reshape(g.size, d)
     pts = g.points()
     back = np.zeros(n, dtype=np.int64) if minus is None else np.asarray(minus)
     want = flat[g.encode(pts + np.asarray(plus))] - flat[g.encode(pts + back)]
-    got = shift_difference(plus, minus).apply(table).reshape(g.size, 2)
+    got = shift_difference(plus, minus).apply(table).reshape(g.size, d)
     assert np.array_equal(got, want)
+
+    # on explicit axes, permuted and possibly negative, apply and adjoint are
+    # bitwise np.roll's, on a second shape too, and again once the plans exist
+    count = data.draw(st.integers(1, n))
+    grid_axes = data.draw(st.permutations(range(n)))[:count]
+    axes = [a - (n + 1) if data.draw(st.booleans()) else a for a in grid_axes]
+    some_plus = plus[:count]
+    some_minus = None if minus is None else minus[:count]
+    op = shift_difference(some_plus, some_minus, axes)
+    other = rng.standard_normal(g.shape + (d + 1,))
+    for f in (table, other, table):
+        for run, sign in ((op.apply, -1), (op.adjoint, 1)):
+            rolled = np.roll(f, [sign * v for v in some_plus], axis=axes)
+            if some_minus is None:
+                want = rolled - f
+            else:
+                want = rolled - np.roll(f, [sign * v for v in some_minus], axis=axes)
+            assert same_bits(run(f), want)
 
     # <apply f, w> = <f, adjoint w> for every operator the sides are built from
     cube = rng.standard_normal((2,) * n + (2,))
@@ -130,6 +155,48 @@ def test_diff_ops_read_the_right_points_and_transpose(data):
         rhs = float(np.sum(f.reshape(-1) * op.adjoint(w).reshape(-1)))
         scale = float(np.sum(np.abs(image * w)))
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def test_shift_difference_refuses_repeated_axes():
+    table = np.zeros((4, 4, 1))
+    with pytest.raises(ValueError):
+        shift_difference((1, 2), axes=(0, 0))
+    with pytest.raises(ValueError):
+        shift_difference((1, 2), (0, 1), axes=(1, 1))
+    # an axis and its negative alias collide once the array's rank is known
+    op = shift_difference((1, 2), axes=(0, -3))
+    with pytest.raises(ValueError):
+        op.apply(table)
+    with pytest.raises(ValueError):
+        op.adjoint(table)
+    with pytest.raises(ValueError):
+        shift_difference((1,), axes=(3,)).apply(table)
+    with pytest.raises(ValueError):
+        shift_difference((1, 2), axes=(0,))
+
+
+def test_roll_plans_die_with_their_op():
+    # each op keeps its plans in its own closure, so throwaway ops leave
+    # nothing behind; a module-level plan cache would keep all 2000
+    g = TorusGeometry(3, 16)
+    table = np.random.default_rng(0).standard_normal(g.shape + (1,))
+    shift_difference((1, 2, 3), (3, 2, 1)).apply(table)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for i in range(2000):
+            plus = np.unravel_index(i, g.shape)
+            op = shift_difference(plus)
+            op.apply(table)
+            op.adjoint(table)
+            shift_difference(plus, (i % 5, 0, 1)).apply(table)
+        del op
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown <= 64 * 1024, grown
 
 
 def test_scaled_enflo_worked_example():

@@ -10,6 +10,7 @@ from enflolab.search import (
     OptimizationConfig,
     _make_objective,
     _maximize_full,
+    _smooth_piece,
     default_k_rule,
     gradient_check,
     maximize_ratio,
@@ -38,6 +39,30 @@ def objective_cases(torus=None, cube=None):
     ]
     assert {name for name, _, _ in cases} == set(SEARCH_OBJECTIVES)
     return cases
+
+
+def test_q_two_smoothed_piece_is_bitwise_the_general_formula():
+    def general(diff, p, q_eff, eps):
+        sq = diff * diff + eps * eps
+        s = np.sum(sq ** (q_eff / 2.0), axis=-1)
+        nrm = s ** (1.0 / q_eff)
+        count = nrm.size
+        value = float(np.sum(nrm**p)) / count
+        weight = (p / count) * nrm ** (p - q_eff)
+        grad = weight[..., None] * sq ** ((q_eff - 2.0) / 2.0) * diff
+        return value, grad
+
+    rng = np.random.default_rng(0)
+    eps = OptimizationConfig().smoothing_eps
+    for p in (1.0, 1.5, 2.0):
+        for d in (1, 3):
+            for scale in (1.0, 1e3, eps, eps / 7, 0.0):
+                diff = scale * rng.standard_normal((4, 27, d))
+                value, grad = _smooth_piece(diff, p, 2.0, eps)
+                want_value, want_grad = general(diff, p, 2.0, eps)
+                assert value == want_value
+                assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape
+                assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_gradients_match_finite_differences_everywhere():

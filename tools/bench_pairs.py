@@ -10,9 +10,10 @@ the base first in even pairs and this tree first in odd ones, with the same
 workload and perfbench's own default seed and run length, so every pair runs
 as the benchmark does. The full output of every run (its detail line
 and its result line) is written to BENCH_<LABEL>_<workload>.json at the repo
-root, one file per tree. The summary printed at the end gives each side's
-median and quartiles of every end-to-end metric, and how many pairs this
-tree won on each.
+root, one file per tree; a label whose record exists is refused, so no
+record is ever overwritten. The summary printed at the end gives each
+side's median and quartiles of every end-to-end metric, and how many pairs
+this tree won on each.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ def main(argv=None) -> int:
         parser.error("--base-label and --label must differ")
     if not (args.base / "perfbench" / "run.py").is_file():
         parser.error(f"{args.base} holds no perfbench/run.py")
+    for label in (args.base_label, args.label):
+        if (ROOT / f"BENCH_{label}_{args.workload}.json").exists():
+            parser.error(f"BENCH_{label}_{args.workload}.json exists; records are never overwritten")
 
     sides = {args.base_label: (args.base.resolve(), []), args.label: (ROOT, [])}
     for pair in range(args.pairs):
