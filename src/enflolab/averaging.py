@@ -9,15 +9,15 @@ k (k+1)^(n-1) points. Both are coordinate product sets, so averaging against
 them factors into one-dimensional circular window sums over the stride-2
 parity subcircles of each coordinate. The separable paths below exploit that
 and cost O(#axes * m^n * d * log k), since a window sum of width k takes
-O(log k) adds, versus the k^n taps of the naive stencil. Each axis pass
-makes two copies: one transposing copy puts the subcircles of both parities
-on rows, and one writes the sums back in grid order. An even window sums
-all those rows in a single window_sums call; an odd window, whose start
-differs by parity, takes one call per parity.
+O(log k) adds, versus the k^n taps of the naive stencil. Each axis pass is
+one strided window_sums call on the row-major array itself: an offset of 2
+along a grid axis is a fixed stride along rows that hold that axis and
+every axis after it, so neither parity needs its own copy, and leading
+batch axes of a (..., m^n, d) stack simply add rows.
 
 Averaging against a probability measure fixes constant tables; constant
 inputs are returned unchanged so that property holds exactly in floating
-point as well.
+point as well. In a stack each member is tested on its own.
 """
 
 from __future__ import annotations
@@ -153,8 +153,9 @@ def _cached_parity_shell(geometry: TorusGeometry, axis: int, k: int) -> SupportS
     return SupportSet(geometry, offsets, Fraction(1, offsets.shape[0]))
 
 
-def _is_constant(values: np.ndarray) -> bool:
-    return bool(np.all(values == values[0]))
+def _is_constant(values: np.ndarray) -> np.ndarray:
+    """Per member of a (..., m^n, d) stack, whether its table is constant."""
+    return np.all(values == values[..., :1, :], axis=(-2, -1))
 
 
 def convolve(f: FunctionTable, support: SupportSet) -> FunctionTable:
@@ -173,49 +174,43 @@ def _axis_window_pass(
     k: int,
     odd_window: bool,
 ) -> np.ndarray:
-    """Raw (undivided) window sums along one grid axis, split by parity.
+    """Raw (undivided) window sums along one grid axis of a (..., m^n, d) stack.
 
     Even windows sum f over offsets {0, +-2, ..., +-(k-1)}; odd windows over
-    {+-1, +-3, ..., +-k}. Each output parity class reads one stride-2
-    subcircle, so both reduce to plain circular window sums of width k or
-    k + 1 on circles of length m/2. One transposing copy puts every
-    subcircle of both parities on a row, circle last; an even window then
-    sums all rows in one window_sums call, an odd window each parity's rows
-    in one call, and one copy writes the sums back in grid order.
+    {+-1, +-3, ..., +-k}. In row-major order the grid axis and the
+    post = m^(n-1-axis) d entries after it form rows of m * post entries,
+    one per index of everything before it, leading batch axes included; an
+    offset of 2 along the axis is a step of 2 * post along a row. So either
+    window is one strided window_sums call: width k from (1 - k) post for
+    the even one, width k + 1 from -k post for the odd one.
     """
     m = geometry.m
-    half = m // 2
-    pre = m**axis
-    post = values.size // (pre * m)
-    # row c * pre * post + i * post + j is the parity-c subcircle through (i, ., j)
-    rows = values.reshape(pre, half, 2, post).transpose(2, 0, 3, 1).reshape(-1, half)
+    post = m ** (geometry.n - 1 - axis) * values.shape[-1]
+    rows = values.reshape(-1, m * post)
     if odd_window:
-        split = pre * post
-        out_even = window_sums(rows[split:], -((k + 1) // 2), k + 1)
-        out_odd = window_sums(rows[:split], -((k - 1) // 2), k + 1)
+        sums = window_sums(rows, -k * post, k + 1, 2 * post)
     else:
-        sums = window_sums(rows, -((k - 1) // 2), k)
-    del rows  # freed before the output exists, which bounds the peak
-    out = np.empty((pre, half, 2, post))
-    blocks = out.transpose(2, 0, 3, 1)
-    if odd_window:
-        blocks[0] = out_even.reshape(blocks.shape[1:])
-        blocks[1] = out_odd.reshape(blocks.shape[1:])
-    else:
-        blocks[...] = sums.reshape(blocks.shape)
-    return out.reshape(values.shape)
+        sums = window_sums(rows, (1 - k) * post, k, 2 * post)
+    return sums.reshape(values.shape)
 
 
 def _separable_box(values: np.ndarray, geometry: TorusGeometry, axes, k: int):
-    """Even-box average of an (m^n, d) array, or None where it fixes the values."""
+    """Even-box average of a (..., m^n, d) stack, or None where it fixes every member."""
     axes = _normalize_axes(geometry, axes)
     check_radius(k, geometry.m)
-    if k == 1 or not axes or _is_constant(values):
+    if k == 1 or not axes:
         # the radius-1 box is the single zero offset
         return None
+    constant = _is_constant(values)
+    if np.all(constant):
+        return None
+    out = values
     for axis in axes:
-        values = _axis_window_pass(values, geometry, axis, k, odd_window=False)
-    return values / float(k ** len(axes))
+        out = _axis_window_pass(out, geometry, axis, k, odd_window=False)
+    out /= float(k ** len(axes))
+    if np.any(constant):
+        out[constant] = values[constant]
+    return out
 
 
 def convolve_box_separable(f: FunctionTable, axes, k: int) -> FunctionTable:
@@ -253,6 +248,6 @@ def box_average(f: FunctionTable, axes, k: int) -> FunctionTable:
 def box_average_array(
     geometry: TorusGeometry, values: np.ndarray, axes, k: int
 ) -> np.ndarray:
-    """Array-level even-box average used by gradient code; always separable."""
+    """Array-level even-box average of a (..., m^n, d) stack; always separable."""
     out = _separable_box(values, geometry, axes, k)
     return values.copy() if out is None else out

@@ -83,7 +83,7 @@ MAX_HELD_ENTRIES = 2**23
 MAX_COMPUTED_ENTRIES = 2**28
 
 
-def _check_size(work: str, n: int, m: int, d: int) -> None:
+def _check_size(work: str, n: int, m: int, d: int, restarts: int = 1) -> None:
     """Refuse a cell whose one table evaluation is past the size limits.
 
     work is a command or a search objective. A table holds m^n d entries; the
@@ -97,7 +97,9 @@ def _check_size(work: str, n: int, m: int, d: int) -> None:
     difference per subset and sign pattern: sum_{i,l} C(n,i) C(i,l) = 3^n
     scalar tables. The rule bounds the fit. The replay holds one batch of
     samples, the columns of one table of at most 2^15 entries (one sample's
-    m^n when that is larger), and a few averages of it at a time.
+    m^n when that is larger), and a few averages of it at a time. A search
+    cell ascends its restarts together, as one stack of tables, so it holds
+    and computes `restarts` times what one of its tables does.
     """
     if n > MAX_HELD_ENTRIES.bit_length():  # m >= 2, so m^n alone is too large
         held = computed = math.inf
@@ -109,10 +111,12 @@ def _check_size(work: str, n: int, m: int, d: int) -> None:
     else:
         held = m**n * d
         computed = 2**n * held if work in ("check-lemmas", "smoothing") else held
+    held, computed = held * restarts, computed * restarts
     if held > MAX_HELD_ENTRIES or computed > MAX_COMPUTED_ENTRIES:
+        stack = f" with {restarts} restarts" if restarts > 1 else ""
         raise ConfigError(
-            f"{work} cell n={n}, m={m}, d={d} is too large: one table may hold "
-            f"{MAX_HELD_ENTRIES} and compute {MAX_COMPUTED_ENTRIES} float64 entries"
+            f"{work} cell n={n}, m={m}, d={d}{stack} is too large: one evaluation may "
+            f"hold {MAX_HELD_ENTRIES} and compute {MAX_COMPUTED_ENTRIES} float64 entries"
         )
 
 
@@ -277,7 +281,7 @@ def _validate_for_command(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"{key} must hold a single value for scan")
         for n in cfg.n_values:
             for m in cfg.m_values:
-                _check_size("scaled_enflo", n, m, cfg.d_values[0])
+                _check_size("scaled_enflo", n, m, cfg.d_values[0], cfg.restarts)
     if cfg.command == "estimate-constants":
         if "approximation" in cfg.objectives:
             # radius 1 makes every table a 0/0 approximation cell
@@ -290,7 +294,7 @@ def _validate_for_command(cfg: ExperimentConfig) -> None:
         for objective, n, m, k, _, _, d in _search_cells(cfg):
             label = f"objectives entry {objective!r} at n={n}, m={m}, k={k}"
             _owned(label, check_cell, objective, n, m, k)
-            _check_size(objective, n, m, d)
+            _check_size(objective, n, m, d, cfg.restarts)
 
 
 def _csv_text(columns, rows) -> str:

@@ -10,9 +10,10 @@ reporting.
 Each side of each inequality is a weighted p-th moment of linear
 translation-invariant difference operators applied to a source: f, its
 full-box average B f, or B f - f. The operators are (apply, adjoint) pairs on
-(m,)*n + (d,) arrays. inequality_sides declares each inequality's two sides,
-constants and valid cells once; the evaluators here and the extremal search
-in search.py, which differentiates the same pairs, both read it.
+(m,)*n + (d,) arrays, or on stacks of them with leading batch axes.
+inequality_sides declares each inequality's two sides, constants and valid
+cells once; the evaluators here and the extremal search in search.py, which
+differentiates the same pairs, both read it.
 
 The evaluators keep what they derive from a table in a memo of their own,
 held only as long as the table: B f per radius k, and each side's unscaled
@@ -167,9 +168,13 @@ class DiffOp(NamedTuple):
 
     apply maps a table to an array of difference vectors (last axis d);
     adjoint maps an array of that shape back to a table, transposing apply
-    under the entrywise inner product. The shift operators copy through
-    slice plans built once per array shape and held by the op itself, so a
-    plan lives exactly as long as its op.
+    under the entrywise inner product. The declared ops also take a stack
+    of tables with leading batch axes, shaped (...,) + (m,)*n + (d,): they
+    name grid axes counted from the end, act on each member on its own, and
+    keep the batch axes in front of their output, where each member's
+    result is bitwise the one it gets alone. The shift operators copy
+    through slice plans built once per array shape and held by the op
+    itself, so a plan lives exactly as long as its op.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -283,16 +288,21 @@ def shift_difference(plus, minus=None, axes=None) -> DiffOp:
     return DiffOp(_difference(ahead, behind), _difference(back, forth))
 
 
+def _grid_axes(n: int) -> tuple[int, ...]:
+    """The n grid axes counted from the end, before the value axis: -n-1 ... -2."""
+    return tuple(range(-n - 1, -1))
+
+
 @lru_cache(maxsize=None)
 def unit_steps(n: int) -> tuple[DiffOp, ...]:
     """f(x + e_j) - f(x) for each axis j."""
-    return tuple(shift_difference((1,), axes=(axis,)) for axis in range(n))
+    return tuple(shift_difference((1,), axes=(axis,)) for axis in _grid_axes(n))
 
 
 @lru_cache(maxsize=None)
 def half_shift(n: int, m: int) -> DiffOp:
     """f(x + (m/2) 1) - f(x); on the cube (m = 2) this is the antipodal increment."""
-    return shift_difference((m // 2,) * n)
+    return shift_difference((m // 2,) * n, axes=_grid_axes(n))
 
 
 @lru_cache(maxsize=None)
@@ -304,16 +314,22 @@ def diagonal_differences(n: int) -> tuple[DiffOp, ...]:
     -eps gives the negated field. So a mean of p-th moments over these ops
     equals the mean over all 2^n sign vectors, at one shifted copy per op.
     """
-    return tuple(shift_difference(2 * eps) for eps in sign_vectors(n)[: 2 ** (n - 1)])
+    axes = _grid_axes(n)
+    return tuple(shift_difference(2 * eps, axes=axes) for eps in sign_vectors(n)[: 2 ** (n - 1)])
 
 
-def _deviation(nd: np.ndarray) -> np.ndarray:
-    flat = nd.reshape(-1, nd.shape[-1])
-    return flat - flat.mean(axis=0)
+@lru_cache(maxsize=None)
+def mean_deviation(n: int) -> DiffOp:
+    """f - E f over the n grid axes; the mean is taken on the flat (..., m^n, d) view.
 
+    An orthogonal projection, so it is its own adjoint.
+    """
 
-# f - E f on the flat (m^n, d) view; an orthogonal projection, so self adjoint
-mean_deviation = DiffOp(_deviation, _deviation)
+    def deviation(nd):
+        flat = nd.reshape(nd.shape[: nd.ndim - n - 1] + (-1, nd.shape[-1]))
+        return (flat - flat.mean(axis=-2, keepdims=True)).reshape(nd.shape)
+
+    return DiffOp(deviation, deviation)
 
 
 @lru_cache(maxsize=None)
@@ -323,15 +339,16 @@ def sign_combinations(n: int) -> DiffOp:
     signs = sign_vectors(n).astype(np.float64)
 
     def apply(nd):
-        derivs = np.stack([step.apply(nd).reshape(-1) for step in steps])
-        return (signs @ derivs).reshape(signs.shape[0], -1, nd.shape[-1])
+        lead = nd.shape[: nd.ndim - n - 1]
+        derivs = np.stack([step.apply(nd).reshape(lead + (-1,)) for step in steps], axis=-2)
+        return (signs @ derivs).reshape(lead + (signs.shape[0], -1, nd.shape[-1]))
 
     def adjoint(w):
-        per_axis = np.einsum("sj,sxc->jxc", signs, w)
-        shape = (2,) * n + (w.shape[-1],)
+        per_axis = np.einsum("sj,...sxc->...jxc", signs, w)
+        shape = w.shape[:-3] + (2,) * n + (w.shape[-1],)
         out = np.zeros(shape)
         for axis, step in enumerate(steps):
-            out += step.adjoint(per_axis[axis].reshape(shape))
+            out += step.adjoint(per_axis[..., axis, :, :].reshape(shape))
         return out
 
     return DiffOp(apply, adjoint)
@@ -447,7 +464,7 @@ def inequality_sides(name: str, geometry: TorusGeometry, k: int | None, p: float
     if name == "enflo":
         return Side(1.0, (half_shift(n, m),)), Side(1.0, steps)
     rhs = Side((math.e * math.log(n)) ** p, (sign_combinations(n),))
-    return Side(1.0, (mean_deviation,)), rhs
+    return Side(1.0, (mean_deviation(n),)), rhs
 
 
 # What the evaluators derived from each live table. FunctionTable compares

@@ -7,34 +7,43 @@ import numpy as np
 __all__ = ["window_sums", "gather_mean"]
 
 
-def window_sums(blocks: np.ndarray, start: int, width: int) -> np.ndarray:
-    """Circular windowed sums along the last axis of a (rows, length) array.
+def window_sums(blocks: np.ndarray, start: int, width: int, step: int = 1) -> np.ndarray:
+    """Strided circular windowed sums along the last axis of a (rows, length) array.
 
-    out[r, s] = sum over t < width of blocks[r, (s + start + t) mod length].
+    out[r, s] = sum over t < width of blocks[r, (s + start + t * step) mod length].
 
-    One wrapped gather unrolls every window, then the sum is built by the
-    binary digits of width: doubling a window of s columns costs one add,
-    and each set digit adds its slice, so at most 2 ceil(log2 width) adds.
-    A cumsum difference would cost O(length) per row at any width and
-    subtracts large partial sums.
+    One copy of wrapped slices unrolls every window, then the sum is built
+    by the binary digits of width: doubling a window of c taps costs one
+    add of the span against itself c * step columns on, and each set digit
+    adds its slice, so at most 2 ceil(log2 width) adds. A cumsum difference
+    would cost O(length) per row at any width and subtracts large partial
+    sums. The output never shares memory with blocks.
     """
     rows, length = blocks.shape
     if not 1 <= width <= length:
         raise ValueError("window width must lie in [1, circle length]")
-    # span[:, c] holds the sum of the `step` columns from c on, unrolled
-    span = blocks[:, (start + np.arange(length + width - 1)) % length]
+    if step < 1:
+        raise ValueError("window step must be positive")
+    # span[:, c] = blocks[:, (start + c) mod length], copied slice by slice
+    pieces, first, rest = [], start % length, length + (width - 1) * step
+    while rest > 0:
+        pieces.append(blocks[:, first : first + rest])
+        rest -= pieces[-1].shape[1]
+        first = 0
+    # from here span[:, c] holds the sum of `taps` entries step apart from column c on
+    span = np.concatenate(pieces, axis=1)
     out = None
-    offset, step, rest = 0, 1, width
+    offset, taps, rest = 0, 1, width
     while True:
         if rest & 1:
             part = span[:, offset : offset + length]
             out = part if out is None else out + part
-            offset += step
+            offset += taps * step
         rest >>= 1
         if not rest:
             return out
-        span = span[:, :-step] + span[:, step:]
-        step *= 2
+        span = span[:, : -taps * step] + span[:, taps * step :]
+        taps *= 2
 
 
 def gather_mean(values: np.ndarray, index_table: np.ndarray) -> np.ndarray:

@@ -8,8 +8,12 @@ strictly positive, so the log never sees zero. The sup norm is handled
 through a finite surrogate power. Iterates live in the mean-zero subspace (every
 objective kills constants), steps use backtracking halving and accept only
 strict increases, and each restart draws its start from its own seeded
-stream. Scoring between restarts uses the exact evaluators, never the
-smoothed values.
+stream. The restarts of one cell then advance in lockstep, as one
+(restarts, m^n, d) stack whose members each keep their own step size,
+backtracks and stopping rule; every objective and operator treats members
+independently, so each restart's table, trace and accepted-step count are
+bitwise those of its ascent alone. Scoring between restarts uses the exact
+evaluators, never the smoothed values.
 """
 
 from __future__ import annotations
@@ -111,26 +115,27 @@ def _seed_tuple(seed) -> tuple[int, ...]:
     return (seed,)
 
 
-def _smooth_piece(diff: np.ndarray, p: float, q_eff: float, eps: float):
-    """Mean smoothed q-norm^p over leading axes, and its gradient in diff.
+def _smooth_piece(diff: np.ndarray, p: float, q_eff: float, eps: float, lead=()):
+    """Mean smoothed q-norm^p over positions, and its gradient in diff.
 
-    At q = 2 the powers sq^(q/2) and sq^((q-2)/2) are sq and 1, so that
-    branch skips them; its value and gradient are bitwise the general ones.
+    The first len(lead) axes of diff index the members of a stack, shaped
+    lead; every other axis but the last indexes positions. Each member's
+    mean is a row sum over its own contiguous block, so it is bitwise the
+    mean that member gets alone. At q = 2 the powers sq^(q/2) and
+    sq^((q-2)/2) are sq and 1, so that branch skips them; its value and
+    gradient are bitwise the general ones.
     """
     sq = diff * diff + eps * eps
     if q_eff == 2.0:
         nrm = np.sqrt(sq.sum(axis=-1))
-        count = nrm.size
-        value = float((nrm**p).sum()) / count
-        weight = (p / count) * nrm ** (p - 2.0)
-        return value, weight[..., None] * diff
-    s = np.sum(sq ** (q_eff / 2.0), axis=-1)
-    nrm = s ** (1.0 / q_eff)
-    count = nrm.size
-    value = float(np.sum(nrm**p)) / count
+    else:
+        nrm = np.sum(sq ** (q_eff / 2.0), axis=-1) ** (1.0 / q_eff)
+    count = math.prod(nrm.shape[len(lead) :])
+    value = (nrm**p).reshape(lead + (-1,)).sum(axis=-1) / count
     weight = (p / count) * nrm ** (p - q_eff)
-    grad = weight[..., None] * sq ** ((q_eff - 2.0) / 2.0) * diff
-    return value, grad
+    if q_eff == 2.0:
+        return value, weight[..., None] * diff
+    return value, weight[..., None] * sq ** ((q_eff - 2.0) / 2.0) * diff
 
 
 @dataclass(frozen=True)
@@ -154,11 +159,12 @@ class _Objective:
         return smooth if side.source == SOURCE_BOX else smooth - vals
 
     def _side_value_grad(self, side: Side, vals: np.ndarray):
-        nd = self._source(side, vals).reshape(self.shape)
+        lead = vals.shape[:-2]
+        nd = self._source(side, vals).reshape(lead + self.shape)
         total = 0.0
         grad = np.zeros_like(nd)
         for op in side.ops:
-            v, g = _smooth_piece(op.apply(nd), self.p, self.q_eff, self.eps)
+            v, g = _smooth_piece(op.apply(nd), self.p, self.q_eff, self.eps, lead)
             total += v
             grad += op.adjoint(g).reshape(nd.shape)
         # B and B - I are self adjoint, so the source map pulls the gradient back
@@ -166,7 +172,11 @@ class _Objective:
         return side.scale * total, side.scale * grad
 
     def value_grad(self, vals: np.ndarray):
-        """Smoothed (lhs, d lhs, rhs, d rhs) at an (m^n, d) array."""
+        """Smoothed (lhs, d lhs, rhs, d rhs) at a (..., m^n, d) stack.
+
+        The sides have the stack's leading shape, one value per member, and
+        each member's sides and gradients are bitwise those it gets alone.
+        """
         return self._side_value_grad(self.lhs, vals) + self._side_value_grad(self.rhs, vals)
 
     def min_diff(self, vals: np.ndarray) -> float:
@@ -201,35 +211,75 @@ def _make_objective(
 
 
 def _project(vals: np.ndarray) -> np.ndarray:
-    return vals - vals.mean(axis=0, keepdims=True)
+    """Each member of a (..., m^n, d) stack minus its mean over the grid."""
+    # the sum over the count is numpy's mean, bitwise, without its wrapper
+    return vals - np.add.reduce(vals, axis=-2, keepdims=True) / vals.shape[-2]
+
+
+def _direction(lhs, glhs, rhs, grhs) -> np.ndarray:
+    """Projected gradient of log lhs - log rhs for each member of an (R, m^n, d) stack."""
+    return _project(glhs / lhs[:, None, None] - grhs / rhs[:, None, None])
 
 
 def _ascend(values: np.ndarray, value_grad, step: float, iterations: int):
-    """Backtracking ascent on log lhs - log rhs; returns (values, trace, accepted)."""
+    """Backtracking ascent on log lhs - log rhs for each member of an (R, m^n, d) stack.
+
+    The members advance in lockstep: each round calls value_grad once, on
+    the members still ascending, each at its own trial step. A member keeps
+    its own step size, backtrack count, iteration count and trace, and
+    stops on the rules of a lone ascent: after `iterations` accepted steps,
+    or once _MAX_BACKTRACKS halvings in a row fail to increase its
+    objective strictly. value_grad treats members independently, so each
+    member's values, trace and accepted count are bitwise those of its
+    ascent alone. Returns (values, traces, accepted), one entry per member.
+    """
     vals = _project(values)
     lhs, glhs, rhs, grhs = value_grad(vals)
-    best = math.log(lhs) - math.log(rhs)
-    trace = [best]
-    accepted = 0
-    for _ in range(iterations):
-        direction = _project(glhs / lhs - grhs / rhs)
-        stepsize = step
-        moved = False
-        for _ in range(_MAX_BACKTRACKS):
-            cand = _project(vals + stepsize * direction)
-            clhs, cglhs, crhs, cgrhs = value_grad(cand)
-            objective = math.log(clhs) - math.log(crhs)
-            if objective > best:
-                vals, lhs, glhs, rhs, grhs = cand, clhs, cglhs, crhs, cgrhs
-                best = objective
-                accepted += 1
-                moved = True
-                break
-            stepsize *= 0.5
-        trace.append(best)
-        if not moved:
-            break
-    return vals, trace, accepted
+    count = len(vals)
+    best = [math.log(a) - math.log(b) for a, b in zip(lhs.tolist(), rhs.tolist())]
+    traces = [[value] for value in best]
+    accepted = [0] * count
+    failures = [0] * count
+    final = list(vals)  # each member's table, set to its last row when it stops
+    # the working arrays hold one row per member still ascending, ids[row] being its index
+    ids = list(range(count)) if iterations > 0 else []
+    stepsize = np.full(count, float(step))
+    direction = _direction(lhs, glhs, rhs, grhs)
+    while ids:
+        cand = _project(vals + stepsize[:, None, None] * direction)
+        clhs, cglhs, crhs, cgrhs = value_grad(cand)
+        moved, going = [], []
+        for i, a, b in zip(ids, clhs.tolist(), crhs.tolist()):
+            objective = math.log(a) - math.log(b)
+            moved.append(objective > best[i])
+            if moved[-1]:
+                best[i] = objective
+                accepted[i] += 1
+                failures[i] = 0
+                traces[i].append(objective)
+                going.append(len(traces[i]) <= iterations)
+            else:
+                failures[i] += 1
+                going.append(failures[i] < _MAX_BACKTRACKS)
+                if not going[-1]:
+                    traces[i].append(best[i])
+        moved = np.array(moved)
+        if moved.all():
+            vals, lhs, glhs, rhs, grhs = cand, clhs, cglhs, crhs, cgrhs
+            direction = _direction(lhs, glhs, rhs, grhs)
+        elif moved.any():
+            for have, new in zip((vals, lhs, glhs, rhs, grhs), (cand, clhs, cglhs, crhs, cgrhs)):
+                have[moved] = new[moved]
+            direction[moved] = _direction(lhs[moved], glhs[moved], rhs[moved], grhs[moved])
+        stepsize = np.where(moved, step, 0.5 * stepsize)
+        if not all(going):
+            keep = np.array(going)
+            for row in np.flatnonzero(~keep):
+                final[ids[row]] = vals[row]
+            ids = [i for i, go in zip(ids, going) if go]
+            vals, lhs, glhs, rhs, grhs = vals[keep], lhs[keep], glhs[keep], rhs[keep], grhs[keep]
+            direction, stepsize = direction[keep], stepsize[keep]
+    return np.stack(final), traces, accepted
 
 
 @dataclass(frozen=True)
@@ -249,26 +299,26 @@ def _maximize_full(
     cfg: OptimizationConfig,
 ) -> SearchOutcome:
     base = _seed_tuple(cfg.seed)
-    best = None
+    starts = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(base + (r,))
-        start = None
         for _ in range(_MAX_DEGENERATE_RESAMPLES):
             cand = FunctionTable.random_gaussian(geometry, d, rng)
             if not objective.report(cand).degenerate:
-                start = cand
+                starts.append(cand.values)
                 break
-        if start is None:
-            continue
-        vals, trace, accepted = _ascend(
-            start.values, objective.value_grad, cfg.step, cfg.iterations
+    best = None
+    if starts:
+        stack, traces, accepted = _ascend(
+            np.stack(starts), objective.value_grad, cfg.step, cfg.iterations
         )
-        table = FunctionTable(geometry, vals)
-        report = objective.report(table)
-        if report.degenerate:
-            continue
-        if best is None or report.ratio > best.report.ratio:
-            best = SearchOutcome(table, report, accepted, tuple(trace))
+        for vals, trace, steps in zip(stack, traces, accepted):
+            table = FunctionTable(geometry, vals)
+            report = objective.report(table)
+            if report.degenerate:
+                continue
+            if best is None or report.ratio > best.report.ratio:
+                best = SearchOutcome(table, report, steps, tuple(trace))
     if best is None:
         raise RuntimeError("every restart produced a degenerate table")
     return best

@@ -363,6 +363,23 @@ def test_oversized_cells_exit_2_and_write_nothing(tmp_path, payload):
     assert read_outputs(tmp_path) == {}
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        base_config("estimate-constants", n_values=[3], m_values=[128], d_values=[2]),
+        base_config("scan", n_values=[3], m_values=[128], p_values=[2.0], d_values=[2]),
+    ],
+    ids=["estimate-constants", "scan"],
+)
+def test_size_guard_counts_restarts(tmp_path, payload):
+    # a 2^22-entry table fits once; the ascent's stack of 6 restarts does not
+    parse_config({**payload, "restarts": 1})
+    proc = run_cli({**payload, "restarts": 6}, tmp_path)
+    assert proc.returncode == 2
+    assert "too large" in proc.stderr
+    assert read_outputs(tmp_path) == {}
+
+
 def test_every_benchmark_config_passes_the_size_guard(monkeypatch):
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)

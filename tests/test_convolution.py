@@ -47,16 +47,23 @@ def test_window_sums_match_direct():
         blocks = rng.normal(size=(rows, length))
         for start in (-2 * length - 3, -length - 1, -3, -1, 0, 2, length + 5):
             for width in widths:
-                got = window_sums(blocks, start, width)
-                assert got.shape == (rows, length)
-                want = np.zeros_like(blocks)
-                for s in range(length):
-                    for t in range(width):
-                        want[:, s] += blocks[:, (s + start + t) % length]
-                assert np.allclose(got, want, atol=1e-12)
+                for step in (1, 2, 3, 6, length - 1, length, 2 * length + 1):
+                    got = window_sums(blocks, start, width, step)
+                    assert got.shape == (rows, length)
+                    assert not np.shares_memory(got, blocks)
+                    want = np.zeros_like(blocks)
+                    for s in range(length):
+                        for t in range(width):
+                            want[:, s] += blocks[:, (s + start + t * step) % length]
+                    assert np.allclose(got, want, atol=1e-12)
+                default = window_sums(blocks, start, width)
+                assert default.tobytes() == window_sums(blocks, start, width, 1).tobytes()
     for width in (0, 9):
         with pytest.raises(ValueError):
             window_sums(np.ones((2, 8)), 0, width)
+    for step in (0, -2):
+        with pytest.raises(ValueError):
+            window_sums(np.ones((2, 8)), 0, 3, step)
 
 
 def test_box_worked_example():
@@ -131,6 +138,30 @@ def test_box_average_array_matches_table_path():
     assert np.array_equal(out, f.values)
     out.fill(0.0)  # must be a safe copy
     assert not np.array_equal(out, f.values)
+
+
+def test_box_average_array_averages_each_member_of_a_stack_bitwise():
+    # members are averaged on their own; a constant member stays bitwise
+    # itself next to members that are not constant
+    rng = np.random.default_rng(12)
+    for n, m in ((1, 8), (2, 8), (3, 12), (2, 16)):
+        g = TorusGeometry(n, m)
+        for d in (1, 3):
+            stack = rng.standard_normal((4, g.size, d))
+            stack[1] = np.tile(rng.standard_normal(d) / 3.0, (g.size, 1))
+            for k in range(1, m // 2, 2):
+                for axes in [tuple(range(n)), (n - 1,), ()]:
+                    got = box_average_array(g, stack, axes, k)
+                    assert got.shape == stack.shape
+                    assert np.array_equal(got[1], stack[1])
+                    for r in range(4):
+                        want = box_average_array(g, stack[r], axes, k)
+                        assert got[r].tobytes() == want.tobytes(), (n, m, d, k, axes, r)
+    # a stack of constants comes back as an equal copy
+    flat = np.tile(np.array([0.1, -7.3]), (2, 64, 1))
+    for k in (1, 3):
+        out = box_average_array(TorusGeometry(2, 8), flat, range(2), k)
+        assert np.array_equal(out, flat) and not np.shares_memory(out, flat)
 
 
 def oracle_axis_window_pass(values, geometry, axis, k, odd_window):

@@ -143,7 +143,7 @@ def test_diff_ops_read_the_right_points_and_transpose(data):
     cases += [(op, table) for op in diagonal_differences(n)]
     cases += [
         (half_shift(n, m), table),
-        (mean_deviation, table),
+        (mean_deviation(n), table),
         (identity_op, table),
         (shift_difference(plus, minus), table),
         (sign_combinations(n), cube),
@@ -155,6 +155,37 @@ def test_diff_ops_read_the_right_points_and_transpose(data):
         rhs = float(np.sum(f.reshape(-1) * op.adjoint(w).reshape(-1)))
         scale = float(np.sum(np.abs(image * w)))
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def test_declared_ops_act_on_each_member_of_a_stack_bitwise():
+    # a (3, ...) stack through each declaration equals its members one by one
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3):
+        for m in (2, 4, 8):
+            for d in (1, 3):
+                shape = (m,) * n + (d,)
+                ops = list(unit_steps(n)) + list(diagonal_differences(n))
+                ops += [half_shift(n, m), mean_deviation(n), identity_op]
+                if m == 2 and n >= 2:
+                    ops.append(sign_combinations(n))
+                stack = rng.standard_normal((3,) + shape)
+                for op in ops:
+                    image = op.apply(stack)
+                    w = rng.standard_normal(image.shape)
+                    back = op.adjoint(w)
+                    for r in range(3):
+                        assert same_bits(image[r], op.apply(stack[r])), (n, m, d)
+                        assert same_bits(back[r], op.adjoint(w[r])), (n, m, d)
+    # Pisier's randomized derivative up to its largest cube, n = 8
+    for n in range(4, 9):
+        op = sign_combinations(n)
+        stack = rng.standard_normal((3,) + (2,) * n + (2,))
+        image = op.apply(stack)
+        w = rng.standard_normal(image.shape)
+        back = op.adjoint(w)
+        for r in range(3):
+            assert same_bits(image[r], op.apply(stack[r])), n
+            assert same_bits(back[r], op.adjoint(w[r])), n
 
 
 def test_shift_difference_refuses_repeated_axes():

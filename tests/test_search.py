@@ -8,6 +8,8 @@ from enflolab.search import (
     SCAN_CSV_COLUMNS,
     SEARCH_OBJECTIVES,
     OptimizationConfig,
+    _MAX_BACKTRACKS,
+    _ascend,
     _make_objective,
     _maximize_full,
     _smooth_piece,
@@ -107,6 +109,93 @@ def test_reported_ratio_is_a_fresh_exact_evaluation():
     assert abs(report.ratio - again.ratio) < 1e-12
     assert report.lhs == again.lhs
     assert report.rhs == again.rhs
+
+
+def lone_ascent(values, value_grad, step, iterations):
+    """The ascent of one (m^n, d) table on its own, one restart at a time."""
+    vals = values - values.mean(axis=0)
+    lhs, glhs, rhs, grhs = value_grad(vals)
+    best = math.log(lhs) - math.log(rhs)
+    trace = [best]
+    accepted = 0
+    for _ in range(iterations):
+        direction = glhs / lhs - grhs / rhs
+        direction = direction - direction.mean(axis=0)
+        stepsize = step
+        moved = False
+        for _ in range(_MAX_BACKTRACKS):
+            cand = vals + stepsize * direction
+            cand = cand - cand.mean(axis=0)
+            clhs, cglhs, crhs, cgrhs = value_grad(cand)
+            objective = math.log(clhs) - math.log(crhs)
+            if objective > best:
+                vals, lhs, glhs, rhs, grhs = cand, clhs, cglhs, crhs, cgrhs
+                best = objective
+                accepted += 1
+                moved = True
+                break
+            stepsize *= 0.5
+        trace.append(best)
+        if not moved:
+            break
+    return vals, trace, accepted
+
+
+def pinned_at_start(value_grad, pinned):
+    """value_grad whose first evaluation inflates lhs where pinned holds.
+
+    A pinned member starts at an objective no step can beat, so it stops
+    after _MAX_BACKTRACKS failed halvings with no accepted step.
+    """
+    calls = []
+
+    def wrapped(vals):
+        lhs, glhs, rhs, grhs = value_grad(vals)
+        if not calls:
+            lhs = np.where(pinned, lhs * 1e12, lhs)
+        calls.append(1)
+        return lhs, glhs, rhs, grhs
+
+    return wrapped
+
+
+def test_lockstep_ascent_is_bitwise_each_lone_ascent():
+    torus, cube = gaussian(2, 8, 2, seed=10), gaussian(3, 2, 2, seed=11)
+    rng = np.random.default_rng(12)
+    for name, f, k in objective_cases(torus, cube):
+        for p, q in ((2.0, 2.0), (1.5, math.inf)):
+            obj = _make_objective(name, f.geometry, f.d, NormSpec(q), p, k, 1e-6)
+            stack = rng.standard_normal((4,) + f.values.shape)
+            # member 1 is pinned, so members 0, 2 and 3 ascend around it
+            pinned = np.array([False, True, False, False])
+            vals, traces, accepted = _ascend(
+                stack, pinned_at_start(obj.value_grad, pinned), 0.5, 6
+            )
+            assert vals.shape == stack.shape
+            for r in range(4):
+                value_grad = pinned_at_start(obj.value_grad, pinned[r])
+                want = lone_ascent(stack[r], value_grad, 0.5, 6)
+                assert vals[r].tobytes() == want[0].tobytes(), (name, p, q, r)
+                assert traces[r] == want[1], (name, p, q, r)
+                assert accepted[r] == want[2], (name, p, q, r)
+            assert accepted[1] == 0 and len(traces[1]) == 2
+            assert min(accepted[0], accepted[2], accepted[3]) > 0
+
+
+def test_lockstep_members_stop_at_their_own_iteration():
+    # long enough that restarts stall at different rounds, and one uses up
+    # the iteration budget; a large step makes every member backtrack often
+    # between accepted steps. Each still matches its lone ascent.
+    g = TorusGeometry(1, 4)
+    obj = _make_objective("scaled_enflo", g, 1, NormSpec(2.0), 2.0, None, 1e-6)
+    stack = np.random.default_rng(13).standard_normal((4, g.size, 1))
+    vals, traces, accepted = _ascend(stack, obj.value_grad, 64.0, 200)
+    assert len({len(trace) for trace in traces}) == 4
+    assert max(accepted) == 200
+    for r in range(4):
+        want = lone_ascent(stack[r], obj.value_grad, 64.0, 200)
+        assert vals[r].tobytes() == want[0].tobytes()
+        assert traces[r] == want[1] and accepted[r] == want[2]
 
 
 def test_trace_is_nondecreasing():
