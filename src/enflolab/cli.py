@@ -73,12 +73,12 @@ class ConfigError(ValueError):
 
 
 # Size limits on one table evaluation, in float64 entries: those it holds at
-# once and those it computes. Measured on a 2-core Xeon (Python 3.11, numpy
-# 2.4) at n=7, m=8, d=1, which holds 2^21 and computes 2^28 entries by the
-# rules below, a check-lemmas table peaks at 175 MB, about 70 bytes per held
-# entry over the interpreter's 30 MB (0.6 GB at 2^23), and takes 2.4 to 3.3 s
-# across (p, q), about 10 ns per computed entry. The largest benchmark cell,
-# check-lemmas at n=4, m=16, d=3, holds 2^17.6 and computes 2^21.6.
+# once and those it computes. One check-lemmas table (k=3, p=q=2), run in a
+# fresh process on a 2-core Xeon (Python 3.11, numpy 2.4), peaks at 389 MB
+# and takes 1.4 to 1.7 s at n=3, m=16, d=2048, which holds 2^23 entries by
+# the rules below, and peaks at 144 MB and takes 4.1 to 4.3 s at n=7, m=8,
+# d=1, which computes 2^28. The largest benchmark cell, check-lemmas at n=4,
+# m=16, d=3, holds 2^17.6 and computes 2^21.6.
 MAX_HELD_ENTRIES = 2**23
 MAX_COMPUTED_ENTRIES = 2**28
 
@@ -217,8 +217,6 @@ class ExperimentConfig:
     objectives: tuple[str, ...] = _key(_list_of(_objective), default=("scaled_enflo",))
     restarts: int = _key(_integer(), default=OptimizationConfig.restarts)
     iterations: int = _key(_integer(), default=OptimizationConfig.iterations)
-    step: float = _key(_number, default=OptimizationConfig.step)
-    smoothing_eps: float = _key(_number, default=OptimizationConfig.smoothing_eps)
 
     def to_echo_dict(self) -> dict:
         """The config as strict JSON: lists for tuples, and "inf" for an infinite q."""
@@ -401,19 +399,20 @@ def _run_verify_identity(cfg: ExperimentConfig, threads: int):
         check = verify_identity(
             coeffs, geometry, k, n_samples=cfg.heldout_samples, seed=replay_seed
         )
-        row = [
-            format_cell(n),
-            format_cell(m),
-            format_cell(k),
-            format_cell(replay_seed),
-            format_cell(geometry.size),  # the fit's equations, one per point
-            format_cell(check.samples),
-            format_cell(coeffs.coefficient(0, 0)),
-            format_cell(coeffs.shape_constant()),
-            format_cell(check.max_residual),
-            format_cell(check.tolerance),
-            format_cell(check.passed),
-        ]
+        cell = dict(
+            n=n,
+            m=m,
+            k=k,
+            seed=replay_seed,
+            budget=geometry.size,  # the fit's equations, one per point
+            samples=check.samples,
+            h00=coeffs.coefficient(0, 0),
+            c_fit=coeffs.shape_constant(),
+            residual=check.max_residual,
+            tolerance=check.tolerance,
+            passed=check.passed,
+        )
+        row = [format_cell(cell[column]) for column in IDENTITY_CSV_COLUMNS]
         name = f"h_coeffs_{n}_{k}.json"
         return row, check.passed, name, _json_text(coeffs.to_json_dict())
 
@@ -482,6 +481,13 @@ def main(argv=None) -> int:
     if args.threads < 1:
         print("config error: --threads must be positive", file=sys.stderr)
         return 2
+    # the directory is made only once every output exists, so refuse a file (or a
+    # dangling link) in its way now
+    out_dir = Path(args.out)
+    nearest = next(path for path in (out_dir, *out_dir.parents) if os.path.lexists(path))
+    if not nearest.is_dir():
+        print(f"config error: --out {args.out}: {nearest} is not a directory", file=sys.stderr)
+        return 2
 
     try:
         outputs, passed = _RUNNERS[cfg.command](cfg, args.threads)
@@ -497,7 +503,6 @@ def main(argv=None) -> int:
             "schema_version": cfg.schema_version,
         }
     )
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in sorted(outputs):
         _atomic_write(out_dir / name, outputs[name])

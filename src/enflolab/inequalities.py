@@ -126,20 +126,8 @@ class RatioReport:
         return [format_cell(getattr(self, column)) for column in REPORT_CSV_COLUMNS]
 
     def to_json_dict(self) -> dict:
-        return {
-            "evaluator": self.evaluator,
-            "n": self.n,
-            "m": self.m,
-            "k": self.k,
-            "p": self.p,
-            "q": "inf" if math.isinf(self.q) else self.q,
-            "d": self.d,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "degenerate": self.degenerate,
-            "seed": self.seed,
-        }
+        blob = {column: getattr(self, column) for column in REPORT_CSV_COLUMNS}
+        return dict(blob, q="inf" if math.isinf(self.q) else self.q)
 
 
 def _build_report(

@@ -2,18 +2,18 @@
 
 The objective is the log of an inequality ratio whose two sides are read
 from inequalities.inequality_sides, never restated here. Each side is
-rewritten with a smoothed vector norm: each squared component gains eps^2
-before the q-th power sum, which makes every objective differentiable and
-strictly positive, so the log never sees zero. The sup norm is handled
-through a finite surrogate power. Iterates live in the mean-zero subspace (every
-objective kills constants), steps use backtracking halving and accept only
-strict increases, and each restart draws its start from its own seeded
-stream. The restarts of one cell then advance in lockstep, as one
-(restarts, m^n, d) stack whose members each keep their own step size,
-backtracks and stopping rule; every objective and operator treats members
-independently, so each restart's table, trace and accepted-step count are
-bitwise those of its ascent alone. Scoring between restarts uses the exact
-evaluators, never the smoothed values.
+rewritten with a smoothed vector norm: each squared component gains
+_SMOOTHING_EPS^2 before the q-th power sum, which makes every objective
+differentiable and strictly positive, so the log never sees zero. The sup
+norm is handled through a finite surrogate power. Iterates live in the
+mean-zero subspace (every objective kills constants), each round's trial
+step starts at _STEP and halves until a strict increase, and each restart
+draws its start from its own seeded stream. The restarts of one cell then
+advance in lockstep, as one (restarts, m^n, d) stack whose members each
+keep their own step size, backtracks and stopping rule; every objective and
+operator treats members independently, so each restart's table, trace and
+accepted-step count are bitwise those of its ascent alone. Scoring between
+restarts uses the exact evaluators, never the smoothed values.
 """
 
 from __future__ import annotations
@@ -71,6 +71,13 @@ _EXACT = {
 # sup norm surrogate power for the smoothed objective only
 _SUP_SURROGATE_POWER = 16.0
 
+# smoothing scale: each squared component of a difference vector gains its square;
+# the objective reads it at call time
+_SMOOTHING_EPS = 1e-6
+
+# first trial step of every ascent round, halved after each failed trial
+_STEP = 0.5
+
 # central-difference step of gradient_check
 _FD_STEP = 1e-5
 
@@ -84,19 +91,13 @@ class OptimizationConfig:
 
     restarts: int = 6
     iterations: int = 120
-    step: float = 0.5
     seed: int | tuple = 0
-    smoothing_eps: float = 1e-6
 
     def __post_init__(self) -> None:
         if not _is_count(self.restarts, 1):
             raise ValueError("restarts must be a positive integer")
         if not _is_count(self.iterations, 1):
             raise ValueError("iterations must be a positive integer")
-        if not 0 < self.step < math.inf:
-            raise ValueError("step must be positive and finite")
-        if not 0 < self.smoothing_eps < math.inf:
-            raise ValueError("smoothing_eps must be positive and finite")
         _seed_tuple(self.seed)
 
 
@@ -150,7 +151,6 @@ class _Objective:
     k: int | None
     p: float
     q_eff: float
-    eps: float
 
     def _source(self, side: Side, vals: np.ndarray) -> np.ndarray:
         if side.source == SOURCE_F:
@@ -164,7 +164,7 @@ class _Objective:
         total = 0.0
         grad = np.zeros_like(nd)
         for op in side.ops:
-            v, g = _smooth_piece(op.apply(nd), self.p, self.q_eff, self.eps, lead)
+            v, g = _smooth_piece(op.apply(nd), self.p, self.q_eff, _SMOOTHING_EPS, lead)
             total += v
             grad += op.adjoint(g).reshape(nd.shape)
         # B and B - I are self adjoint, so the source map pulls the gradient back
@@ -198,7 +198,6 @@ def _make_objective(
     norm,
     p: float,
     k: int | None,
-    eps: float,
 ) -> _Objective:
     norm = as_norm(norm)
     p = as_exponent(p)
@@ -207,7 +206,7 @@ def _make_objective(
     report = lambda f: exact(f, k, norm, p)
     q_eff = _SUP_SURROGATE_POWER if math.isinf(norm.q) else float(norm.q)
     shape = geometry.shape + (d,)
-    return _Objective(lhs, rhs, report, geometry, shape, k, p, q_eff, eps)
+    return _Objective(lhs, rhs, report, geometry, shape, k, p, q_eff)
 
 
 def _project(vals: np.ndarray) -> np.ndarray:
@@ -292,29 +291,33 @@ class SearchOutcome:
     trace: tuple[float, ...]
 
 
-def _maximize_full(
-    objective: _Objective,
+def maximize_ratio(
+    objective: str,
     geometry: TorusGeometry,
-    d: int,
-    cfg: OptimizationConfig,
+    d: int = 1,
+    norm=2.0,
+    p=2.0,
+    k: int | None = None,
+    config: OptimizationConfig | None = None,
 ) -> SearchOutcome:
+    """Search for a table maximizing the named inequality ratio; the best restart wins."""
+    cfg = config if config is not None else OptimizationConfig()
+    obj = _make_objective(objective, geometry, d, norm, p, k)
     base = _seed_tuple(cfg.seed)
     starts = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(base + (r,))
         for _ in range(_MAX_DEGENERATE_RESAMPLES):
             cand = FunctionTable.random_gaussian(geometry, d, rng)
-            if not objective.report(cand).degenerate:
+            if not obj.report(cand).degenerate:
                 starts.append(cand.values)
                 break
     best = None
     if starts:
-        stack, traces, accepted = _ascend(
-            np.stack(starts), objective.value_grad, cfg.step, cfg.iterations
-        )
+        stack, traces, accepted = _ascend(np.stack(starts), obj.value_grad, _STEP, cfg.iterations)
         for vals, trace, steps in zip(stack, traces, accepted):
             table = FunctionTable(geometry, vals)
-            report = objective.report(table)
+            report = obj.report(table)
             if report.degenerate:
                 continue
             if best is None or report.ratio > best.report.ratio:
@@ -324,38 +327,21 @@ def _maximize_full(
     return best
 
 
-def maximize_ratio(
-    objective: str,
-    geometry: TorusGeometry,
-    d: int = 1,
-    norm=2.0,
-    p=2.0,
-    k: int | None = None,
-    config: OptimizationConfig | None = None,
-) -> tuple[FunctionTable, RatioReport]:
-    """Search for a table maximizing the named inequality ratio."""
-    cfg = config if config is not None else OptimizationConfig()
-    obj = _make_objective(objective, geometry, d, norm, p, k, cfg.smoothing_eps)
-    out = _maximize_full(obj, geometry, d, cfg)
-    return out.table, out.report
-
-
 def gradient_check(objective: str, f: FunctionTable, norm, p, k: int | None = None) -> float:
     """Worst relative error of the analytic gradient against central differences.
 
-    Checks the smoothed log-ratio objective, at OptimizationConfig's default
-    smoothing_eps, at the given table over 20 coordinates, with steps of
-    _FD_STEP. Refuses p = 1 and tables whose smallest difference vector
+    Checks the smoothed log-ratio objective, at _SMOOTHING_EPS, at the
+    given table over 20 coordinates, with steps of _FD_STEP. Refuses
+    p = 1 and tables whose smallest difference vector
     sits at the smoothing scale; both would compare derivatives across a
     near kink, where finite differences say nothing.
     """
     p = as_exponent(p)
     if not p > 1:
         raise ValueError("gradient checks need p above 1")
-    smoothing_eps = OptimizationConfig.smoothing_eps
-    obj = _make_objective(objective, f.geometry, f.d, norm, p, k, smoothing_eps)
+    obj = _make_objective(objective, f.geometry, f.d, norm, p, k)
     vals = f.values
-    if obj.min_diff(vals) < 10.0 * smoothing_eps:
+    if obj.min_diff(vals) < 10.0 * _SMOOTHING_EPS:
         raise ValueError("table has differences at the smoothing scale")
     lhs, glhs, rhs, grhs = obj.value_grad(vals)
     grad = (glhs / lhs - grhs / rhs).reshape(-1)
@@ -443,21 +429,21 @@ def search_row(
     index: int,
 ) -> ScanRow:
     """Search one cell, seeded by (config.seed, index), and report it as a row."""
-    norm = as_norm(norm)
-    p = as_exponent(p)
-    obj = _make_objective(objective, geometry, d, norm, p, k, config.smoothing_eps)
-    out = _maximize_full(obj, geometry, d, replace(config, seed=(config.seed, index)))
+    out = maximize_ratio(
+        objective, geometry, d, norm, p, k, replace(config, seed=(config.seed, index))
+    )
+    report = out.report
     return ScanRow(
         objective=objective,
-        n=geometry.n,
-        m=geometry.m,
-        k=k,
-        p=p,
-        q=norm.q,
-        d=d,
-        empirical_theta=out.report.ratio ** (1.0 / p),
-        lhs=out.report.lhs,
-        rhs=out.report.rhs,
+        n=report.n,
+        m=report.m,
+        k=report.k,
+        p=report.p,
+        q=report.q,
+        d=report.d,
+        empirical_theta=report.ratio ** (1.0 / report.p),
+        lhs=report.lhs,
+        rhs=report.rhs,
         restarts=config.restarts,
         iterations=out.accepted_steps,
         seed=config.seed,

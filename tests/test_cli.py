@@ -7,7 +7,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enflolab import cli, identity, inequalities
@@ -88,8 +88,11 @@ def test_parse_errors_name_the_offending_field():
             base_config("check-lemmas", tolerances={"proven_inequality_rel": 1e-3}),
             "unknown config key 'tolerances'",
         ),
-        (base_config("estimate-constants", step=float("inf")), "step"),
-        (base_config("estimate-constants", smoothing_eps=float("inf")), "smoothing_eps"),
+        (base_config("estimate-constants", step=float("inf")), "unknown config key 'step'"),
+        (
+            base_config("estimate-constants", smoothing_eps=float("inf")),
+            "unknown config key 'smoothing_eps'",
+        ),
         (base_config("estimate-constants", restarts=True), "restarts"),
         (base_config("estimate-constants", restarts=0), "restarts"),
         (base_config("scan", p_values=[2.0], iterations=0), "iterations"),
@@ -141,7 +144,6 @@ JSON_VALUES = st.recursive(
 @pytest.mark.parametrize("command", COMMANDS)
 @settings(max_examples=150, deadline=None)
 @given(key=st.sampled_from([f.name for f in fields(ExperimentConfig)]), value=JSON_VALUES)
-@example(key="step", value=math.inf)
 def test_any_json_field_value_is_parsed_or_refused(command, key, value):
     payload = dict(MINIMAL_CONFIGS[command], **{key: value})
     try:
@@ -267,6 +269,24 @@ def test_nonpositive_threads_exit_2_and_write_nothing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_out_at_or_under_a_file_exits_2_before_computing(tmp_path, monkeypatch, capsys):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(FunctionTable, "__init__", no_table)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "nowhere")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config("check-lemmas", n_values=[1], k_values=[1])))
+    for out in (taken, taken / "sub", dangling):
+        assert cli.main(["--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+    assert taken.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "dangling", "taken"]
+
+
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path):
     out = tmp_path / "bad"
     out.mkdir()
@@ -284,10 +304,10 @@ def test_invalid_config_exits_2_and_writes_nothing(tmp_path):
     assert proc.returncode == 2
     assert "q_values" in proc.stderr
     assert read_outputs(out) == {}
-    # json writes and reads Infinity too; the ascent must never start with it
+    # the ascent's step is a fixed constant; a config that sets it is refused
     proc = run_cli(base_config("estimate-constants", n_values=[1], step=float("inf")), out)
     assert proc.returncode == 2
-    assert "step" in proc.stderr
+    assert "unknown config key 'step'" in proc.stderr
     assert read_outputs(out) == {}
     # an integer literal past Python's 4300-digit limit is a config error too
     huge = tmp_path / "huge.json"

@@ -1,22 +1,25 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from enflolab import search
 from enflolab.inequalities import scaled_enflo_ratio
 from enflolab.search import (
     SCAN_CSV_COLUMNS,
     SEARCH_OBJECTIVES,
     OptimizationConfig,
     _MAX_BACKTRACKS,
+    _SMOOTHING_EPS,
     _ascend,
     _make_objective,
-    _maximize_full,
     _smooth_piece,
     default_k_rule,
     gradient_check,
     maximize_ratio,
     scan_grid,
+    search_row,
 )
 from enflolab.torus import FunctionTable, NormSpec, TorusGeometry
 
@@ -55,7 +58,7 @@ def test_q_two_smoothed_piece_is_bitwise_the_general_formula():
         return value, grad
 
     rng = np.random.default_rng(0)
-    eps = OptimizationConfig().smoothing_eps
+    eps = _SMOOTHING_EPS
     for p in (1.0, 1.5, 2.0):
         for d in (1, 3):
             for scale in (1.0, 1e3, eps, eps / 7, 0.0):
@@ -73,11 +76,12 @@ def test_gradients_match_finite_differences_everywhere():
         assert err < 1e-6, (name, err)
 
 
-def test_smoothed_sides_match_the_exact_evaluator():
+def test_smoothed_sides_match_the_exact_evaluator(monkeypatch):
+    monkeypatch.setattr(search, "_SMOOTHING_EPS", 1e-12)
     for name, table, k in objective_cases():
         for q in (1.0, 1.5, 2.0):
             for p in (1.0, 1.5, 2.0):
-                obj = _make_objective(name, table.geometry, table.d, NormSpec(q), p, k, 1e-12)
+                obj = _make_objective(name, table.geometry, table.d, NormSpec(q), p, k)
                 lhs, _, rhs, _ = obj.value_grad(table.values)
                 exact = obj.report(table)
                 assert abs(lhs - exact.lhs) <= 1e-12 * exact.lhs, (name, q, p)
@@ -102,13 +106,11 @@ def test_gradient_check_guards():
 
 
 def test_reported_ratio_is_a_fresh_exact_evaluation():
-    table, report = maximize_ratio(
-        "scaled_enflo", TorusGeometry(2, 8), norm=2.0, p=2.0, config=TINY
-    )
-    again = scaled_enflo_ratio(table, NormSpec(2.0), 2.0)
-    assert abs(report.ratio - again.ratio) < 1e-12
-    assert report.lhs == again.lhs
-    assert report.rhs == again.rhs
+    out = maximize_ratio("scaled_enflo", TorusGeometry(2, 8), norm=2.0, p=2.0, config=TINY)
+    again = scaled_enflo_ratio(out.table, NormSpec(2.0), 2.0)
+    assert abs(out.report.ratio - again.ratio) < 1e-12
+    assert out.report.lhs == again.lhs
+    assert out.report.rhs == again.rhs
 
 
 def lone_ascent(values, value_grad, step, iterations):
@@ -164,7 +166,7 @@ def test_lockstep_ascent_is_bitwise_each_lone_ascent():
     rng = np.random.default_rng(12)
     for name, f, k in objective_cases(torus, cube):
         for p, q in ((2.0, 2.0), (1.5, math.inf)):
-            obj = _make_objective(name, f.geometry, f.d, NormSpec(q), p, k, 1e-6)
+            obj = _make_objective(name, f.geometry, f.d, NormSpec(q), p, k)
             stack = rng.standard_normal((4,) + f.values.shape)
             # member 1 is pinned, so members 0, 2 and 3 ascend around it
             pinned = np.array([False, True, False, False])
@@ -187,7 +189,7 @@ def test_lockstep_members_stop_at_their_own_iteration():
     # the iteration budget; a large step makes every member backtrack often
     # between accepted steps. Each still matches its lone ascent.
     g = TorusGeometry(1, 4)
-    obj = _make_objective("scaled_enflo", g, 1, NormSpec(2.0), 2.0, None, 1e-6)
+    obj = _make_objective("scaled_enflo", g, 1, NormSpec(2.0), 2.0, None)
     stack = np.random.default_rng(13).standard_normal((4, g.size, 1))
     vals, traces, accepted = _ascend(stack, obj.value_grad, 64.0, 200)
     assert len({len(trace) for trace in traces}) == 4
@@ -200,8 +202,8 @@ def test_lockstep_members_stop_at_their_own_iteration():
 
 def test_trace_is_nondecreasing():
     g = TorusGeometry(2, 8)
-    obj = _make_objective("scaled_enflo", g, 1, NormSpec(2.0), 2.0, None, 1e-6)
-    out = _maximize_full(obj, g, 1, OptimizationConfig(restarts=2, iterations=40, seed=5))
+    config = OptimizationConfig(restarts=2, iterations=40, seed=5)
+    out = maximize_ratio("scaled_enflo", g, config=config)
     diffs = np.diff(np.array(out.trace))
     assert np.all(diffs >= -1e-15)
     assert out.accepted_steps >= 1
@@ -209,7 +211,7 @@ def test_trace_is_nondecreasing():
 
 def test_smoothed_objective_ignores_added_constants():
     g = TorusGeometry(2, 8)
-    obj = _make_objective("scaled_enflo", g, 2, NormSpec(2.0), 2.0, None, 1e-6)
+    obj = _make_objective("scaled_enflo", g, 2, NormSpec(2.0), 2.0, None)
     f = gaussian(2, 8, 2, seed=7)
     lifted = f.values + np.array([3.0, -11.0])
     a = obj.value_grad(f.values)
@@ -221,7 +223,7 @@ def test_smoothed_objective_ignores_added_constants():
 def test_gradients_vanish_along_constant_shifts():
     torus, cube = gaussian(2, 8, 2, seed=8), gaussian(3, 2, 2, seed=9)
     for name, f, k in objective_cases(torus, cube):
-        obj = _make_objective(name, f.geometry, f.d, NormSpec(2.0), 2.0, k, 1e-6)
+        obj = _make_objective(name, f.geometry, f.d, NormSpec(2.0), 2.0, k)
         _, glhs, _, grhs = obj.value_grad(f.values)
         assert np.abs(glhs.mean(axis=0)).max() < 1e-10
         assert np.abs(grhs.mean(axis=0)).max() < 1e-10
@@ -231,10 +233,10 @@ def test_more_restarts_never_hurt():
     g = TorusGeometry(2, 8)
     few = maximize_ratio(
         "scaled_enflo", g, config=OptimizationConfig(restarts=2, iterations=30, seed=9)
-    )[1]
+    ).report
     many = maximize_ratio(
         "scaled_enflo", g, config=OptimizationConfig(restarts=4, iterations=30, seed=9)
-    )[1]
+    ).report
     assert many.ratio >= few.ratio
 
 
@@ -242,8 +244,23 @@ def test_search_is_reproducible():
     g = TorusGeometry(2, 8)
     a = maximize_ratio("scaled_enflo", g, config=TINY)
     b = maximize_ratio("scaled_enflo", g, config=TINY)
-    assert np.array_equal(a[0].values, b[0].values)
-    assert a[1] == b[1]
+    assert np.array_equal(a.table.values, b.table.values)
+    assert a.report == b.report
+    assert a.trace == b.trace and a.accepted_steps == b.accepted_steps
+
+
+def test_search_row_is_maximize_ratio_on_the_cell_stream():
+    g = TorusGeometry(2, 8)
+    config = OptimizationConfig(restarts=2, iterations=20, seed=4)
+    for norm, p in ((2.0, 2.0), (math.inf, 1.5)):
+        row = search_row("smoothing", g, 2, norm, p, 3, config, 5)
+        out = maximize_ratio("smoothing", g, 2, norm, p, 3, replace(config, seed=(4, 5)))
+        report = out.report
+        assert (row.objective, row.n, row.m, row.k, row.d) == ("smoothing", 2, 8, 3, 2)
+        assert (row.p, row.q) == (report.p, report.q) == (p, norm)
+        assert (row.lhs, row.rhs) == (report.lhs, report.rhs)
+        assert row.empirical_theta == report.ratio ** (1.0 / p)
+        assert (row.restarts, row.iterations, row.seed) == (2, out.accepted_steps, 4)
 
 
 def test_maximize_validation():
@@ -266,17 +283,10 @@ def test_optimization_config_validation():
     with pytest.raises(ValueError):
         OptimizationConfig(iterations=0)
     with pytest.raises(ValueError):
-        OptimizationConfig(step=0.0)
-    with pytest.raises(ValueError):
-        OptimizationConfig(smoothing_eps=0.0)
-    with pytest.raises(ValueError):
         OptimizationConfig(seed=-3)
     with pytest.raises(ValueError):
         OptimizationConfig(seed=(1, -2))
     for bad in (
-        {"step": math.inf},
-        {"smoothing_eps": math.inf},
-        {"step": math.nan},
         {"restarts": True},
         {"iterations": True},
         {"seed": True},
@@ -285,6 +295,7 @@ def test_optimization_config_validation():
         with pytest.raises(ValueError):
             OptimizationConfig(**bad)
     assert OptimizationConfig(seed=(1, 2)).seed == (1, 2)
+    assert [f.name for f in fields(OptimizationConfig)] == ["restarts", "iterations", "seed"]
 
 
 def test_default_k_rule_values_and_properties():
