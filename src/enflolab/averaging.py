@@ -17,7 +17,9 @@ batch axes of a (..., m^n, d) stack simply add rows.
 
 Averaging against a probability measure fixes constant tables; constant
 inputs are returned unchanged so that property holds exactly in floating
-point as well. In a stack each member is tested on its own.
+point as well. In a stack each member is tested on its own. Every other
+table average is a fresh array, which its FunctionTable adopts read-only
+rather than copies.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def convolve(f: FunctionTable, support: SupportSet) -> FunctionTable:
         raise ValueError("function and support live on different grids")
     if _is_constant(f.values):
         return f
-    return FunctionTable(f.geometry, gather_mean(f.values, support.index_table))
+    return FunctionTable._adopt(f.geometry, gather_mean(f.values, support.index_table))
 
 
 def _axis_window_pass(
@@ -216,7 +218,7 @@ def _separable_box(values: np.ndarray, geometry: TorusGeometry, axes, k: int):
 def convolve_box_separable(f: FunctionTable, axes, k: int) -> FunctionTable:
     """Even-box average computed as one window pass per axis."""
     out = _separable_box(f.values, f.geometry, axes, k)
-    return f if out is None else FunctionTable(f.geometry, out)
+    return f if out is None else FunctionTable._adopt(f.geometry, out)
 
 
 def convolve_shell_separable(f: FunctionTable, axis: int, k: int) -> FunctionTable:
@@ -233,7 +235,7 @@ def convolve_shell_separable(f: FunctionTable, axis: int, k: int) -> FunctionTab
     for other in range(g.n):
         if other != axis:
             vals = _axis_window_pass(vals, g, other, k, odd_window=True)
-    return FunctionTable(g, vals / float(k * (k + 1) ** (g.n - 1)))
+    return FunctionTable._adopt(g, vals / float(k * (k + 1) ** (g.n - 1)))
 
 
 def box_average(f: FunctionTable, axes, k: int) -> FunctionTable:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -102,6 +103,24 @@ def _subset_shifts(geometry: TorusGeometry, k: int, subset, l: int, eps: np.ndar
         base = np.zeros_like(eps)
         base[..., on] = (k * signs[..., on]) % geometry.m
         yield (base + eps_off) % geometry.m, (base - eps_off) % geometry.m
+
+
+@lru_cache(maxsize=None)
+def _pattern_multipliers(n: int, k: int, subset: tuple[int, ...], l: int) -> np.ndarray:
+    """Sign-pattern multipliers of one subset, a read-only (2, binom(i, l), n) array.
+
+    Entry [side, p] times eps is, mod m, the plus (side 0) or minus (side 1)
+    shift of the p-th pattern _subset_shifts yields: k on the subset, -k at
+    the pattern's flipped positions, and +1 or -1 off the subset.
+    """
+    flips = list(combinations(subset, l))
+    mult = np.ones((2, len(flips), n), dtype=np.int64)
+    mult[1] = -1
+    mult[:, :, list(subset)] = k
+    for p, flipped in enumerate(flips):
+        mult[:, p, list(flipped)] = -k
+    mult.setflags(write=False)
+    return mult
 
 
 def _term_shifts(geometry: TorusGeometry, k: int, i: int, l: int, eps: np.ndarray):
@@ -242,7 +261,10 @@ def _replay_batch(
 
     Each sample draws a scalar table, then its x, then its eps, in that order,
     and becomes one column of a shared table. Every average acts on each
-    column alone, and each feature accumulates over subsets, then sign
+    column alone. For each (subset, l), the flat indices of x + eps * c for
+    every sample and every row c of _pattern_multipliers come from one
+    modular step, and one fancy index gathers both sides of all the sign
+    patterns. Each feature then adds those columns over subsets, then
     patterns, in _term_shifts' order, so every row is bitwise the one a
     pointwise read of that sample's own table gives.
     """
@@ -256,16 +278,21 @@ def _replay_batch(
         eps[s] = 1 - 2 * rng.integers(0, 2, size=n)
     f = FunctionTable(geometry, values)
     samples = np.arange(size)
+    strides = np.asarray(geometry.strides, dtype=np.int64)
 
     totals = {pair: np.zeros(size) for pair in pairs}
     for i in range(n + 1):
         for subset in combinations(range(n), i):
             table = box_average(f, _complement(n, subset), k).values
             for l in range(i + 1):
+                mult = _pattern_multipliers(n, k, subset, l)
+                # (2, patterns, size) flat indices of x + eps * mult, per side
+                index = ((x + eps * mult[:, :, None, :]) % m) @ strides
+                plus, minus = table[index, samples]
                 total = totals[i, l]
-                for plus, minus in _subset_shifts(geometry, k, subset, l, eps):
-                    total += table[geometry.encode(x + plus), samples]
-                    total -= table[geometry.encode(x + minus), samples]
+                for p in range(mult.shape[1]):
+                    total += plus[p]
+                    total -= minus[p]
     rows = np.stack([coefficient_scale(n, k, i) * totals[i, l] for i, l in pairs], axis=1)
 
     targets = np.zeros(size)
@@ -346,8 +373,11 @@ def verify_identity(
     Each sample draws a fresh random scalar table and a fresh (x, eps) from
     the seeded stream, so the check is independent of the impulse system
     the coefficients were fitted on. The samples are drawn and replayed in
-    batches of table columns; the worst residual is bitwise the one a replay
-    of one sample at a time gives.
+    batches of table columns, and each batch reads every sign pattern of a
+    (subset, l) with one gather from a cached multiplier table; the worst
+    residual is bitwise the one a replay of one sample at a time gives.
+    n_samples must be an int of at least 1 (not a bool): a replay of no
+    samples would pass with no evidence.
     Unidentifiable coefficients enter with their fitted values; they
     multiply feature directions the sampled data cannot distinguish, so the
     prediction is unaffected.
@@ -355,6 +385,8 @@ def verify_identity(
     if coefficients.n != geometry.n or coefficients.k != k:
         raise ValueError("coefficients were fitted for a different (n, k) cell")
     check_radius(k, geometry.m)
+    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
+        raise ValueError("n_samples must be an integer of at least 1")
     pairs = coefficient_pairs(geometry.n)
     full = np.array([coefficients.values[i, l] for i, l in pairs])
     rng = np.random.default_rng(seed)

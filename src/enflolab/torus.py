@@ -172,6 +172,15 @@ def _moment_power(lengths: np.ndarray, p: float) -> np.ndarray:
     return lengths ** p
 
 
+def _check_values(geometry: TorusGeometry, vals: np.ndarray) -> None:
+    if vals.ndim != 2 or vals.shape[0] != geometry.size:
+        raise ValueError("values must have shape (m^n, d)")
+    if vals.shape[1] < 1:
+        raise ValueError("target dimension d must be positive")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class FunctionTable:
     """Dense table of R^d samples over a torus grid, immutable once built."""
@@ -183,15 +192,24 @@ class FunctionTable:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim == 1:
             vals = vals[:, None]
-        if vals.ndim != 2 or vals.shape[0] != self.geometry.size:
-            raise ValueError("values must have shape (m^n, d)")
-        if vals.shape[1] < 1:
-            raise ValueError("target dimension d must be positive")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
+        _check_values(self.geometry, vals)
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _adopt(cls, geometry: TorusGeometry, values: np.ndarray) -> "FunctionTable":
+        """A table that takes ownership of a float64 array its caller just built.
+
+        The constructor's checks apply, but not its copy: the caller must hold
+        the only reference and write to it no more, since it is made read-only.
+        """
+        _check_values(geometry, values)
+        values.setflags(write=False)
+        table = object.__new__(cls)
+        object.__setattr__(table, "geometry", geometry)
+        object.__setattr__(table, "values", values)
+        return table
 
     @property
     def d(self) -> int:

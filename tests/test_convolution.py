@@ -231,3 +231,31 @@ def test_geometry_mismatch_rejected():
     with pytest.raises(ValueError):
         convolve(f, build_even_box(g12, [0], 3))
 
+
+# one average per construction path: the single-axis stencil, the separable
+# box and the separable shell
+ADOPTING_AVERAGES = {
+    "box_1_axis": lambda f: box_average(f, [1], 3),
+    "box_3_axes": lambda f: box_average(f, range(3), 3),
+    "shell": lambda f: convolve_shell_separable(f, 0, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADOPTING_AVERAGES))
+def test_averages_are_read_only_and_share_no_memory_with_their_input(name):
+    f = random_table(3, 8, 2, seed=21)
+    out = ADOPTING_AVERAGES[name](f)
+    assert out is not f
+    assert not out.values.flags.writeable
+    assert not np.shares_memory(out.values, f.values)
+    with pytest.raises(ValueError):
+        out.values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("name", sorted(ADOPTING_AVERAGES))
+def test_an_average_that_overflows_is_refused(name):
+    values = np.full((8**3, 1), 1.5e308)
+    values[0, 0] = 0.0
+    f = FunctionTable(TorusGeometry(3, 8), values)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        ADOPTING_AVERAGES[name](f)

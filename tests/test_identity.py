@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from enflolab.identity import (
     IdentityCoefficients,
     _check_signs,
     _complement_tables,
+    _pattern_multipliers,
+    _subset_shifts,
     _term_shifts,
     coefficient_pairs,
     coefficient_scale,
@@ -218,13 +221,21 @@ def test_fitted_coefficients_satisfy_the_tabulated_identity(n, k):
     assert worst < 1e-12, worst
 
 
-@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3, 4) for k in (1, 3)])
-def test_batched_replay_is_bitwise_the_per_sample_replay(n, k):
+@pytest.mark.parametrize(
+    "n,m,k",
+    [pytest.param(n, 8, k, id=f"{n}-{k}") for n in (1, 2, 3, 4) for k in (1, 3)]
+    # wider circles and radii up to just below m/2: the shifts wrap at both seams
+    + [
+        pytest.param(n, m, k, id=f"{n}-{m}-{k}")
+        for n, m, k in ((2, 12, 5), (3, 12, 3), (2, 16, 7))
+    ],
+)
+def test_batched_replay_is_bitwise_the_per_sample_replay(n, m, k):
     # sample counts below, at and past a batch (4096 columns at n = 1, 8 at
-    # n = 4), and not multiples of it; the first N samples of the oracle's
-    # stream are the ones an N-sample replay draws, so one oracle pass per
-    # seed serves every N
-    g = TorusGeometry(n, 8)
+    # n = 4, m = 8), and not multiples of it; the first N samples of the
+    # oracle's stream are the ones an N-sample replay draws, so one oracle
+    # pass per seed serves every N
+    g = TorusGeometry(n, m)
     fitted = fit_identity_coefficients(g, k)
     for seed in (0, 99):
         residuals = sample_residuals(fitted, g, k, 100, seed)
@@ -232,6 +243,33 @@ def test_batched_replay_is_bitwise_the_per_sample_replay(n, k):
             check = verify_identity(fitted, g, k, n_samples=n_samples, seed=seed)
             assert check.max_residual == max(residuals[:n_samples]), (seed, n_samples)
             assert check.samples == n_samples
+
+
+@pytest.mark.parametrize("n_samples", [0, -3, True])
+def test_verify_refuses_a_replay_without_samples(n_samples):
+    g = TorusGeometry(2, 8)
+    fitted = fit_identity_coefficients(g, 3)
+    with pytest.raises(ValueError, match="n_samples"):
+        verify_identity(fitted, g, 3, n_samples=n_samples)
+
+
+def test_pattern_multipliers_reproduce_the_subset_shifts():
+    # one sign vector and the (2^n, n) stack of all of them
+    rng = np.random.default_rng(3)
+    for n, k, m in product((1, 2, 3, 4), (1, 3, 5), (8, 12)):
+        g = TorusGeometry(n, m)
+        signs = (1 - 2 * rng.integers(0, 2, size=n), sign_vectors(n))
+        for i in range(n + 1):
+            for subset, l in product(combinations(range(n), i), range(i + 1)):
+                mult = _pattern_multipliers(n, k, subset, l)
+                assert mult.shape == (2, math.comb(i, l), n)
+                assert not mult.flags.writeable
+                for eps in signs:
+                    shifts = list(_subset_shifts(g, k, subset, l, eps))
+                    assert len(shifts) == mult.shape[1]
+                    for p, (plus, minus) in enumerate(shifts):
+                        assert np.array_equal((eps * mult[0, p]) % m, plus)
+                        assert np.array_equal((eps * mult[1, p]) % m, minus)
 
 
 def test_fit_draws_no_random_numbers(monkeypatch):
