@@ -81,37 +81,21 @@ def _check_indices(n: int, i: int, l: int) -> None:
 
 
 def _check_signs(eps, n: int) -> np.ndarray:
-    arr = np.asarray(eps, dtype=np.int64)
-    if arr.shape != (n,) or not np.all(np.abs(arr) == 1):
+    arr = np.asarray(eps)
+    if arr.shape != (n,) or not np.all((arr == 1) | (arr == -1)):
         raise ValueError("eps must be a length-n vector of +-1 signs")
-    return arr
-
-
-def _subset_shifts(geometry: TorusGeometry, k: int, subset, l: int, eps: np.ndarray):
-    """Yield (plus shift, minus shift) for the sign patterns of one subset.
-
-    There are exactly binom(i, l) patterns with l disagreements, generated
-    directly by choosing the flipped positions. eps is one sign vector or a
-    (count, n) stack of them, and the shifts take its shape.
-    """
-    on = list(subset)
-    eps_off = eps.copy()
-    eps_off[..., on] = 0
-    for flips in combinations(subset, l):
-        signs = eps.copy()
-        signs[..., list(flips)] *= -1
-        base = np.zeros_like(eps)
-        base[..., on] = (k * signs[..., on]) % geometry.m
-        yield (base + eps_off) % geometry.m, (base - eps_off) % geometry.m
+    return arr.astype(np.int64)
 
 
 @lru_cache(maxsize=None)
 def _pattern_multipliers(n: int, k: int, subset: tuple[int, ...], l: int) -> np.ndarray:
     """Sign-pattern multipliers of one subset, a read-only (2, binom(i, l), n) array.
 
-    Entry [side, p] times eps is, mod m, the plus (side 0) or minus (side 1)
-    shift of the p-th pattern _subset_shifts yields: k on the subset, -k at
-    the pattern's flipped positions, and +1 or -1 off the subset.
+    There are exactly binom(i, l) patterns with l disagreements, one per
+    choice of flipped positions, in combinations order. Entry [side, p] times
+    eps is, mod m, the plus (side 0) or minus (side 1) shift of the p-th
+    pattern: k on the subset, -k at the pattern's flipped positions, and +1
+    or -1 off the subset.
     """
     flips = list(combinations(subset, l))
     mult = np.ones((2, len(flips), n), dtype=np.int64)
@@ -121,13 +105,6 @@ def _pattern_multipliers(n: int, k: int, subset: tuple[int, ...], l: int) -> np.
         mult[:, p, list(flipped)] = -k
     mult.setflags(write=False)
     return mult
-
-
-def _term_shifts(geometry: TorusGeometry, k: int, i: int, l: int, eps: np.ndarray):
-    """Yield (subset, plus shift, minus shift) for every signed configuration."""
-    for subset in combinations(range(geometry.n), i):
-        for plus, minus in _subset_shifts(geometry, k, subset, l, eps):
-            yield subset, plus, minus
 
 
 def _complement(n: int, subset) -> tuple[int, ...]:
@@ -144,21 +121,31 @@ def _complement_tables(f: FunctionTable, k: int, sizes) -> dict:
     }
 
 
-def decomposition_term_table(
-    f: FunctionTable, i: int, l: int, k: int, eps, tables: dict | None = None
+def _term_table(
+    tables: dict, geometry: TorusGeometry, k: int, i: int, l: int, eps: np.ndarray, shape
 ) -> np.ndarray:
+    """One signed difference term of the complement averages in tables, in the given shape.
+
+    Adds each sign pattern's difference over subsets, then patterns in
+    _pattern_multipliers order; shape is the grid shape plus the value axis.
+    """
+    n, m = geometry.n, geometry.m
+    acc = np.zeros(shape)
+    for subset in combinations(range(n), i):
+        table = tables[subset].reshape(shape)
+        for plus, minus in zip(*((eps * _pattern_multipliers(n, k, subset, l)) % m)):
+            acc += shift_difference(plus, minus).apply(table)
+    return acc
+
+
+def decomposition_term_table(f: FunctionTable, i: int, l: int, k: int, eps) -> np.ndarray:
     """One signed difference term tabulated over every x, as an (m^n, d) array."""
     g = f.geometry
     _check_indices(g.n, i, l)
     check_radius(k, g.m)
     ev = _check_signs(eps, g.n)
-    if tables is None:
-        tables = _complement_tables(f, k, [i])
-    shape = g.shape + (f.d,)
-    acc = np.zeros(shape)
-    for subset, plus, minus in _term_shifts(g, k, i, l, ev):
-        acc += shift_difference(plus, minus).apply(tables[subset].reshape(shape))
-    return acc.reshape(f.values.shape)
+    tables = _complement_tables(f, k, [i])
+    return _term_table(tables, g, k, i, l, ev, g.shape + (f.d,)).reshape(f.values.shape)
 
 
 def shell_difference_sum_table(f: FunctionTable, k: int, eps) -> np.ndarray:
@@ -265,7 +252,7 @@ def _replay_batch(
     every sample and every row c of _pattern_multipliers come from one
     modular step, and one fancy index gathers both sides of all the sign
     patterns. Each feature then adds those columns over subsets, then
-    patterns, in _term_shifts' order, so every row is bitwise the one a
+    patterns, in _term_table's order, so every row is bitwise the one a
     pointwise read of that sample's own table gives.
     """
     n, m = geometry.n, geometry.m
@@ -325,10 +312,11 @@ def fit_identity_coefficients(geometry: TorusGeometry, k: int) -> IdentityCoeffi
     impulse = FunctionTable.indicator(geometry, np.zeros(n, dtype=np.int64))
     eps = np.ones(n, dtype=np.int64)
     tables = _complement_tables(impulse, k, range(n + 1))
+    shape = geometry.shape + (1,)
     rows = np.stack(
         [
             coefficient_scale(n, k, i)
-            * decomposition_term_table(impulse, i, l, k, eps, tables=tables)[:, 0]
+            * _term_table(tables, geometry, k, i, l, eps, shape).reshape(geometry.size)
             for i, l in pairs
         ],
         axis=1,
@@ -422,10 +410,10 @@ def decomposition_moment(
     _check_indices(g.n, i, l)
     check_radius(k, g.m)
     tables = _complement_tables(f, k, [i])
+    shape = g.shape + (f.d,)
     total = 0.0
     for eps in sign_vectors(g.n):
-        term = decomposition_term_table(f, i, l, k, eps, tables=tables)
-        total += _grid_moment(term.reshape(g.shape + (f.d,)), norm, p)
+        total += _grid_moment(_term_table(tables, g, k, i, l, eps, shape), norm, p)
     lhs = total / float(2**g.n)
     scale = (math.log(g.n) * math.comb(g.n, i) * math.comb(i, l)) ** p
     rhs = scale * edge_energy(f, norm, p)

@@ -82,7 +82,6 @@ _STEP = 0.5
 _FD_STEP = 1e-5
 
 _MAX_BACKTRACKS = 40
-_MAX_DEGENERATE_RESAMPLES = 50
 
 
 @dataclass(frozen=True)
@@ -306,12 +305,11 @@ def maximize_ratio(
     base = _seed_tuple(cfg.seed)
     starts = []
     for r in range(cfg.restarts):
-        rng = np.random.default_rng(base + (r,))
-        for _ in range(_MAX_DEGENERATE_RESAMPLES):
-            cand = FunctionTable.random_gaussian(geometry, d, rng)
-            if not obj.report(cand).degenerate:
-                starts.append(cand.values)
-                break
+        # a Gaussian start is degenerate only where every table is (the
+        # approximation ratio at k = 1), so a redraw could not help
+        cand = FunctionTable.random_gaussian(geometry, d, np.random.default_rng(base + (r,)))
+        if not obj.report(cand).degenerate:
+            starts.append(cand.values)
     best = None
     if starts:
         stack, traces, accepted = _ascend(np.stack(starts), obj.value_grad, _STEP, cfg.iterations)

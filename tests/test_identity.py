@@ -14,8 +14,6 @@ from enflolab.identity import (
     _check_signs,
     _complement_tables,
     _pattern_multipliers,
-    _subset_shifts,
-    _term_shifts,
     coefficient_pairs,
     coefficient_scale,
     decomposition_moment,
@@ -43,6 +41,28 @@ def gaussian(n, m, d, seed):
 # match bitwise. Each sample reads its own scalar table point by point.
 
 
+def oracle_term_shifts(n, m, k, i, l, eps):
+    """Yield (subset, plus shift, minus shift) of every signed configuration.
+
+    Read off the definition one coordinate at a time: on the subset both
+    shifts are k eps, negated at the l flipped positions; off the subset the
+    plus shift is eps and the minus shift -eps. Subsets, then flipped
+    positions, come in combinations order.
+    """
+    for subset in combinations(range(n), i):
+        for flips in combinations(subset, l):
+            plus = np.empty(n, dtype=np.int64)
+            minus = np.empty(n, dtype=np.int64)
+            for a in range(n):
+                if a in subset:
+                    sign = -eps[a] if a in flips else eps[a]
+                    plus[a] = minus[a] = (k * sign) % m
+                else:
+                    plus[a] = eps[a] % m
+                    minus[a] = -eps[a] % m
+            yield subset, plus, minus
+
+
 def shell_difference_sum(f, k, x, eps):
     """Sum over axes of eps_j times the shell-average difference at x +- e_j."""
     g = f.geometry
@@ -62,7 +82,7 @@ def _feature_row(tables, geometry, k, x, eps, pairs):
     row = np.empty(len(pairs))
     for idx, (i, l) in enumerate(pairs):
         total = 0.0
-        for subset, plus, minus in _term_shifts(geometry, k, i, l, eps):
+        for subset, plus, minus in oracle_term_shifts(geometry.n, geometry.m, k, i, l, eps):
             table = tables[subset]
             total += table[geometry.encode(x + plus), 0]
             total -= table[geometry.encode(x + minus), 0]
@@ -118,12 +138,13 @@ def test_coefficient_bookkeeping():
 
 def test_term_shift_counts():
     for n in (1, 2, 3):
-        g = TorusGeometry(n, 8)
-        eps = np.ones(n, dtype=np.int64)
         for i in range(n + 1):
             for l in range(i + 1):
-                shifts = list(_term_shifts(g, 3, i, l, eps))
-                assert len(shifts) == math.comb(n, i) * math.comb(i, l)
+                count = sum(
+                    _pattern_multipliers(n, 3, subset, l).shape[1]
+                    for subset in combinations(range(n), i)
+                )
+                assert count == math.comb(n, i) * math.comb(i, l)
 
 
 def test_zero_subset_term_is_the_full_diagonal_difference():
@@ -136,6 +157,31 @@ def test_zero_subset_term_is_the_full_diagonal_difference():
     want = (fwd - bwd).reshape(f.values.shape)
     got = decomposition_term_table(f, 0, 0, 3, eps)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "n,m,k",
+    [
+        pytest.param(n, m, k, id=f"{n}-{m}-{k}")
+        for n in (1, 2, 3)
+        for m in (8, 12)
+        for k in (1, 3, 5)
+        if 2 * k < m
+    ],
+)
+def test_term_table_is_bitwise_the_rolled_pattern_sum(n, m, k):
+    # each term adds, over subsets then patterns in the oracle's order, the
+    # complement average read at x + plus minus the one read at x + minus
+    f = gaussian(n, m, 3, seed=300 + 10 * n + m + k)
+    grid = tuple(range(n))
+    for i, l in coefficient_pairs(n):
+        for eps in sign_vectors(n):
+            want = np.zeros(f.geometry.shape + (3,))
+            for subset, plus, minus in oracle_term_shifts(n, m, k, i, l, eps):
+                nd = box_average(f, [a for a in grid if a not in subset], k).nd_view()
+                want += np.roll(nd, tuple(-plus), axis=grid) - np.roll(nd, tuple(-minus), axis=grid)
+            got = decomposition_term_table(f, i, l, k, eps)
+            assert np.array_equal(got, want.reshape(f.values.shape)), (i, l, tuple(eps))
 
 
 def test_term_table_matches_pointwise_terms():
@@ -254,18 +300,19 @@ def test_verify_refuses_a_replay_without_samples(n_samples):
 
 
 def test_pattern_multipliers_reproduce_the_subset_shifts():
-    # one sign vector and the (2^n, n) stack of all of them
-    rng = np.random.default_rng(3)
+    # every sign vector against the oracle's shifts, in its pattern order
     for n, k, m in product((1, 2, 3, 4), (1, 3, 5), (8, 12)):
-        g = TorusGeometry(n, m)
-        signs = (1 - 2 * rng.integers(0, 2, size=n), sign_vectors(n))
         for i in range(n + 1):
             for subset, l in product(combinations(range(n), i), range(i + 1)):
                 mult = _pattern_multipliers(n, k, subset, l)
                 assert mult.shape == (2, math.comb(i, l), n)
                 assert not mult.flags.writeable
-                for eps in signs:
-                    shifts = list(_subset_shifts(g, k, subset, l, eps))
+                for eps in sign_vectors(n):
+                    shifts = [
+                        (plus, minus)
+                        for sub, plus, minus in oracle_term_shifts(n, m, k, i, l, eps)
+                        if sub == subset
+                    ]
                     assert len(shifts) == mult.shape[1]
                     for p, (plus, minus) in enumerate(shifts):
                         assert np.array_equal((eps * mult[0, p]) % m, plus)
@@ -348,3 +395,5 @@ def test_index_validation():
         decomposition_term_table(f, 1, 2, 3, np.array([1, 1]))
     with pytest.raises(ValueError):
         decomposition_term_table(f, 1, 0, 3, np.array([1, 2]))
+    with pytest.raises(ValueError):
+        decomposition_term_table(f, 1, 0, 3, [1.5, -1])

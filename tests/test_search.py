@@ -275,6 +275,9 @@ def test_maximize_validation():
         maximize_ratio("enflo", g, config=TINY)  # not a hypercube
     with pytest.raises(ValueError):
         maximize_ratio("pisier", TorusGeometry(1, 2), config=TINY)
+    # radius 1 makes every approximation table 0/0, so no restart can start
+    with pytest.raises(RuntimeError, match="every restart produced a degenerate table"):
+        maximize_ratio("approximation", g, k=1, config=TINY)
 
 
 def test_optimization_config_validation():
