@@ -1,15 +1,16 @@
 """Config-driven command line front end.
 
-One JSON config names the command and the parameter grid; the flags only
-locate the config, override the base seed, and pick the output directory
-and thread count. Every output is byte deterministic: cells are seeded by
-(base seed, cell index), collected in cell order, and written atomically
-after all computation has finished, so the thread count never changes a
-byte and a failed run leaves nothing behind. Each check compares against a
-fixed module constant that no config sets: a proven bound violated past
-inequalities.PROVEN_BOUND_RTOL exits 1 and writes nothing, and an identity
-residual at or past identity.IDENTITY_RESIDUAL_TOL exits 1 after writing its
-outputs. Malformed configs, and cells too large to compute, exit 2.
+One JSON config names the command and the parameter grid, and may set only
+the keys that command reads; the flags only locate the config and pick the
+output directory and thread count. Every output is byte deterministic:
+cells are seeded by (base seed, cell index), collected in cell order, and
+written atomically after all computation has finished, so the thread count
+never changes a byte and a failed run leaves nothing behind. Each check
+compares against a fixed module constant that no config sets: a proven
+bound violated past inequalities.PROVEN_BOUND_RTOL exits 1 and writes
+nothing, and an identity residual at or past identity.IDENTITY_RESIDUAL_TOL
+exits 1 after writing its outputs. Malformed configs, and cells too large
+to compute, exit 2.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -219,8 +220,8 @@ class ExperimentConfig:
     iterations: int = _key(_integer(), default=OptimizationConfig.iterations)
 
     def to_echo_dict(self) -> dict:
-        """The config as strict JSON: lists for tuples, and "inf" for an infinite q."""
-        echo = asdict(self)
+        """The keys its command reads as strict JSON: lists for tuples, "inf" for an infinite q."""
+        echo = {key: getattr(self, key) for key in _SHARED_KEYS + _RUNNERS[self.command][1]}
         for key, value in echo.items():
             if isinstance(value, tuple):
                 echo[key] = ["inf" if entry == math.inf else entry for entry in value]
@@ -239,11 +240,12 @@ def parse_config(payload: dict) -> ExperimentConfig:
     for key in ("schema_version", "command"):
         if key not in payload:
             raise ConfigError(f"{key} is required")
+    command = _command(payload["command"], "command")
     known = ExperimentConfig.__dataclass_fields__
     values = {}
     for key, value in payload.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
+        if key not in _SHARED_KEYS + _RUNNERS[command][1]:
+            raise ConfigError(f"unknown config key {key!r} for {command}")
         values[key] = known[key].metadata["parse"](value, key)
     cfg = ExperimentConfig(**values)
     try:
@@ -428,11 +430,20 @@ def _run_verify_identity(cfg: ExperimentConfig, threads: int):
     return outputs, all_passed
 
 
+# the keys every command reads, then each command's runner and its other keys: a
+# config may set only the keys its command reads, and its manifest echoes them all
+_SHARED_KEYS = ("schema_version", "command", "n_values", "m_values", "seed")
 _RUNNERS = {
-    "check-lemmas": _run_check_lemmas,
-    "estimate-constants": _run_estimate_constants,
-    "scan": _run_scan,
-    "verify-identity": _run_verify_identity,
+    "check-lemmas": (
+        _run_check_lemmas,
+        ("k_values", "p_values", "q_values", "d_values", "tables_per_cell"),
+    ),
+    "estimate-constants": (
+        _run_estimate_constants,
+        ("objectives", "k_values", "p_values", "q_values", "d_values", "restarts", "iterations"),
+    ),
+    "scan": (_run_scan, ("p_values", "q_values", "d_values", "restarts", "iterations")),
+    "verify-identity": (_run_verify_identity, ("k_values", "heldout_samples")),
 }
 COMMANDS = tuple(_RUNNERS)
 
@@ -455,7 +466,6 @@ def main(argv=None) -> int:
         description="Numerical laboratory for averaging inequalities on Z_m^n.",
     )
     parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--seed", type=int, default=None, help="override the base seed")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1, help="worker thread count")
     args = parser.parse_args(argv)
@@ -471,8 +481,6 @@ def main(argv=None) -> int:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.seed is not None and isinstance(payload, dict):
-            payload = dict(payload, seed=args.seed)
         cfg = parse_config(payload)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -490,7 +498,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        outputs, passed = _RUNNERS[cfg.command](cfg, args.threads)
+        outputs, passed = _RUNNERS[cfg.command][0](cfg, args.threads)
     except ProvenBoundViolation as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1

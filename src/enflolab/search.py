@@ -19,6 +19,7 @@ restarts uses the exact evaluators, never the smoothed values.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -40,7 +41,7 @@ from .inequalities import (
     scaled_enflo_ratio,
     smoothing_ratio,
 )
-from .torus import FunctionTable, TorusGeometry, as_exponent, as_norm
+from .torus import FunctionTable, TorusGeometry, _is_count, as_exponent, as_norm
 
 __all__ = [
     "OptimizationConfig",
@@ -98,11 +99,6 @@ class OptimizationConfig:
         if not _is_count(self.iterations, 1):
             raise ValueError("iterations must be a positive integer")
         _seed_tuple(self.seed)
-
-
-def _is_count(value, minimum: int) -> bool:
-    """An int of at least minimum; a bool is not a count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
@@ -361,7 +357,13 @@ def gradient_check(objective: str, f: FunctionTable, norm, p, k: int | None = No
 
 
 def map_cells(runner, count: int, threads: int) -> list:
-    """runner(0), ..., runner(count - 1) in cell order, on up to `threads` threads."""
+    """runner(0), ..., runner(count - 1) in cell order, on up to `threads` threads.
+
+    Each thread may hold one evaluation as large as the CLI's size guard allows,
+    so no more threads run than the CPUs this process may use.
+    """
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(threads, usable or 1)
     if threads <= 1:
         return [runner(ci) for ci in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 
+def _is_count(value, minimum: int) -> bool:
+    """An int of at least minimum; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 @lru_cache(maxsize=None)
 def _grid_points(n: int, m: int) -> np.ndarray:
     axes = [np.arange(m, dtype=np.int64)] * n
@@ -43,9 +48,9 @@ class TorusGeometry:
     m: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_count(self.n, 1):
             raise ValueError("n must be a positive integer")
-        if not isinstance(self.m, int) or self.m < 2 or self.m % 2 != 0:
+        if not _is_count(self.m, 2) or self.m % 2 != 0:
             raise ValueError("m must be an even integer, at least 2")
 
     @property

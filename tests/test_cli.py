@@ -63,6 +63,18 @@ def base_config(command, **overrides):
 MINIMAL_CONFIGS = {command: base_config(command) for command in COMMANDS}
 MINIMAL_CONFIGS["scan"] = base_config("scan", p_values=[2.0])
 
+# the keys each command reads: the only keys its config may set, and exactly
+# those its manifest echoes
+SHARED_KEYS = {"schema_version", "command", "n_values", "m_values", "seed"}
+READ_KEYS = {
+    "check-lemmas": SHARED_KEYS
+    | {"k_values", "p_values", "q_values", "d_values", "tables_per_cell"},
+    "estimate-constants": SHARED_KEYS
+    | {"objectives", "k_values", "p_values", "q_values", "d_values", "restarts", "iterations"},
+    "scan": SHARED_KEYS | {"p_values", "q_values", "d_values", "restarts", "iterations"},
+    "verify-identity": SHARED_KEYS | {"k_values", "heldout_samples"},
+}
+
 
 def test_parse_errors_name_the_offending_field():
     checks = [
@@ -110,6 +122,21 @@ def test_parse_errors_name_the_offending_field():
     for payload, fragment in checks:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(payload)
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_accepts_only_the_keys_it_reads(command, key, tmp_path, capsys):
+    # the key's parsed or default value, valid for the command: only the key can be refused
+    echo = parse_config(MINIMAL_CONFIGS[command]).to_echo_dict()
+    value = echo.get(key, getattr(ExperimentConfig(command=command), key))
+    payload = dict(MINIMAL_CONFIGS[command], **{key: value})
+    if key in READ_KEYS[command]:
+        assert parse_config(payload).to_echo_dict() == echo
+        return
+    assert run_main(payload, tmp_path) == 2
+    assert f"unknown config key {key!r} for {command}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_round_trip_defaults():
@@ -199,16 +226,45 @@ def test_manifest_omits_runtime_only_flags(tmp_path):
 
 
 def test_seed_override_changes_outputs_and_manifest(tmp_path):
+    # the config is a run's only input: its seed key, not a flag, sets the seed
     outs = {}
-    for label, extra in (("base", ()), ("alt", ("--seed", "99"))):
+    for label, seed in (("base", 7), ("alt", 99)):
         out = tmp_path / label
         out.mkdir()
-        proc = run_cli(check_lemmas_config(), out, *extra)
+        proc = run_cli({**check_lemmas_config(), "seed": seed}, out)
         assert proc.returncode == 0, proc.stderr
         outs[label] = read_outputs(out)
     assert outs["base"]["report.csv"] != outs["alt"]["report.csv"]
     manifest = json.loads(outs["alt"]["run_manifest.json"].decode())
     assert manifest["config"]["seed"] == 99
+
+
+def test_the_seed_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_main(check_lemmas_config(), tmp_path, "--seed", "3")
+    assert exit_.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# one small run per command; each sets some of the keys its command reads, so
+# the manifest must echo the defaults of the others too
+SMALL_CONFIGS = {
+    "check-lemmas": base_config("check-lemmas", n_values=[1], tables_per_cell=1),
+    "estimate-constants": base_config(
+        "estimate-constants", n_values=[1], p_values=[2.0], restarts=1, iterations=2
+    ),
+    "scan": base_config("scan", n_values=[1], m_values=[4], p_values=[2.0], restarts=1),
+    "verify-identity": base_config("verify-identity", n_values=[1], heldout_samples=2),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_echoes_exactly_the_keys_its_command_reads(command, tmp_path):
+    assert run_main(SMALL_CONFIGS[command], tmp_path) == 0
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert set(manifest["config"]) == READ_KEYS[command]
+    assert manifest["config"]["command"] == command
 
 
 def fit_config(**overrides):

@@ -343,6 +343,33 @@ def test_scan_grid_is_thread_deterministic_and_nondegenerate():
         assert row.seed == 3
 
 
+def test_map_cells_runs_no_more_threads_than_usable_cpus(monkeypatch):
+    # a fake pool records its size and runs the cells on this thread, so no thread starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, runner, cells):
+            return map(runner, cells)
+
+    monkeypatch.setattr(search, "ThreadPoolExecutor", FakePool)
+    # the second pass has one usable CPU, so it runs the cells in order without a pool
+    for cpus, pools in ((3, [3]), (1, [3])):
+        usable = set(range(cpus))
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda _: usable, raising=False)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        assert search.map_cells(lambda ci: ci * ci, 5, 10**6) == [0, 1, 4, 9, 16]
+        assert sizes == pools
+
+
 def test_scan_flags_capped_radii():
     # n = 3 asks for ceil(3 log 3) = 4, so radius 3; m = 4 caps it at 1
     cfg = OptimizationConfig(restarts=2, iterations=15, seed=1)

@@ -23,6 +23,9 @@ def test_geometry_validation():
         TorusGeometry(2, 7)
     with pytest.raises(ValueError):
         TorusGeometry(2, 0)
+    # True == 1, but a bool n would print as "true" in reports
+    with pytest.raises(ValueError):
+        TorusGeometry(True, 8)
 
 
 @given(geometries, st.integers(0, 10**6))
