@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from .kernels import gather_mean, window_sums
-from .torus import FunctionTable, TorusGeometry
+from .torus import FunctionTable, TorusGeometry, _is_count
 
 __all__ = [
     "SupportSet",
@@ -49,7 +49,7 @@ __all__ = [
 
 def check_radius(k: int, m: int) -> None:
     """Radii must be odd positive integers below m/2."""
-    if not isinstance(k, int) or k < 1 or k % 2 == 0:
+    if not _is_count(k, 1) or k % 2 == 0:
         raise ValueError("radius k must be an odd positive integer")
     if not 2 * k < m:
         raise ValueError("radius k must satisfy k < m/2")

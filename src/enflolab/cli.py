@@ -44,15 +44,31 @@ from .inequalities import (
 )
 from .search import (
     OptimizationConfig,
-    SCAN_CSV_COLUMNS,
     SEARCH_OBJECTIVES,
+    default_k_rule,
     map_cells,
+    maximize_cells,
     scan_grid,
-    search_row,
 )
 from .torus import FunctionTable, TorusGeometry, as_exponent, as_norm
 
 __all__ = ["main", "parse_config", "ConfigError", "ExperimentConfig", "COMMANDS"]
+
+SEARCH_CSV_COLUMNS = (
+    "objective",
+    "n",
+    "m",
+    "k",
+    "p",
+    "q",
+    "d",
+    "empirical_theta",
+    "lhs",
+    "rhs",
+    "restarts",
+    "iterations",
+    "seed",
+)
 
 IDENTITY_CSV_COLUMNS = (
     "n",
@@ -364,20 +380,37 @@ def _search_cells(cfg: ExperimentConfig) -> list[tuple]:
     return cells
 
 
+def _search_report(cfg: ExperimentConfig, outcomes, radius) -> str:
+    """One row per search outcome; radius(report) fills the k column."""
+    rows = []
+    for out in outcomes:
+        report = out.report
+        cell = dict(
+            objective=report.evaluator,
+            n=report.n,
+            m=report.m,
+            k=radius(report),
+            p=report.p,
+            q=report.q,
+            d=report.d,
+            empirical_theta=report.ratio ** (1.0 / report.p),
+            lhs=report.lhs,
+            rhs=report.rhs,
+            restarts=cfg.restarts,
+            iterations=out.accepted_steps,  # the best restart's accepted steps
+            seed=cfg.seed,
+        )
+        rows.append([format_cell(cell[column]) for column in SEARCH_CSV_COLUMNS])
+    return _csv_text(SEARCH_CSV_COLUMNS, rows)
+
+
 def _run_estimate_constants(cfg: ExperimentConfig, threads: int):
-    cells = _search_cells(cfg)
-
-    def run(ci: int):
-        objective, n, m, k, p, q, d = cells[ci]
-        row = search_row(objective, TorusGeometry(n, m), d, q, p, k, cfg.optimizer(), ci)
-        return row.to_csv_row()
-
-    rows = map_cells(run, len(cells), threads)
-    return {"report.csv": _csv_text(SCAN_CSV_COLUMNS, rows)}, True
+    outcomes = maximize_cells(_search_cells(cfg), cfg.optimizer(), threads)
+    return {"report.csv": _search_report(cfg, outcomes, lambda report: report.k)}, True
 
 
 def _run_scan(cfg: ExperimentConfig, threads: int):
-    rows = scan_grid(
+    outcomes = scan_grid(
         cfg.n_values,
         cfg.m_values,
         p=cfg.p_values[0],
@@ -386,7 +419,9 @@ def _run_scan(cfg: ExperimentConfig, threads: int):
         config=cfg.optimizer(),
         threads=threads,
     )
-    return {"report.csv": _csv_text(SCAN_CSV_COLUMNS, [r.to_csv_row() for r in rows])}, True
+    # the radius the scan's n log n rule picks; the half-shift objective does not use it
+    radius = lambda report: default_k_rule(report.n, report.m)
+    return {"report.csv": _search_report(cfg, outcomes, radius)}, True
 
 
 def _run_verify_identity(cfg: ExperimentConfig, threads: int):

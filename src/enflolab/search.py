@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .averaging import box_average_array, check_radius
+from .averaging import box_average_array
 from .inequalities import (
     INEQUALITY_KINDS,
     SOURCE_BOX,
@@ -35,7 +35,6 @@ from .inequalities import (
     Side,
     approximation_ratio,
     enflo_ratio,
-    format_cell,
     inequality_sides,
     pisier_ratio,
     scaled_enflo_ratio,
@@ -46,14 +45,12 @@ from .torus import FunctionTable, TorusGeometry, _is_count, as_exponent, as_norm
 __all__ = [
     "OptimizationConfig",
     "SearchOutcome",
-    "ScanRow",
-    "SCAN_CSV_COLUMNS",
     "SEARCH_OBJECTIVES",
     "maximize_ratio",
     "gradient_check",
     "default_k_rule",
-    "search_row",
     "map_cells",
+    "maximize_cells",
     "scan_grid",
 ]
 
@@ -298,24 +295,23 @@ def maximize_ratio(
     """Search for a table maximizing the named inequality ratio; the best restart wins."""
     cfg = config if config is not None else OptimizationConfig()
     obj = _make_objective(objective, geometry, d, norm, p, k)
+    if obj.rhs.scale == 0.0:
+        # every table is 0/0 there (the approximation ratio at k = 1)
+        raise ValueError(f"{objective} has a zero right-hand side on this cell")
     base = _seed_tuple(cfg.seed)
-    starts = []
-    for r in range(cfg.restarts):
-        # a Gaussian start is degenerate only where every table is (the
-        # approximation ratio at k = 1), so a redraw could not help
-        cand = FunctionTable.random_gaussian(geometry, d, np.random.default_rng(base + (r,)))
-        if not obj.report(cand).degenerate:
-            starts.append(cand.values)
+    starts = [
+        FunctionTable.random_gaussian(geometry, d, np.random.default_rng(base + (r,))).values
+        for r in range(cfg.restarts)
+    ]
+    stack, traces, accepted = _ascend(np.stack(starts), obj.value_grad, _STEP, cfg.iterations)
     best = None
-    if starts:
-        stack, traces, accepted = _ascend(np.stack(starts), obj.value_grad, _STEP, cfg.iterations)
-        for vals, trace, steps in zip(stack, traces, accepted):
-            table = FunctionTable(geometry, vals)
-            report = obj.report(table)
-            if report.degenerate:
-                continue
-            if best is None or report.ratio > best.report.ratio:
-                best = SearchOutcome(table, report, steps, tuple(trace))
+    for vals, trace, steps in zip(stack, traces, accepted):
+        table = FunctionTable(geometry, vals)
+        report = obj.report(table)
+        if report.degenerate:
+            continue
+        if best is None or report.ratio > best.report.ratio:
+            best = SearchOutcome(table, report, steps, tuple(trace))
     if best is None:
         raise RuntimeError("every restart produced a degenerate table")
     return best
@@ -379,75 +375,20 @@ def default_k_rule(n: int, m: int) -> int:
     return max(best, 1)
 
 
-SCAN_CSV_COLUMNS = (
-    "objective",
-    "n",
-    "m",
-    "k",
-    "p",
-    "q",
-    "d",
-    "empirical_theta",
-    "lhs",
-    "rhs",
-    "restarts",
-    "iterations",
-    "seed",
-)
+def maximize_cells(cells, config: OptimizationConfig, threads: int = 1) -> list[SearchOutcome]:
+    """maximize_ratio on each (objective, n, m, k, p, q, d) cell, in cell order.
 
+    Cell i searches on the stream (config's seed..., i), so the outcomes do
+    not depend on the thread count.
+    """
+    base = _seed_tuple(config.seed)
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One search cell: the maximized ratio re-expressed as a scaling exponent."""
+    def run(ci: int) -> SearchOutcome:
+        objective, n, m, k, p, q, d = cells[ci]
+        cell_config = replace(config, seed=base + (ci,))
+        return maximize_ratio(objective, TorusGeometry(n, m), d, q, p, k, cell_config)
 
-    objective: str
-    n: int
-    m: int | None
-    k: int | None
-    p: float
-    q: float
-    d: int
-    empirical_theta: float
-    lhs: float
-    rhs: float
-    restarts: int
-    iterations: int
-    seed: int
-
-    def to_csv_row(self) -> list[str]:
-        return [format_cell(getattr(self, column)) for column in SCAN_CSV_COLUMNS]
-
-
-def search_row(
-    objective: str,
-    geometry: TorusGeometry,
-    d: int,
-    norm,
-    p,
-    k: int | None,
-    config: OptimizationConfig,
-    index: int,
-) -> ScanRow:
-    """Search one cell, seeded by (config.seed, index), and report it as a row."""
-    out = maximize_ratio(
-        objective, geometry, d, norm, p, k, replace(config, seed=(config.seed, index))
-    )
-    report = out.report
-    return ScanRow(
-        objective=objective,
-        n=report.n,
-        m=report.m,
-        k=report.k,
-        p=report.p,
-        q=report.q,
-        d=report.d,
-        empirical_theta=report.ratio ** (1.0 / report.p),
-        lhs=report.lhs,
-        rhs=report.rhs,
-        restarts=config.restarts,
-        iterations=out.accepted_steps,
-        seed=config.seed,
-    )
+    return map_cells(run, len(cells), threads)
 
 
 def scan_grid(
@@ -458,29 +399,9 @@ def scan_grid(
     d: int = 1,
     config: OptimizationConfig | None = None,
     threads: int = 1,
-) -> list[ScanRow]:
-    """Maximize the half-shift ratio over an (n, m) grid.
-
-    Each cell runs an independent search seeded by (base seed, cell index),
-    so results do not depend on the thread count. The radius column records
-    what default_k_rule picks for the cell; the half-shift objective itself
-    does not use it.
-    """
-    cfg = config if config is not None else OptimizationConfig()
-    if not isinstance(cfg.seed, int):
-        raise ValueError("scan_grid needs an integer base seed")
-    cells = []
-    for n in n_values:
-        for m in m_values:
-            if m % 4 != 0:
-                raise ValueError("scan values of m must be divisible by 4")
-            cells.append((int(n), int(m)))
-
-    def run(ci: int) -> ScanRow:
-        n, m = cells[ci]
-        k = default_k_rule(n, m)
-        check_radius(k, m)
-        row = search_row("scaled_enflo", TorusGeometry(n, m), d, q, p, None, cfg, ci)
-        return replace(row, k=k)
-
-    return map_cells(run, len(cells), threads)
+) -> list[SearchOutcome]:
+    """Maximize the half-shift ratio over an (n, m) grid, one cell per pair, n major."""
+    if any(m % 4 != 0 for m in m_values):
+        raise ValueError("scan values of m must be divisible by 4")
+    cells = [("scaled_enflo", int(n), int(m), None, p, q, d) for n in n_values for m in m_values]
+    return maximize_cells(cells, config if config is not None else OptimizationConfig(), threads)

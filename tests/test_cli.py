@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 import math
@@ -16,11 +17,12 @@ from enflolab.cli import (
     ConfigError,
     ExperimentConfig,
     IDENTITY_CSV_COLUMNS,
+    SEARCH_CSV_COLUMNS,
     parse_config,
 )
 from enflolab.identity import IdentityCoefficients
 from enflolab.inequalities import REPORT_CSV_COLUMNS
-from enflolab.search import SCAN_CSV_COLUMNS, SEARCH_OBJECTIVES
+from enflolab.search import SEARCH_OBJECTIVES, default_k_rule
 from enflolab.torus import FunctionTable
 
 
@@ -398,8 +400,53 @@ def test_scan_outputs_are_thread_independent(tmp_path):
         outs[label] = read_outputs(out)
     assert outs["one"] == outs["two"]
     lines = outs["one"]["report.csv"].decode().splitlines()
-    assert lines[0] == ",".join(SCAN_CSV_COLUMNS)
+    assert lines[0] == ",".join(SEARCH_CSV_COLUMNS)
     assert len(lines) == 5
+
+
+def search_rows(config, out_dir):
+    """Run a search command and return its report.csv rows, header first."""
+    out_dir.mkdir()
+    proc = run_cli(config, out_dir)
+    assert proc.returncode == 0, proc.stderr
+    return list(csv.reader((out_dir / "report.csv").read_text().splitlines()))
+
+
+def test_scan_rows_report_the_radius_rule_and_the_search(tmp_path):
+    # n = 3 asks for ceil(3 log 3) = 4, so radius 3; m = 4 caps it at 1
+    cfg = base_config(
+        "scan", n_values=[1, 3], m_values=[4, 8], p_values=[2.0], restarts=2, iterations=15, seed=1
+    )
+    header, *rows = search_rows(cfg, tmp_path / "scan")
+    assert header == list(SEARCH_CSV_COLUMNS)
+    cells = [dict(zip(header, row)) for row in rows]
+    assert [(c["n"], c["m"]) for c in cells] == [("1", "4"), ("1", "8"), ("3", "4"), ("3", "8")]
+    assert [c["k"] for c in cells] == ["1", "1", "1", "3"]
+    for row, c in zip(rows, cells):
+        assert len(row) == len(SEARCH_CSV_COLUMNS)
+        assert c["k"] == str(default_k_rule(int(c["n"]), int(c["m"])))
+        assert c["objective"] == "scaled_enflo"
+        theta, lhs, rhs = (float(c[key]) for key in ("empirical_theta", "lhs", "rhs"))
+        assert theta > 0.0 and math.isclose(theta, (lhs / rhs) ** 0.5, rel_tol=1e-12)
+        assert (c["restarts"], c["seed"]) == ("2", "1")
+        assert 0 <= int(c["iterations"]) <= 15
+
+
+def test_scan_rows_are_estimate_constants_rows_but_the_radius(tmp_path):
+    grid = dict(
+        n_values=[1, 2], m_values=[4, 8], p_values=[1.5], restarts=2, iterations=15, seed=7
+    )
+    scan = search_rows(base_config("scan", **grid), tmp_path / "scan")
+    estimate = search_rows(
+        base_config("estimate-constants", objectives=["scaled_enflo"], **grid),
+        tmp_path / "estimate",
+    )
+    k = SEARCH_CSV_COLUMNS.index("k")
+    assert scan[0] == estimate[0]
+    assert len(scan) == len(estimate) == 5
+    for a, b in zip(scan[1:], estimate[1:]):
+        assert a[:k] + a[k + 1 :] == b[:k] + b[k + 1 :]
+        assert (a[k], b[k]) == (str(default_k_rule(int(a[1]), int(a[2]))), "")
 
 
 # cells past the size limits, each refused at config time: a table too large to

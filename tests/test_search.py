@@ -7,7 +7,6 @@ import pytest
 from enflolab import search
 from enflolab.inequalities import scaled_enflo_ratio
 from enflolab.search import (
-    SCAN_CSV_COLUMNS,
     SEARCH_OBJECTIVES,
     OptimizationConfig,
     _MAX_BACKTRACKS,
@@ -17,9 +16,9 @@ from enflolab.search import (
     _smooth_piece,
     default_k_rule,
     gradient_check,
+    maximize_cells,
     maximize_ratio,
     scan_grid,
-    search_row,
 )
 from enflolab.torus import FunctionTable, NormSpec, TorusGeometry
 
@@ -240,27 +239,41 @@ def test_more_restarts_never_hurt():
     assert many.ratio >= few.ratio
 
 
-def test_search_is_reproducible():
-    g = TorusGeometry(2, 8)
-    a = maximize_ratio("scaled_enflo", g, config=TINY)
-    b = maximize_ratio("scaled_enflo", g, config=TINY)
+def assert_same_outcome(a, b):
+    # FunctionTable compares by identity, so compare the table values
     assert np.array_equal(a.table.values, b.table.values)
     assert a.report == b.report
     assert a.trace == b.trace and a.accepted_steps == b.accepted_steps
 
 
-def test_search_row_is_maximize_ratio_on_the_cell_stream():
+def test_search_is_reproducible():
     g = TorusGeometry(2, 8)
-    config = OptimizationConfig(restarts=2, iterations=20, seed=4)
-    for norm, p in ((2.0, 2.0), (math.inf, 1.5)):
-        row = search_row("smoothing", g, 2, norm, p, 3, config, 5)
-        out = maximize_ratio("smoothing", g, 2, norm, p, 3, replace(config, seed=(4, 5)))
-        report = out.report
-        assert (row.objective, row.n, row.m, row.k, row.d) == ("smoothing", 2, 8, 3, 2)
-        assert (row.p, row.q) == (report.p, report.q) == (p, norm)
-        assert (row.lhs, row.rhs) == (report.lhs, report.rhs)
-        assert row.empirical_theta == report.ratio ** (1.0 / p)
-        assert (row.restarts, row.iterations, row.seed) == (2, out.accepted_steps, 4)
+    a = maximize_ratio("scaled_enflo", g, config=TINY)
+    b = maximize_ratio("scaled_enflo", g, config=TINY)
+    assert_same_outcome(a, b)
+
+
+def test_maximize_cells_is_maximize_ratio_on_each_cell_stream():
+    cells = [
+        ("smoothing", 2, 8, 3, 2.0, 2.0, 2),
+        ("smoothing", 2, 8, 3, 1.5, math.inf, 2),
+        ("enflo", 2, 2, None, 2.0, 2.0, 1),
+    ]
+    for seed, stream in ((4, (4,)), ((4, 1), (4, 1))):
+        config = OptimizationConfig(restarts=2, iterations=20, seed=seed)
+        outcomes = maximize_cells(cells, config, threads=2)
+        assert len(outcomes) == len(cells)
+        for i, (cell, out) in enumerate(zip(cells, outcomes)):
+            objective, n, m, k, p, q, d = cell
+            alone = maximize_ratio(
+                objective, TorusGeometry(n, m), d, q, p, k, replace(config, seed=stream + (i,))
+            )
+            assert_same_outcome(out, alone)
+            report = out.report
+            assert (report.evaluator, report.n, report.m, report.k, report.d) == (
+                objective, n, m, k, d
+            )
+            assert (report.p, report.q) == (p, q)
 
 
 def test_maximize_validation():
@@ -275,8 +288,8 @@ def test_maximize_validation():
         maximize_ratio("enflo", g, config=TINY)  # not a hypercube
     with pytest.raises(ValueError):
         maximize_ratio("pisier", TorusGeometry(1, 2), config=TINY)
-    # radius 1 makes every approximation table 0/0, so no restart can start
-    with pytest.raises(RuntimeError, match="every restart produced a degenerate table"):
+    # radius 1 makes every approximation table 0/0, so the cell is refused before any draw
+    with pytest.raises(ValueError, match="zero right-hand side"):
         maximize_ratio("approximation", g, k=1, config=TINY)
 
 
@@ -318,29 +331,28 @@ def test_default_k_rule_values_and_properties():
 def test_scan_validation():
     with pytest.raises(ValueError):
         scan_grid([1], [6], config=TINY)  # m not divisible by 4
-    with pytest.raises(ValueError):
-        scan_grid([1], [8], config=OptimizationConfig(seed=(1, 2)))
 
 
 def test_scan_single_cell_hits_the_known_extremal():
-    rows = scan_grid([1], [4], config=OptimizationConfig(restarts=3, iterations=60, seed=0))
-    row = rows[0]
-    assert row.objective == "scaled_enflo"
-    assert row.empirical_theta >= 0.25
-    assert abs(row.empirical_theta - (row.lhs / row.rhs) ** 0.5) < 1e-12
-    assert row.k == default_k_rule(1, 4)
-    assert len(row.to_csv_row()) == len(SCAN_CSV_COLUMNS)
+    outcomes = scan_grid([1], [4], config=OptimizationConfig(restarts=3, iterations=60, seed=0))
+    report = outcomes[0].report
+    assert report.evaluator == "scaled_enflo"
+    assert report.ratio**0.5 >= 0.25
+    assert report.ratio == report.lhs / report.rhs
 
 
 def test_scan_grid_is_thread_deterministic_and_nondegenerate():
     cfg = OptimizationConfig(restarts=2, iterations=20, seed=3)
     serial = scan_grid([1, 2, 3], [4, 8, 12], config=cfg, threads=1)
     threaded = scan_grid([1, 2, 3], [4, 8, 12], config=cfg, threads=3)
-    assert serial == threaded
-    assert len(serial) == 9
-    for row in serial:
-        assert row.empirical_theta > 0.0
-        assert row.seed == 3
+    assert len(serial) == len(threaded) == 9
+    for a, b in zip(serial, threaded):
+        assert_same_outcome(a, b)
+    assert [(out.report.n, out.report.m) for out in serial] == [
+        (n, m) for n in (1, 2, 3) for m in (4, 8, 12)
+    ]
+    for out in serial:
+        assert out.report.ratio > 0.0
 
 
 def test_map_cells_runs_no_more_threads_than_usable_cpus(monkeypatch):
@@ -368,12 +380,3 @@ def test_map_cells_runs_no_more_threads_than_usable_cpus(monkeypatch):
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         assert search.map_cells(lambda ci: ci * ci, 5, 10**6) == [0, 1, 4, 9, 16]
         assert sizes == pools
-
-
-def test_scan_flags_capped_radii():
-    # n = 3 asks for ceil(3 log 3) = 4, so radius 3; m = 4 caps it at 1
-    cfg = OptimizationConfig(restarts=2, iterations=15, seed=1)
-    rows = scan_grid([3], [8], config=cfg)
-    assert rows[0].k == 3
-    rows = scan_grid([3], [4], config=cfg)
-    assert rows[0].k == 1

@@ -36,6 +36,8 @@ def test_check_radius_errors():
         check_radius(4, 8)  # even and at m/2
     with pytest.raises(ValueError):
         check_radius(5, 8)  # not below m/2
+    with pytest.raises(ValueError):
+        check_radius(True, 8)  # a bool is not a radius
 
 
 def test_even_box_hand_case():
