@@ -32,6 +32,14 @@ def _is_count(value, minimum: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
+def _integer_array(values, what: str) -> np.ndarray:
+    """values as an int64 array; bools and non-integers are refused, not truncated."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 @lru_cache(maxsize=None)
 def _grid_points(n: int, m: int) -> np.ndarray:
     axes = [np.arange(m, dtype=np.int64)] * n
@@ -71,15 +79,16 @@ class TorusGeometry:
 
     def encode(self, coords):
         """Flat row-major index of a residue vector, or of a (..., n) stack."""
-        arr = np.asarray(coords, dtype=np.int64) % self.m
-        if arr.shape[-1] != self.n:
+        arr = _integer_array(coords, "coordinates")
+        if arr.ndim == 0 or arr.shape[-1] != self.n:
             raise ValueError("coordinate vector must have length n")
+        arr = arr % self.m
         idx = arr @ np.asarray(self.strides, dtype=np.int64)
         return int(idx) if idx.ndim == 0 else idx
 
     def decode(self, index):
         """Residue vector(s) for flat index (or index array)."""
-        idx = np.asarray(index, dtype=np.int64)
+        idx = _integer_array(index, "flat index")
         if np.any(idx < 0) or np.any(idx >= self.size):
             raise ValueError("index out of range")
         return np.stack(np.unravel_index(idx, self.shape), axis=-1)
@@ -138,22 +147,30 @@ class NormSpec:
             raise ValueError("q must satisfy q >= 1")
 
     def lengths(self, vectors) -> np.ndarray:
-        """Norms along the last axis of a (..., d) array."""
+        """Norms along the last axis of a (..., d) array.
+
+        Every branch returns a fresh, writable array that shares no memory
+        with vectors, so the caller owns it and may overwrite it in place.
+        """
         v = np.asarray(vectors, dtype=np.float64)
+        out = np.empty(v.shape[:-1])
         if self.q == 2.0:
-            return np.sqrt(np.einsum("...i,...i->...", v, v))
+            np.einsum("...i,...i->...", v, v, out=out)
+            return np.sqrt(out, out=out)
         if self.q == 1.0 or math.isinf(self.q):
-            a = np.abs(v)
             combine = np.add if self.q == 1.0 else np.maximum
-            if a.shape[-1] > _FOLD_MAX_D:
-                return combine.reduce(a, axis=-1)
-            # a reduction over a short trailing axis is slow; fold its slices
-            # instead, in the reduction's order, so the result is the same bits
-            out = a[..., 0].copy()
-            for j in range(1, a.shape[-1]):
-                combine(out, a[..., j], out=out)
+            if v.shape[-1] > _FOLD_MAX_D:
+                return combine.reduce(np.abs(v), axis=-1, out=out)
+            # a reduction over a short trailing axis is slow; fold |v[..., j]|
+            # through one scratch row instead, in the reduction's order, so
+            # the result is the same bits
+            np.abs(v[..., 0], out=out)
+            row = np.empty_like(out)
+            for j in range(1, v.shape[-1]):
+                combine(out, np.abs(v[..., j], out=row), out=out)
             return out
-        return (np.abs(v) ** self.q).sum(axis=-1) ** (1.0 / self.q)
+        np.add.reduce(np.abs(v) ** self.q, axis=-1, out=out)
+        return np.power(out, 1.0 / self.q, out=out)
 
 
 def as_norm(spec) -> NormSpec:
@@ -169,12 +186,16 @@ def as_exponent(spec) -> float:
 
 
 def _moment_power(lengths: np.ndarray, p: float) -> np.ndarray:
+    """lengths ** p, raised in place: the argument is consumed and returned.
+
+    Pass only an array the caller owns, such as a fresh NormSpec.lengths.
+    """
     # p in {1, 2} covers most cells; avoid the pow call there
     if p == 1.0:
         return lengths
     if p == 2.0:
-        return lengths * lengths
-    return lengths ** p
+        return np.multiply(lengths, lengths, out=lengths)
+    return np.power(lengths, p, out=lengths)
 
 
 def _check_values(geometry: TorusGeometry, vals: np.ndarray) -> None:

@@ -34,7 +34,8 @@ def random_table(n, m, d, seed):
     return FunctionTable.random_gaussian(g, d, np.random.default_rng(seed))
 
 
-def test_window_sums_match_direct():
+def window_cases():
+    """(blocks, start, width, step) over a grid of shapes, wrapped starts, widths and steps."""
     rng = np.random.default_rng(0)
     shapes = [
         (5, 8, (1, 2, 4, 7, 8)),
@@ -48,22 +49,96 @@ def test_window_sums_match_direct():
         for start in (-2 * length - 3, -length - 1, -3, -1, 0, 2, length + 5):
             for width in widths:
                 for step in (1, 2, 3, 6, length - 1, length, 2 * length + 1):
-                    got = window_sums(blocks, start, width, step)
-                    assert got.shape == (rows, length)
-                    assert not np.shares_memory(got, blocks)
-                    want = np.zeros_like(blocks)
-                    for s in range(length):
-                        for t in range(width):
-                            want[:, s] += blocks[:, (s + start + t * step) % length]
-                    assert np.allclose(got, want, atol=1e-12)
-                default = window_sums(blocks, start, width)
-                assert default.tobytes() == window_sums(blocks, start, width, 1).tobytes()
+                    yield blocks, start, width, step
+
+
+def test_window_sums_match_direct():
+    for blocks, start, width, step in window_cases():
+        rows, length = blocks.shape
+        got = window_sums(blocks, start, width, step)
+        assert got.shape == (rows, length)
+        assert not np.shares_memory(got, blocks)
+        want = np.zeros_like(blocks)
+        for s in range(length):
+            for t in range(width):
+                want[:, s] += blocks[:, (s + start + t * step) % length]
+        assert np.allclose(got, want, atol=1e-12)
+        default = window_sums(blocks, start, width)
+        assert default.tobytes() == window_sums(blocks, start, width, 1).tobytes()
     for width in (0, 9):
         with pytest.raises(ValueError):
             window_sums(np.ones((2, 8)), 0, width)
     for step in (0, -2):
         with pytest.raises(ValueError):
             window_sums(np.ones((2, 8)), 0, 3, step)
+    for blocks in (np.ones(8), np.ones((2, 2, 8)), np.float64(1.0)):
+        with pytest.raises(ValueError):
+            window_sums(blocks, 0, 1)
+    for start, width, step in [
+        (0.0, 3, 1),
+        (np.float64(-1.0), 3, 1),
+        (True, 3, 1),
+        (0, True, 1),
+        (0, 3.0, 1),
+        (0, np.float64(3.0), 1),
+        (0, 3, 2.0),
+        (0, 3, True),
+        (0, 3, np.bool_(True)),
+    ]:
+        with pytest.raises(ValueError):
+            window_sums(np.ones((2, 8)), start, width, step)
+
+
+def oracle_doubling_window_sums(blocks, start, width, step=1):
+    """window_sums as the binary-digit doubling kernel first computed it, kept as an oracle.
+
+    It doubles the whole span at every digit and adds the top digit into a
+    new array; the kernel must give the same bits in the same add order.
+    """
+    rows, length = blocks.shape
+    pieces, first, rest = [], start % length, length + (width - 1) * step
+    while rest > 0:
+        pieces.append(blocks[:, first : first + rest])
+        rest -= pieces[-1].shape[1]
+        first = 0
+    span = np.concatenate(pieces, axis=1)
+    out = None
+    offset, taps, rest = 0, 1, width
+    while True:
+        if rest & 1:
+            part = span[:, offset : offset + length]
+            out = part if out is None else out + part
+            offset += taps * step
+        rest >>= 1
+        if not rest:
+            return out
+        span = span[:, : -taps * step] + span[:, taps * step :]
+        taps *= 2
+
+
+def test_window_sums_are_bitwise_the_doubling_oracle():
+    cases = list(window_cases())
+    # the axis passes of an n = 4, m = 16, d = 3 table: rows of m * post
+    # entries, an even window of width k from (1 - k) post and an odd one of
+    # width k + 1 from -k post, both stepping 2 post
+    g = TorusGeometry(4, 16)
+    values = random_table(4, 16, 3, seed=4163).values
+    for axis in range(4):
+        post = g.m ** (g.n - 1 - axis) * 3
+        rows = values.reshape(-1, g.m * post)
+        for k in (3, 7):
+            cases.append((rows, (1 - k) * post, k, 2 * post))
+            cases.append((rows, -k * post, k + 1, 2 * post))
+    for blocks, start, width, step in cases:
+        got = window_sums(blocks, start, width, step)
+        want = oracle_doubling_window_sums(blocks, start, width, step)
+        assert got.tobytes() == want.tobytes(), (blocks.shape, start, width, step)
+        assert got.shape == want.shape
+        assert got.flags.writeable and not np.shares_memory(got, blocks)
+    # numpy integers are integers
+    blocks = cases[0][0]
+    got = window_sums(blocks, np.int64(-3), np.int32(3), np.int64(2))
+    assert got.tobytes() == window_sums(blocks, -3, 3, 2).tobytes()
 
 
 def test_box_worked_example():

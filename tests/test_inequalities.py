@@ -31,7 +31,7 @@ from enflolab.inequalities import (
     smoothing_ratio,
     unit_steps,
 )
-from enflolab.torus import FunctionTable, TorusGeometry, sign_vectors
+from enflolab.torus import FunctionTable, NormSpec, TorusGeometry, sign_vectors
 
 
 def gaussian(n, m, d, seed):
@@ -228,6 +228,36 @@ def test_roll_plans_die_with_their_op():
     finally:
         tracemalloc.stop()
     assert grown <= 64 * 1024, grown
+
+
+def oracle_lengths(v, q):
+    """Norms along the last axis as plain numpy reductions."""
+    if q == 2.0:
+        return np.sqrt(np.einsum("...i,...i->...", v, v))
+    if q == 1.0:
+        return np.abs(v).sum(axis=-1)
+    if np.isinf(q):
+        return np.abs(v).max(axis=-1)
+    return (np.abs(v) ** q).sum(axis=-1) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, np.inf])
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 64])
+def test_lengths_are_fresh_and_the_moment_reduces_them_in_place_bitwise(q, d):
+    # d = 7 and 8 sit on both sides of the l1/sup fold's limit
+    rng = np.random.default_rng(d)
+    diff = rng.standard_normal((8, 8, d)) * rng.uniform(0.0, 1e3, (8, 8, 1))
+    diff.setflags(write=False)
+    kept = diff.copy()
+    norm = NormSpec(q)
+    lengths = norm.lengths(diff)
+    assert lengths.flags.writeable and not np.shares_memory(lengths, diff)
+    for p in (1.0, 1.5, 2.0):
+        want = oracle_lengths(diff, q)
+        powers = want if p == 1.0 else want * want if p == 2.0 else want**p
+        got = inequalities._grid_moment(diff, norm, p)
+        assert got == float(np.mean(powers)), p
+    assert np.array_equal(diff, kept)
 
 
 def test_scaled_enflo_worked_example():

@@ -49,6 +49,24 @@ def test_encode_stacks():
     assert list(g.encode(pts)) == [1, 15, 0]
 
 
+def test_encode_and_decode_refuse_what_they_would_truncate():
+    g = TorusGeometry(2, 8)
+    for coords in ([0.5, 2.9], [1, 2.0], np.array([1.0, 2.0]), [True, False], 5, np.int64(5)):
+        with pytest.raises(ValueError):
+            g.encode(coords)
+    for index in (1.5, np.float64(1.0), True, [1, 2.5], np.array([True])):
+        with pytest.raises(ValueError):
+            g.decode(index)
+    # the point mass must not land on the truncated point (0, 2)
+    with pytest.raises(ValueError):
+        FunctionTable.indicator(g, [0.5, 2.9])
+    # integer arrays of any width keep working
+    assert g.encode(np.array([1, 2], dtype=np.int32)) == 10
+    assert list(g.encode(np.array([[1, 2], [9, -1]], dtype=np.int8))) == [10, 15]
+    assert g.decode(np.array([10, 15], dtype=np.uint16)).tolist() == [[1, 2], [1, 7]]
+    assert g.decode(np.int64(10)).tolist() == [1, 2]
+
+
 def test_points_match_decode():
     g = TorusGeometry(2, 4)
     pts = g.points()
