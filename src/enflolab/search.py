@@ -8,20 +8,26 @@ differentiable and strictly positive, so the log never sees zero. The sup
 norm is handled through a finite surrogate power. Iterates live in the
 mean-zero subspace (every objective kills constants), each round's trial
 step starts at _STEP and halves until a strict increase, and each restart
-draws its start from its own seeded stream. The restarts of one cell then
-advance in lockstep, as one (restarts, m^n, d) stack whose members each
-keep their own step size, backtracks and stopping rule; every objective and
-operator treats members independently, so each restart's table, trace and
-accepted-step count are bitwise those of its ascent alone. Scoring between
-restarts uses the exact evaluators, never the smoothed values.
+draws its start from its own seeded stream. Consecutive cells that share
+(objective, n, m, k, d) differ only in p, q and the side scales, so up to
+_STACK_ENTRIES entries of them ascend together: their restarts advance in
+lockstep, as one (rows, m^n, d) stack in which each cell owns a block of
+rows, and whose members each keep their own step size, backtracks and
+stopping rule. The sources and ops run once over the stack and each block's
+smoothed pieces over its own rows; every objective and operator treats
+members independently, so each restart's table, trace and accepted-step
+count are bitwise those of its ascent alone. Scoring between restarts uses
+the exact evaluators, never the smoothed values.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -81,6 +87,14 @@ _FD_STEP = 1e-5
 
 _MAX_BACKTRACKS = 40
 
+# most float64 entries, restarts x m^n x d summed over its cells, that a
+# stack of several cells holds: 2^13 (64 KiB) keeps an op's temporaries
+# under glibc's 128 KiB mmap threshold, past which every call faults its
+# memory in afresh (value_grad at n = 3, m = 16, d = 1 took 386 us with no
+# minor fault for 2 rows and 962 us with 128 for 4, on a 2-core Xeon); a
+# larger cell is a stack alone
+_STACK_ENTRIES = 2**13
+
 
 @dataclass(frozen=True)
 class OptimizationConfig:
@@ -108,41 +122,72 @@ def _seed_tuple(seed) -> tuple[int, ...]:
     return (seed,)
 
 
-def _smooth_piece(diff: np.ndarray, p: float, q_eff: float, eps: float, lead=()):
+def _smooth_piece(diff: np.ndarray, p: float, q_eff: float, eps: float, lead=(), out=None):
     """Mean smoothed q-norm^p over positions, and its gradient in diff.
 
     The first len(lead) axes of diff index the members of a stack, shaped
     lead; every other axis but the last indexes positions. Each member's
     mean is a row sum over its own contiguous block, so it is bitwise the
-    mean that member gets alone. At q = 2 the powers sq^(q/2) and
-    sq^((q-2)/2) are sq and 1, so that branch skips them; its value and
-    gradient are bitwise the general ones.
+    mean that member gets alone. The gradient is written into out when
+    given, else into the array of squares, so it never shares memory with
+    diff. Squares, powers and norms are raised in place, a size-1 value axis
+    is read rather than summed, and where p = q the weight nrm^(p-q), which
+    is 1, is never computed; at q = 2 the powers sq^(q/2) and sq^((q-2)/2)
+    are sq and 1, so that branch skips them. Value and gradient are bitwise
+    those of the plain formulas.
     """
-    sq = diff * diff + eps * eps
+    sq = np.multiply(diff, diff)
+    sq += eps * eps
+    powers = sq if q_eff == 2.0 else sq ** (q_eff / 2.0)
+    nrm = powers[..., 0] if powers.shape[-1] == 1 else np.add.reduce(powers, axis=-1)
     if q_eff == 2.0:
-        nrm = np.sqrt(sq.sum(axis=-1))
+        np.sqrt(nrm, out=nrm)
     else:
-        nrm = np.sum(sq ** (q_eff / 2.0), axis=-1) ** (1.0 / q_eff)
+        np.power(nrm, 1.0 / q_eff, out=nrm)
     count = math.prod(nrm.shape[len(lead) :])
-    value = (nrm**p).reshape(lead + (-1,)).sum(axis=-1) / count
-    weight = (p / count) * nrm ** (p - q_eff)
+    if p == q_eff:
+        weight = p / count
+    else:
+        weight = nrm ** (p - q_eff)
+        weight *= p / count
+        weight = weight[..., None]
+    np.power(nrm, p, out=nrm)
+    value = nrm.reshape(lead + (-1,)).sum(axis=-1) / count
+    grad = sq if out is None else out
     if q_eff == 2.0:
-        return value, weight[..., None] * diff
-    return value, weight[..., None] * sq ** ((q_eff - 2.0) / 2.0) * diff
+        return value, np.multiply(weight, diff, out=grad)
+    np.power(sq, (q_eff - 2.0) / 2.0, out=sq)
+    np.multiply(weight, sq, out=sq)
+    return value, np.multiply(sq, diff, out=grad)
+
+
+@dataclass(frozen=True)
+class _Block:
+    """One cell's rows of a stack: its exponents, side scales and exact evaluator."""
+
+    p: float
+    q_eff: float
+    scales: tuple[float, float]  # of the lhs and the rhs
+    report: Callable[[FunctionTable], RatioReport]
 
 
 @dataclass(frozen=True)
 class _Objective:
-    """One cell's log-ratio objective: two smoothed sides and the exact evaluator."""
+    """Log-ratio objective of a stack of cells that share (objective, n, m, k, d).
 
-    lhs: Side
-    rhs: Side
-    report: Callable[[FunctionTable], RatioReport]
+    Such cells declare the same sources and ops on both sides and differ
+    only in p, q and the side scales, so the sources and ops are applied
+    once to every row. Block b holds the members whose ids run from
+    starts[b] to the next start, one per restart of its cell, and its
+    smoothed pieces use its own p, q_eff and scales on its own rows.
+    """
+
+    sides: tuple[Side, Side]
     geometry: TorusGeometry
     shape: tuple[int, ...]  # (m,)*n + (d,)
     k: int | None
-    p: float
-    q_eff: float
+    blocks: tuple[_Block, ...]
+    starts: tuple[int, ...]
 
     def _source(self, side: Side, vals: np.ndarray) -> np.ndarray:
         if side.source == SOURCE_F:
@@ -150,37 +195,93 @@ class _Objective:
         smooth = box_average_array(self.geometry, vals, range(self.geometry.n), self.k)
         return smooth if side.source == SOURCE_BOX else smooth - vals
 
-    def _side_value_grad(self, side: Side, vals: np.ndarray):
+    def _spans(self, ids) -> list:
+        """(block, rows) per block with rows; ids are the rows' member ids, ascending."""
+        if ids is None:
+            if len(self.blocks) > 1:
+                raise ValueError("the rows of a stack of several cells need their member ids")
+            return [(self.blocks[0], Ellipsis)]
+        bounds = [0] + [bisect_left(ids, start) for start in self.starts[1:]] + [len(ids)]
+        return [(b, slice(lo, hi)) for b, lo, hi in zip(self.blocks, bounds, bounds[1:]) if lo < hi]
+
+    def _side_value_grad(self, which: int, vals: np.ndarray, spans: list):
+        side = self.sides[which]
         lead = vals.shape[:-2]
         nd = self._source(side, vals).reshape(lead + self.shape)
-        total = 0.0
+        total = np.zeros(lead)
         grad = np.zeros_like(nd)
         for op in side.ops:
-            v, g = _smooth_piece(op.apply(nd), self.p, self.q_eff, _SMOOTHING_EPS, lead)
-            total += v
-            grad += op.adjoint(g).reshape(nd.shape)
+            diff = op.apply(nd)
+            # one block squares into its own gradient; several write theirs into one array
+            joint = None if len(spans) == 1 else np.empty_like(diff)
+            for block, rows in spans:
+                piece = diff[rows]
+                v, g = _smooth_piece(
+                    piece,
+                    block.p,
+                    block.q_eff,
+                    _SMOOTHING_EPS,
+                    piece.shape[: len(lead)],
+                    None if joint is None else joint[rows],
+                )
+                total[rows] += v
+            grad += op.adjoint(g if joint is None else joint).reshape(nd.shape)
         # B and B - I are self adjoint, so the source map pulls the gradient back
         grad = self._source(side, grad.reshape(vals.shape))
-        return side.scale * total, side.scale * grad
+        for block, rows in spans:
+            total[rows] *= block.scales[which]
+            grad[rows] *= block.scales[which]
+        # [()] makes a lone table's 0-d total a scalar and leaves a stack's as is
+        return total[()], grad
 
-    def value_grad(self, vals: np.ndarray):
+    def value_grad(self, vals: np.ndarray, ids=None):
         """Smoothed (lhs, d lhs, rhs, d rhs) at a (..., m^n, d) stack.
 
-        The sides have the stack's leading shape, one value per member, and
-        each member's sides and gradients are bitwise those it gets alone.
+        ids lists the member id of each row of an (L, m^n, d) stack, in
+        ascending order, so each block's rows are contiguous. It may be None
+        for an objective of one cell, whose every member is that cell's. The
+        sides have the stack's leading shape, one value per member, and each
+        member's sides and gradients are bitwise those it gets alone.
         """
-        return self._side_value_grad(self.lhs, vals) + self._side_value_grad(self.rhs, vals)
+        spans = self._spans(ids)
+        return self._side_value_grad(0, vals, spans) + self._side_value_grad(1, vals, spans)
+
+    def report(self, table: FunctionTable, block: int = 0) -> RatioReport:
+        """Exact report of a table by the evaluator of the given block's cell."""
+        return self.blocks[block].report(table)
 
     def min_diff(self, vals: np.ndarray) -> float:
         """Smallest Euclidean length among all difference vectors of both sides."""
         worst = math.inf
-        for side in (self.lhs, self.rhs):
+        for side in self.sides:
             nd = self._source(side, vals).reshape(self.shape)
             for op in side.ops:
                 diff = op.apply(nd)
                 mags = np.sqrt(np.sum(diff * diff, axis=-1))
                 worst = min(worst, float(mags.min()))
         return worst
+
+
+def _stack_objective(
+    name: str,
+    geometry: TorusGeometry,
+    d: int,
+    k: int | None,
+    exponents,
+    members: int = 1,
+) -> _Objective:
+    """Objective of one stack: block b is the cell at exponents[b] = (norm, p), with `members` rows."""
+    blocks = []
+    for norm, p in exponents:
+        norm = as_norm(norm)
+        p = as_exponent(p)
+        # the sources and ops depend on (name, n, m, k) only, so every cell declares the same
+        sides = inequality_sides(name, geometry, k, p)
+        q_eff = _SUP_SURROGATE_POWER if math.isinf(norm.q) else float(norm.q)
+        report = partial(_EXACT[name], k=k, norm=norm, p=p)
+        blocks.append(_Block(p, q_eff, (sides[0].scale, sides[1].scale), report))
+    starts = tuple(range(0, members * len(blocks), members))
+    return _Objective(sides, geometry, geometry.shape + (d,), k, tuple(blocks), starts)
 
 
 def _make_objective(
@@ -191,14 +292,8 @@ def _make_objective(
     p: float,
     k: int | None,
 ) -> _Objective:
-    norm = as_norm(norm)
-    p = as_exponent(p)
-    lhs, rhs = inequality_sides(name, geometry, k, p)
-    exact = _EXACT[name]
-    report = lambda f: exact(f, k, norm, p)
-    q_eff = _SUP_SURROGATE_POWER if math.isinf(norm.q) else float(norm.q)
-    shape = geometry.shape + (d,)
-    return _Objective(lhs, rhs, report, geometry, shape, k, p, q_eff)
+    """Objective of one cell, as a stack of one block."""
+    return _stack_objective(name, geometry, d, k, [(norm, p)])
 
 
 def _project(vals: np.ndarray) -> np.ndarray:
@@ -215,8 +310,9 @@ def _direction(lhs, glhs, rhs, grhs) -> np.ndarray:
 def _ascend(values: np.ndarray, value_grad, step: float, iterations: int):
     """Backtracking ascent on log lhs - log rhs for each member of an (R, m^n, d) stack.
 
-    The members advance in lockstep: each round calls value_grad once, on
-    the members still ascending, each at its own trial step. A member keeps
+    The members advance in lockstep: each round calls value_grad(rows, ids)
+    once, on the rows of the members still ascending, each at its own trial
+    step, with their member ids in ascending order. A member keeps
     its own step size, backtrack count, iteration count and trace, and
     stops on the rules of a lone ascent: after `iterations` accepted steps,
     or once _MAX_BACKTRACKS halvings in a row fail to increase its
@@ -225,8 +321,8 @@ def _ascend(values: np.ndarray, value_grad, step: float, iterations: int):
     ascent alone. Returns (values, traces, accepted), one entry per member.
     """
     vals = _project(values)
-    lhs, glhs, rhs, grhs = value_grad(vals)
     count = len(vals)
+    lhs, glhs, rhs, grhs = value_grad(vals, range(count))
     best = [math.log(a) - math.log(b) for a, b in zip(lhs.tolist(), rhs.tolist())]
     traces = [[value] for value in best]
     accepted = [0] * count
@@ -238,7 +334,7 @@ def _ascend(values: np.ndarray, value_grad, step: float, iterations: int):
     direction = _direction(lhs, glhs, rhs, grhs)
     while ids:
         cand = _project(vals + stepsize[:, None, None] * direction)
-        clhs, cglhs, crhs, cgrhs = value_grad(cand)
+        clhs, cglhs, crhs, cgrhs = value_grad(cand, ids)
         moved, going = [], []
         for i, a, b in zip(ids, clhs.tolist(), crhs.tolist()):
             objective = math.log(a) - math.log(b)
@@ -283,6 +379,48 @@ class SearchOutcome:
     trace: tuple[float, ...]
 
 
+def _maximize_stack(
+    objective: str,
+    geometry: TorusGeometry,
+    d: int,
+    k: int | None,
+    exponents,
+    seeds,
+    config: OptimizationConfig,
+) -> list[SearchOutcome]:
+    """Best restart of each cell of one stack, cell b at exponents[b] = (norm, p).
+
+    Restart r of cell b draws its start from seeds[b] + (r,); all restarts
+    of all cells ascend as one stack, and each cell picks its best restart
+    in restart order.
+    """
+    restarts = config.restarts
+    obj = _stack_objective(objective, geometry, d, k, exponents, restarts)
+    if any(block.scales[1] == 0.0 for block in obj.blocks):
+        # every table is 0/0 there (the approximation ratio at k = 1)
+        raise ValueError(f"{objective} has a zero right-hand side on this cell")
+    starts = [
+        FunctionTable.random_gaussian(geometry, d, np.random.default_rng(seed + (r,))).values
+        for seed in seeds
+        for r in range(restarts)
+    ]
+    stack, traces, accepted = _ascend(np.stack(starts), obj.value_grad, _STEP, config.iterations)
+    outcomes = []
+    for b, first in enumerate(obj.starts):
+        best = None
+        for r in range(first, first + restarts):
+            table = FunctionTable(geometry, stack[r])
+            report = obj.report(table, b)
+            if report.degenerate:
+                continue
+            if best is None or report.ratio > best.report.ratio:
+                best = SearchOutcome(table, report, accepted[r], tuple(traces[r]))
+        if best is None:
+            raise RuntimeError("every restart produced a degenerate table")
+        outcomes.append(best)
+    return outcomes
+
+
 def maximize_ratio(
     objective: str,
     geometry: TorusGeometry,
@@ -294,27 +432,7 @@ def maximize_ratio(
 ) -> SearchOutcome:
     """Search for a table maximizing the named inequality ratio; the best restart wins."""
     cfg = config if config is not None else OptimizationConfig()
-    obj = _make_objective(objective, geometry, d, norm, p, k)
-    if obj.rhs.scale == 0.0:
-        # every table is 0/0 there (the approximation ratio at k = 1)
-        raise ValueError(f"{objective} has a zero right-hand side on this cell")
-    base = _seed_tuple(cfg.seed)
-    starts = [
-        FunctionTable.random_gaussian(geometry, d, np.random.default_rng(base + (r,))).values
-        for r in range(cfg.restarts)
-    ]
-    stack, traces, accepted = _ascend(np.stack(starts), obj.value_grad, _STEP, cfg.iterations)
-    best = None
-    for vals, trace, steps in zip(stack, traces, accepted):
-        table = FunctionTable(geometry, vals)
-        report = obj.report(table)
-        if report.degenerate:
-            continue
-        if best is None or report.ratio > best.report.ratio:
-            best = SearchOutcome(table, report, steps, tuple(trace))
-    if best is None:
-        raise RuntimeError("every restart produced a degenerate table")
-    return best
+    return _maximize_stack(objective, geometry, d, k, [(norm, p)], [_seed_tuple(cfg.seed)], cfg)[0]
 
 
 def gradient_check(objective: str, f: FunctionTable, norm, p, k: int | None = None) -> float:
@@ -353,13 +471,14 @@ def gradient_check(objective: str, f: FunctionTable, norm, p, k: int | None = No
 
 
 def map_cells(runner, count: int, threads: int) -> list:
-    """runner(0), ..., runner(count - 1) in cell order, on up to `threads` threads.
+    """runner(0), ..., runner(count - 1) in order, on min(threads, usable CPUs, count) threads.
 
     Each thread may hold one evaluation as large as the CLI's size guard allows,
-    so no more threads run than the CPUs this process may use.
+    so no more threads run than the CPUs this process may use, and a pool of
+    one thread runs inline.
     """
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = min(threads, usable or 1)
+    threads = min(threads, usable or 1, count)
     if threads <= 1:
         return [runner(ci) for ci in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -375,20 +494,43 @@ def default_k_rule(n: int, m: int) -> int:
     return max(best, 1)
 
 
+def _stacks(cells, restarts: int) -> list[list[int]]:
+    """Cell indices cut into runs of consecutive cells that share (objective, n, m, k, d).
+
+    A run grows while its restarts x m^n x d entries, summed over its
+    cells, stay within _STACK_ENTRIES; a cell larger than that is a run alone.
+    """
+    stacks, key, held = [], None, 0
+    for ci, (objective, n, m, k, _, _, d) in enumerate(cells):
+        entries = restarts * m**n * d
+        if (objective, n, m, k, d) == key and held + entries <= _STACK_ENTRIES:
+            stacks[-1].append(ci)
+            held += entries
+        else:
+            stacks.append([ci])
+            key, held = (objective, n, m, k, d), entries
+    return stacks
+
+
 def maximize_cells(cells, config: OptimizationConfig, threads: int = 1) -> list[SearchOutcome]:
     """maximize_ratio on each (objective, n, m, k, p, q, d) cell, in cell order.
 
     Cell i searches on the stream (config's seed..., i), so the outcomes do
-    not depend on the thread count.
+    not depend on the thread count. The cells of each of _stacks(cells)
+    ascend as one stack, and each outcome is bitwise the one maximize_ratio
+    finds for its cell alone.
     """
     base = _seed_tuple(config.seed)
+    stacks = _stacks(cells, config.restarts)
 
-    def run(ci: int) -> SearchOutcome:
-        objective, n, m, k, p, q, d = cells[ci]
-        cell_config = replace(config, seed=base + (ci,))
-        return maximize_ratio(objective, TorusGeometry(n, m), d, q, p, k, cell_config)
+    def run(si: int) -> list[SearchOutcome]:
+        members = stacks[si]
+        objective, n, m, k, _, _, d = cells[members[0]]
+        exponents = [(cells[ci][5], cells[ci][4]) for ci in members]
+        seeds = [base + (ci,) for ci in members]
+        return _maximize_stack(objective, TorusGeometry(n, m), d, k, exponents, seeds, config)
 
-    return map_cells(run, len(cells), threads)
+    return [out for outs in map_cells(run, len(stacks), threads) for out in outs]
 
 
 def scan_grid(

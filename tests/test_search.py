@@ -11,9 +11,12 @@ from enflolab.search import (
     OptimizationConfig,
     _MAX_BACKTRACKS,
     _SMOOTHING_EPS,
+    _STACK_ENTRIES,
     _ascend,
     _make_objective,
     _smooth_piece,
+    _stack_objective,
+    _stacks,
     default_k_rule,
     gradient_check,
     maximize_cells,
@@ -69,6 +72,47 @@ def test_q_two_smoothed_piece_is_bitwise_the_general_formula():
                 assert grad.tobytes() == want_grad.tobytes()
 
 
+def smooth_piece_oracle(diff, p, q_eff, eps, lead=()):
+    """The smoothed piece as first written: one fresh array per operation."""
+    sq = diff * diff + eps * eps
+    if q_eff == 2.0:
+        nrm = np.sqrt(sq.sum(axis=-1))
+    else:
+        nrm = np.sum(sq ** (q_eff / 2.0), axis=-1) ** (1.0 / q_eff)
+    count = math.prod(nrm.shape[len(lead) :])
+    value = (nrm**p).reshape(lead + (-1,)).sum(axis=-1) / count
+    weight = (p / count) * nrm ** (p - q_eff)
+    if q_eff == 2.0:
+        return value, weight[..., None] * diff
+    return value, weight[..., None] * sq ** ((q_eff - 2.0) / 2.0) * diff
+
+
+def test_smoothed_piece_is_bitwise_the_oracle_in_fewer_arrays():
+    rng = np.random.default_rng(1)
+    eps = _SMOOTHING_EPS
+    for q_eff in (1.0, 1.5, 2.0, 16.0):
+        for p in (1.0, 1.5, 2.0):
+            for d in (1, 3):
+                stack = rng.standard_normal((5, 6, 6, d))
+                stack[2] *= eps  # a member at the smoothing scale
+                stack.flags.writeable = False
+                cases = ((stack[0], ()), (stack, (5,)), (stack[1:4], (3,)))
+                for diff, lead in cases:
+                    want_value, want_grad = smooth_piece_oracle(diff, p, q_eff, eps, lead)
+                    value, grad = _smooth_piece(diff, p, q_eff, eps, lead)
+                    assert np.asarray(value).tobytes() == np.asarray(want_value).tobytes()
+                    assert grad.shape == want_grad.shape
+                    assert grad.tobytes() == want_grad.tobytes(), (q_eff, p, d, lead)
+                    assert grad.flags.writeable
+                    assert not np.shares_memory(grad, diff)
+                    # a block of a stack gradient is written in place
+                    joint = np.full((7,) + diff.shape, np.nan)
+                    value, grad = _smooth_piece(diff, p, q_eff, eps, lead, joint[3])
+                    assert np.shares_memory(grad, joint[3])
+                    assert joint[3].tobytes() == want_grad.tobytes()
+                    assert np.isnan(joint[:3]).all() and np.isnan(joint[4:]).all()
+
+
 def test_gradients_match_finite_differences_everywhere():
     for name, table, k in objective_cases():
         err = gradient_check(name, table, 2.0, 2.0, k=k)
@@ -112,10 +156,18 @@ def test_reported_ratio_is_a_fresh_exact_evaluation():
     assert out.report.rhs == again.rhs
 
 
-def lone_ascent(values, value_grad, step, iterations):
-    """The ascent of one (m^n, d) table on its own, one restart at a time."""
+def lone_ascent(values, value_grad, step, iterations, member=0):
+    """The ascent of one (m^n, d) table on its own, one restart at a time.
+
+    value_grad sees the table as the one row of a stack, whose member id is member.
+    """
+
+    def value_grad_alone(vals):
+        lhs, glhs, rhs, grhs = value_grad(vals[None], [member])
+        return lhs[0], glhs[0], rhs[0], grhs[0]
+
     vals = values - values.mean(axis=0)
-    lhs, glhs, rhs, grhs = value_grad(vals)
+    lhs, glhs, rhs, grhs = value_grad_alone(vals)
     best = math.log(lhs) - math.log(rhs)
     trace = [best]
     accepted = 0
@@ -127,7 +179,7 @@ def lone_ascent(values, value_grad, step, iterations):
         for _ in range(_MAX_BACKTRACKS):
             cand = vals + stepsize * direction
             cand = cand - cand.mean(axis=0)
-            clhs, cglhs, crhs, cgrhs = value_grad(cand)
+            clhs, cglhs, crhs, cgrhs = value_grad_alone(cand)
             objective = math.log(clhs) - math.log(crhs)
             if objective > best:
                 vals, lhs, glhs, rhs, grhs = cand, clhs, cglhs, crhs, cgrhs
@@ -143,17 +195,17 @@ def lone_ascent(values, value_grad, step, iterations):
 
 
 def pinned_at_start(value_grad, pinned):
-    """value_grad whose first evaluation inflates lhs where pinned holds.
+    """value_grad whose first evaluation inflates lhs where pinned[member id] holds.
 
     A pinned member starts at an objective no step can beat, so it stops
     after _MAX_BACKTRACKS failed halvings with no accepted step.
     """
     calls = []
 
-    def wrapped(vals):
-        lhs, glhs, rhs, grhs = value_grad(vals)
+    def wrapped(vals, ids):
+        lhs, glhs, rhs, grhs = value_grad(vals, ids)
         if not calls:
-            lhs = np.where(pinned, lhs * 1e12, lhs)
+            lhs = np.where(pinned[list(ids)], lhs * 1e12, lhs)
         calls.append(1)
         return lhs, glhs, rhs, grhs
 
@@ -174,8 +226,8 @@ def test_lockstep_ascent_is_bitwise_each_lone_ascent():
             )
             assert vals.shape == stack.shape
             for r in range(4):
-                value_grad = pinned_at_start(obj.value_grad, pinned[r])
-                want = lone_ascent(stack[r], value_grad, 0.5, 6)
+                value_grad = pinned_at_start(obj.value_grad, pinned)
+                want = lone_ascent(stack[r], value_grad, 0.5, 6, member=r)
                 assert vals[r].tobytes() == want[0].tobytes(), (name, p, q, r)
                 assert traces[r] == want[1], (name, p, q, r)
                 assert accepted[r] == want[2], (name, p, q, r)
@@ -194,9 +246,46 @@ def test_lockstep_members_stop_at_their_own_iteration():
     assert len({len(trace) for trace in traces}) == 4
     assert max(accepted) == 200
     for r in range(4):
-        want = lone_ascent(stack[r], obj.value_grad, 64.0, 200)
+        want = lone_ascent(stack[r], obj.value_grad, 64.0, 200, member=r)
         assert vals[r].tobytes() == want[0].tobytes()
         assert traces[r] == want[1] and accepted[r] == want[2]
+
+
+def test_stacked_blocks_ascend_bitwise_as_their_cells_alone():
+    # three cells of one operator set, two members each; member 3 is pinned
+    f = gaussian(2, 8, 2, seed=14)
+    exponents = [(NormSpec(1.0), 1.0), (NormSpec(2.0), 1.5), (NormSpec(math.inf), 2.0)]
+    obj = _stack_objective("smoothing", f.geometry, f.d, 3, exponents, members=2)
+    assert obj.starts == (0, 2, 4)
+    stack = np.random.default_rng(15).standard_normal((6,) + f.values.shape)
+    pinned = np.array([False, False, False, True, False, False])
+    vals, traces, accepted = _ascend(stack, pinned_at_start(obj.value_grad, pinned), 0.5, 6)
+    for r in range(6):
+        norm, p = exponents[r // 2]
+        alone = _make_objective("smoothing", f.geometry, f.d, norm, p, 3)
+        want = lone_ascent(stack[r], pinned_at_start(alone.value_grad, pinned[r : r + 1]), 0.5, 6)
+        assert vals[r].tobytes() == want[0].tobytes(), r
+        assert traces[r] == want[1] and accepted[r] == want[2], r
+    assert accepted[3] == 0 and min(accepted[:3] + accepted[4:]) > 0
+    # rows of several cells are placed by their member ids only
+    with pytest.raises(ValueError, match="member ids"):
+        obj.value_grad(stack)
+
+
+def test_stacks_are_capped_runs_of_one_operator_set():
+    def cell(objective="smoothing", n=2, m=8, k=3, p=2.0, q=2.0, d=1):
+        return (objective, n, m, k, p, q, d)
+
+    # 2 restarts x 64 entries per cell
+    cells = [cell(p=1.5), cell(), cell(q=1.0), cell(d=2), cell(d=2, p=1.5), cell(k=1)]
+    assert _stacks(cells, 2) == [[0, 1, 2], [3, 4], [5]]
+    other = [cell(objective="approximation"), cell(n=1), cell(m=12), cell()]
+    assert _stacks(other, 2) == [[0], [1], [2], [3]]
+    # at 64 restarts a cell holds 4096 entries, half the cap, so a run holds two such cells
+    full = _STACK_ENTRIES // 2 // 64
+    assert _stacks([cell()] * 5, full) == [[0, 1], [2, 3], [4]]
+    assert _stacks([cell()] * 3, full + 1) == [[0], [1], [2]]
+    assert _stacks([cell(n=3, m=16, d=3)] * 2, 1) == [[0], [1]]
 
 
 def test_trace_is_nondecreasing():
@@ -274,6 +363,31 @@ def test_maximize_cells_is_maximize_ratio_on_each_cell_stream():
                 objective, n, m, k, d
             )
             assert (report.p, report.q) == (p, q)
+
+
+def test_stacked_cells_are_each_maximize_ratio_alone():
+    cells = [
+        ("smoothing", 2, 8, 3, p, q, 2) for p in (1.0, 1.5, 2.0) for q in (1.0, 2.0, math.inf)
+    ]
+    cells += [("pisier", 3, 2, None, p, 2.0, 1) for p in (1.5, 2.0)]
+    # 2 restarts x 16^3 x 2 entries are past the cap, so each of these is a stack alone
+    cells += [("scaled_enflo", 3, 16, None, p, 2.0, 2) for p in (1.5, 2.0)]
+    config = OptimizationConfig(restarts=2, iterations=8, seed=(6, 2))
+    assert _stacks(cells, 2) == [list(range(9)), [9, 10], [11], [12]]
+    alone = [
+        maximize_ratio(
+            objective, TorusGeometry(n, m), d, q, p, k, replace(config, seed=(6, 2, i))
+        )
+        for i, (objective, n, m, k, p, q, d) in enumerate(cells)
+    ]
+    for threads in (1, 2):
+        outcomes = maximize_cells(cells, config, threads=threads)
+        assert len(outcomes) == len(cells)
+        for cell, out, want in zip(cells, outcomes, alone):
+            assert out.table.values.tobytes() == want.table.values.tobytes(), (cell, threads)
+            assert out.report == want.report, (cell, threads)
+            assert out.trace == want.trace and out.accepted_steps == want.accepted_steps
+            assert (out.report.evaluator, out.report.p, out.report.q) == (cell[0], cell[4], cell[5])
 
 
 def test_maximize_validation():
@@ -380,3 +494,8 @@ def test_map_cells_runs_no_more_threads_than_usable_cpus(monkeypatch):
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         assert search.map_cells(lambda ci: ci * ci, 5, 10**6) == [0, 1, 4, 9, 16]
         assert sizes == pools
+    # no more threads than cells either: two cells take a pool of two, one runs inline
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda _: {0, 1, 2}, raising=False)
+    assert search.map_cells(lambda ci: ci + 1, 2, 10**6) == [1, 2]
+    assert search.map_cells(lambda ci: ci + 1, 1, 10**6) == [1]
+    assert sizes == [3, 2]
