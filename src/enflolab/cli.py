@@ -510,13 +510,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        raw = Path(args.config).read_text()
+        raw = Path(args.config).read_bytes()
     except OSError as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
     try:
+        # json.loads detects the encoding of bytes; a decode error is a ValueError,
+        # and so is an integer literal beyond Python's digit limit
         payload = json.loads(raw)
-    except ValueError as exc:  # also an integer literal beyond Python's digit limit
+    except ValueError as exc:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     try:

@@ -9,15 +9,17 @@ reporting.
 
 Each side of each inequality is a weighted p-th moment of linear
 translation-invariant difference operators applied to a source: f, its
-full-box average B f, or B f - f. The operators are (apply, adjoint) pairs on
-(m,)*n + (d,) arrays, or on stacks of them with leading batch axes.
-inequality_sides declares each inequality's two sides, constants and valid
-cells once; the evaluators here and the extremal search in search.py, which
-differentiates the same pairs, both read it.
+full-box average B f, or B f - f, the last two declared with their radius k
+as a Box. The operators are (apply, adjoint) pairs on (m,)*n + (d,) arrays,
+or on stacks of them with leading batch axes. inequality_sides declares each
+inequality's two sides, constants and valid cells once, and Side.read is the
+one place a source is read, given the caller's box average: the evaluators
+here pass a memoized box_average, and the extremal search in search.py, which
+differentiates the same pairs, passes box_average_array.
 
 The evaluators keep what they derive from a table in a memo of their own,
 held only as long as the table: B f per radius k, and each side's unscaled
-moment per (source, k, ops, q, p). Inequalities that share a moment on one
+moment per (source, ops, q, p). Inequalities that share a moment on one
 table therefore compute it once; the edge energy, say, serves scaled Enflo,
 approximation and smoothing.
 """
@@ -53,6 +55,7 @@ __all__ = [
     "diagonal_differences",
     "mean_deviation",
     "sign_combinations",
+    "Box",
     "Side",
     "INEQUALITY_KINDS",
     "check_cell",
@@ -364,8 +367,13 @@ INEQUALITY_KINDS = {
     "pisier": InequalityKind(radius=False, torus=False),
 }
 
-# what a side's operators act on: f itself, its full-box average B f, or B f - f
-SOURCE_F, SOURCE_BOX, SOURCE_BOX_DISPLACEMENT = "f", "B f", "B f - f"
+
+class Box(NamedTuple):
+    """A side's source: B f, the even-box average of f on all grid axes at radius k, or B f - f."""
+
+    k: int
+    displaced: bool = False
+
 
 # for sides whose source already is the difference field
 identity_op = DiffOp(lambda nd: nd, lambda w: w)
@@ -374,22 +382,32 @@ identity_op = DiffOp(lambda nd: nd, lambda w: w)
 class Side(NamedTuple):
     """One side of an inequality: scale times the summed p-th moments of ops(source).
 
-    The ops and the source fix the side's unscaled moment on a table; the
-    exact evaluators memoize it per table under (source, k, ops, q, p),
-    with k dropped for the source f. The ops tuples come from lru_cache'd
-    declarations, so equal sides share one key.
+    The source is f (None) or a Box, which carries its radius. The ops and
+    the source fix the side's unscaled moment on a table; the exact
+    evaluators memoize it per table under (source, ops, q, p). The ops
+    tuples come from lru_cache'd declarations, so equal sides share one key.
     """
 
     scale: float
     ops: tuple[DiffOp, ...]
-    source: str = SOURCE_F
+    source: Box | None = None
+
+    def read(self, vals: np.ndarray, average: Callable) -> np.ndarray:
+        """The source of a (..., m^n, d) stack, where average(vals, k) is its B f.
+
+        f, B f and B f - f are self adjoint, so reading a gradient pulls it back.
+        """
+        if self.source is None:
+            return vals
+        smooth = average(vals, self.source.k)
+        return smooth - vals if self.source.displaced else smooth
 
     def moment(self, source_nd: np.ndarray, norm: NormSpec, p: float) -> float:
-        """Exact value of the side, given its source shaped (m,)*n + (d,)."""
+        """Unscaled value of the side, given its source shaped (m,)*n + (d,)."""
         total = 0.0
         for op in self.ops:
             total += _grid_moment(op.apply(source_nd), norm, p)
-        return self.scale * total
+        return total
 
 
 def edge_energy(f: FunctionTable, norm, p) -> float:
@@ -445,12 +463,12 @@ def inequality_sides(name: str, geometry: TorusGeometry, k: int | None, p: float
         return Side(1.0, (half_shift(n, m),)), Side(float(m) ** p, steps)
     if name == "approximation":
         scale = float(k - 1) ** p * float(n) ** (p - 1.0)
-        return Side(1.0, (identity_op,), SOURCE_BOX_DISPLACEMENT), Side(scale, steps)
+        return Side(1.0, (identity_op,), Box(k, displaced=True)), Side(scale, steps)
     if name == "smoothing":
         # the mean over all 2^n sign vectors eps of B f(x + eps) - B f(x - eps),
         # read off the 2^(n-1) fields of diagonal_differences
         diagonal = diagonal_differences(n)
-        return Side(1.0 / float(len(diagonal)), diagonal, SOURCE_BOX), Side(1.0, steps)
+        return Side(1.0 / float(len(diagonal)), diagonal, Box(k)), Side(1.0, steps)
     if name == "enflo":
         return Side(1.0, (half_shift(n, m),)), Side(1.0, steps)
     rhs = Side((math.e * math.log(n)) ** p, (sign_combinations(n),))
@@ -464,34 +482,27 @@ def inequality_sides(name: str, geometry: TorusGeometry, k: int | None, p: float
 _TABLE_MEMO: weakref.WeakKeyDictionary[FunctionTable, dict] = weakref.WeakKeyDictionary()
 
 
-def _source(f: FunctionTable, memo: dict, source: str, k: int | None) -> np.ndarray:
-    """A side's source on f, shaped (m,)*n + (d,); B f is memoized per k."""
-    if source == SOURCE_F:
-        return f.nd_view()
-    smooth = memo.get((SOURCE_BOX, k))
-    if smooth is None:
-        smooth = box_average(f, range(f.geometry.n), k).values
-        memo[(SOURCE_BOX, k)] = smooth
-    if source == SOURCE_BOX_DISPLACEMENT:
-        smooth = smooth - f.values
-    return smooth.reshape(f.geometry.shape + (f.d,))
-
-
 def _evaluate(name: str, f: FunctionTable, k: int | None, norm, p) -> RatioReport:
     """Both sides of the named inequality on f; each moment is computed once per table."""
     norm = as_norm(norm)
     p = as_exponent(p)
     g = f.geometry
     memo = _TABLE_MEMO.setdefault(f, {})
+
+    def smooth(vals, radius):  # B f, memoized per radius; vals is f.values
+        if radius not in memo:
+            memo[radius] = box_average(f, range(g.n), radius).values
+        return memo[radius]
+
     values = []
     for side in inequality_sides(name, g, k, p):
-        key = (side.source, None if side.source == SOURCE_F else k, side.ops, norm.q, p)
+        key = (side.source, side.ops, norm.q, p)
         moment = memo.get(key)
         if moment is None:
-            if side.source == SOURCE_F and side.ops == unit_steps(g.n):
+            if side.source is None and side.ops == unit_steps(g.n):
                 moment = edge_energy(f, norm, p)
             else:
-                moment = Side(1.0, side.ops).moment(_source(f, memo, side.source, k), norm, p)
+                moment = side.moment(side.read(f.values, smooth).reshape(g.shape + (f.d,)), norm, p)
             memo[key] = moment
         values.append(side.scale * moment)
     lhs, rhs = values

@@ -4,9 +4,12 @@ The objective is the log of an inequality ratio whose two sides are read
 from inequalities.inequality_sides, never restated here. Each side is
 rewritten with a smoothed vector norm: each squared component gains
 _SMOOTHING_EPS^2 before the q-th power sum, which makes every objective
-differentiable and strictly positive, so the log never sees zero. The sup
-norm is handled through a finite surrogate power. Iterates live in the
-mean-zero subspace (every objective kills constants), each round's trial
+differentiable and strictly positive, so the log never sees zero. A q
+above _SUP_SURROGATE_POWER, the sup norm included, takes that finite power
+instead, where sq^(q/2) would overflow. Each side reads its source through
+Side.read with box_average_array; f, B f and B f - f are self adjoint, so
+the same read pulls the gradient back. Iterates live in the mean-zero
+subspace (every objective kills constants), each round's trial
 step starts at _STEP and halves until a strict increase, and each restart
 draws its start from its own seeded stream. Consecutive cells that share
 (objective, n, m, k, d) differ only in p, q and the side scales, so up to
@@ -35,8 +38,6 @@ import numpy as np
 from .averaging import box_average_array
 from .inequalities import (
     INEQUALITY_KINDS,
-    SOURCE_BOX,
-    SOURCE_F,
     RatioReport,
     Side,
     approximation_ratio,
@@ -72,7 +73,8 @@ _EXACT = {
     "pisier": lambda f, k, norm, p: pisier_ratio(f, norm, p),
 }
 
-# sup norm surrogate power for the smoothed objective only
+# largest power of the smoothed objective only, taken by the sup norm and by any
+# larger finite q: sq^(q/2) overflows long before q = 400
 _SUP_SURROGATE_POWER = 16.0
 
 # smoothing scale: each squared component of a difference vector gains its square;
@@ -185,15 +187,11 @@ class _Objective:
     sides: tuple[Side, Side]
     geometry: TorusGeometry
     shape: tuple[int, ...]  # (m,)*n + (d,)
-    k: int | None
     blocks: tuple[_Block, ...]
     starts: tuple[int, ...]
 
-    def _source(self, side: Side, vals: np.ndarray) -> np.ndarray:
-        if side.source == SOURCE_F:
-            return vals
-        smooth = box_average_array(self.geometry, vals, range(self.geometry.n), self.k)
-        return smooth if side.source == SOURCE_BOX else smooth - vals
+    def _average(self, vals: np.ndarray, k: int) -> np.ndarray:
+        return box_average_array(self.geometry, vals, range(self.geometry.n), k)
 
     def _spans(self, ids) -> list:
         """(block, rows) per block with rows; ids are the rows' member ids, ascending."""
@@ -207,7 +205,7 @@ class _Objective:
     def _side_value_grad(self, which: int, vals: np.ndarray, spans: list):
         side = self.sides[which]
         lead = vals.shape[:-2]
-        nd = self._source(side, vals).reshape(lead + self.shape)
+        nd = side.read(vals, self._average).reshape(lead + self.shape)
         total = np.zeros(lead)
         grad = np.zeros_like(nd)
         for op in side.ops:
@@ -226,8 +224,8 @@ class _Objective:
                 )
                 total[rows] += v
             grad += op.adjoint(g if joint is None else joint).reshape(nd.shape)
-        # B and B - I are self adjoint, so the source map pulls the gradient back
-        grad = self._source(side, grad.reshape(vals.shape))
+        # the source read is self adjoint, so it pulls the gradient back
+        grad = side.read(grad.reshape(vals.shape), self._average)
         for block, rows in spans:
             total[rows] *= block.scales[which]
             grad[rows] *= block.scales[which]
@@ -254,7 +252,7 @@ class _Objective:
         """Smallest Euclidean length among all difference vectors of both sides."""
         worst = math.inf
         for side in self.sides:
-            nd = self._source(side, vals).reshape(self.shape)
+            nd = side.read(vals, self._average).reshape(self.shape)
             for op in side.ops:
                 diff = op.apply(nd)
                 mags = np.sqrt(np.sum(diff * diff, axis=-1))
@@ -277,23 +275,11 @@ def _stack_objective(
         p = as_exponent(p)
         # the sources and ops depend on (name, n, m, k) only, so every cell declares the same
         sides = inequality_sides(name, geometry, k, p)
-        q_eff = _SUP_SURROGATE_POWER if math.isinf(norm.q) else float(norm.q)
+        q_eff = min(float(norm.q), _SUP_SURROGATE_POWER)
         report = partial(_EXACT[name], k=k, norm=norm, p=p)
         blocks.append(_Block(p, q_eff, (sides[0].scale, sides[1].scale), report))
     starts = tuple(range(0, members * len(blocks), members))
-    return _Objective(sides, geometry, geometry.shape + (d,), k, tuple(blocks), starts)
-
-
-def _make_objective(
-    name: str,
-    geometry: TorusGeometry,
-    d: int,
-    norm,
-    p: float,
-    k: int | None,
-) -> _Objective:
-    """Objective of one cell, as a stack of one block."""
-    return _stack_objective(name, geometry, d, k, [(norm, p)])
+    return _Objective(sides, geometry, geometry.shape + (d,), tuple(blocks), starts)
 
 
 def _project(vals: np.ndarray) -> np.ndarray:
@@ -447,7 +433,7 @@ def gradient_check(objective: str, f: FunctionTable, norm, p, k: int | None = No
     p = as_exponent(p)
     if not p > 1:
         raise ValueError("gradient checks need p above 1")
-    obj = _make_objective(objective, f.geometry, f.d, norm, p, k)
+    obj = _stack_objective(objective, f.geometry, f.d, k, [(norm, p)])
     vals = f.values
     if obj.min_diff(vals) < 10.0 * _SMOOTHING_EPS:
         raise ValueError("table has differences at the smoothing scale")

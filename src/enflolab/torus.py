@@ -169,8 +169,19 @@ class NormSpec:
             for j in range(1, v.shape[-1]):
                 combine(out, np.abs(v[..., j], out=row), out=out)
             return out
-        np.add.reduce(np.abs(v) ** self.q, axis=-1, out=out)
-        return np.power(out, 1.0 / self.q, out=out)
+        with np.errstate(over="ignore"):
+            np.add.reduce(np.abs(v) ** self.q, axis=-1, out=out)
+        # at large q a row's power sum can overflow, or fall below the normal
+        # range and lose its digits; redo only such rows, scaled by their
+        # largest entry (a zero row stays 0), so every other row keeps its bits
+        redo = np.isinf(out) | (out < np.finfo(np.float64).tiny)
+        np.power(out, 1.0 / self.q, out=out)
+        if redo.any():
+            rows = np.abs(v[redo])
+            top = rows.max(axis=-1, keepdims=True)
+            scaled = np.divide(rows, top, out=np.zeros_like(rows), where=top > 0)
+            out[redo] = np.add.reduce(scaled**self.q, axis=-1) ** (1.0 / self.q) * top[:, 0]
+        return out
 
 
 def as_norm(spec) -> NormSpec:

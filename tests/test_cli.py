@@ -377,6 +377,31 @@ def test_invalid_config_exits_2_and_writes_nothing(tmp_path):
             text=True,
         )
         assert proc.returncode == 2, proc.stderr
+    # a config that is not UTF-8 is a config error too, not a traceback
+    garbled = tmp_path / "garbled.json"
+    garbled.write_bytes(b"\xff{}")
+    assert cli.main(["--config", str(garbled), "--out", str(tmp_path / "garbled")]) == 2
+    assert not (tmp_path / "garbled").exists()
+
+
+@pytest.mark.parametrize("q", [800.0, 1e308])
+def test_check_lemmas_at_a_huge_finite_q_reports_finite_ratios(q, tmp_path):
+    # |v|^q overflows far below these q; the norms must not, nor fail a proven bound
+    config = base_config(
+        "check-lemmas",
+        n_values=[1],
+        m_values=[8],
+        k_values=[3],
+        p_values=[1.0],
+        q_values=[q],
+        d_values=[2],
+    )
+    assert run_main(config, tmp_path) == 0
+    with open(tmp_path / "out" / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 * 25
+    for row in rows:
+        assert all(math.isfinite(float(row[column])) for column in ("lhs", "rhs", "ratio"))
 
 
 def test_scan_outputs_are_thread_independent(tmp_path):

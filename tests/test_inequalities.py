@@ -10,10 +10,12 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from enflolab import inequalities
-from enflolab.averaging import build_even_box, convolve
+from enflolab.averaging import box_average_array, build_even_box, convolve
 from enflolab.inequalities import (
     PROVEN_BOUND_RTOL,
+    Box,
     ProvenBoundViolation,
+    Side,
     _build_report,
     approximation_ratio,
     diagonal_differences,
@@ -155,6 +157,25 @@ def test_diff_ops_read_the_right_points_and_transpose(data):
         rhs = float(np.sum(f.reshape(-1) * op.adjoint(w).reshape(-1)))
         scale = float(np.sum(np.abs(image * w)))
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+    # a side's source read gives B f (the stencil's) and B f - f at every odd k
+    # with 2k < m, and is self adjoint, as the search's gradient pull-back needs
+    vals = table.reshape(g.size, d)
+
+    def average(v, k):
+        return box_average_array(g, v, range(n), k)
+
+    for k in range(1, (m + 1) // 2, 2):
+        smooth = convolve(FunctionTable(g, vals), build_even_box(g, range(n), k)).values
+        for source, want in ((Box(k), smooth), (Box(k, displaced=True), smooth - vals)):
+            read = Side(1.0, (), source).read
+            image = read(vals, average)
+            np.testing.assert_allclose(image, want, rtol=0.0, atol=1e-12)
+            w = rng.standard_normal(image.shape)
+            lhs = float(np.sum(image * w))
+            rhs = float(np.sum(vals * read(w, average)))
+            scale = float(np.sum(np.abs(image * w))) + float(np.sum(np.abs(vals * w)))
+            assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 def test_declared_ops_act_on_each_member_of_a_stack_bitwise():

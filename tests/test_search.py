@@ -13,7 +13,6 @@ from enflolab.search import (
     _SMOOTHING_EPS,
     _STACK_ENTRIES,
     _ascend,
-    _make_objective,
     _smooth_piece,
     _stack_objective,
     _stacks,
@@ -124,7 +123,7 @@ def test_smoothed_sides_match_the_exact_evaluator(monkeypatch):
     for name, table, k in objective_cases():
         for q in (1.0, 1.5, 2.0):
             for p in (1.0, 1.5, 2.0):
-                obj = _make_objective(name, table.geometry, table.d, NormSpec(q), p, k)
+                obj = _stack_objective(name, table.geometry, table.d, k, [(NormSpec(q), p)])
                 lhs, _, rhs, _ = obj.value_grad(table.values)
                 exact = obj.report(table)
                 assert abs(lhs - exact.lhs) <= 1e-12 * exact.lhs, (name, q, p)
@@ -217,7 +216,7 @@ def test_lockstep_ascent_is_bitwise_each_lone_ascent():
     rng = np.random.default_rng(12)
     for name, f, k in objective_cases(torus, cube):
         for p, q in ((2.0, 2.0), (1.5, math.inf)):
-            obj = _make_objective(name, f.geometry, f.d, NormSpec(q), p, k)
+            obj = _stack_objective(name, f.geometry, f.d, k, [(NormSpec(q), p)])
             stack = rng.standard_normal((4,) + f.values.shape)
             # member 1 is pinned, so members 0, 2 and 3 ascend around it
             pinned = np.array([False, True, False, False])
@@ -240,7 +239,7 @@ def test_lockstep_members_stop_at_their_own_iteration():
     # the iteration budget; a large step makes every member backtrack often
     # between accepted steps. Each still matches its lone ascent.
     g = TorusGeometry(1, 4)
-    obj = _make_objective("scaled_enflo", g, 1, NormSpec(2.0), 2.0, None)
+    obj = _stack_objective("scaled_enflo", g, 1, None, [(NormSpec(2.0), 2.0)])
     stack = np.random.default_rng(13).standard_normal((4, g.size, 1))
     vals, traces, accepted = _ascend(stack, obj.value_grad, 64.0, 200)
     assert len({len(trace) for trace in traces}) == 4
@@ -262,7 +261,7 @@ def test_stacked_blocks_ascend_bitwise_as_their_cells_alone():
     vals, traces, accepted = _ascend(stack, pinned_at_start(obj.value_grad, pinned), 0.5, 6)
     for r in range(6):
         norm, p = exponents[r // 2]
-        alone = _make_objective("smoothing", f.geometry, f.d, norm, p, 3)
+        alone = _stack_objective("smoothing", f.geometry, f.d, 3, [(norm, p)])
         want = lone_ascent(stack[r], pinned_at_start(alone.value_grad, pinned[r : r + 1]), 0.5, 6)
         assert vals[r].tobytes() == want[0].tobytes(), r
         assert traces[r] == want[1] and accepted[r] == want[2], r
@@ -288,6 +287,16 @@ def test_stacks_are_capped_runs_of_one_operator_set():
     assert _stacks([cell(n=3, m=16, d=3)] * 2, 1) == [[0], [1]]
 
 
+def test_search_at_a_huge_finite_q_accepts_its_steps():
+    # sq^(q/2) overflows at q = 400, so the smoothed objective takes the sup
+    # surrogate's power there; the ascent must still move from its start
+    config = OptimizationConfig(restarts=1, iterations=5)
+    g = TorusGeometry(2, 8)
+    outcome = maximize_ratio("scaled_enflo", g, d=2, norm=400.0, p=2.0, config=config)
+    assert outcome.accepted_steps == 5
+    assert all(math.isfinite(value) for value in outcome.trace)
+
+
 def test_trace_is_nondecreasing():
     g = TorusGeometry(2, 8)
     config = OptimizationConfig(restarts=2, iterations=40, seed=5)
@@ -299,7 +308,7 @@ def test_trace_is_nondecreasing():
 
 def test_smoothed_objective_ignores_added_constants():
     g = TorusGeometry(2, 8)
-    obj = _make_objective("scaled_enflo", g, 2, NormSpec(2.0), 2.0, None)
+    obj = _stack_objective("scaled_enflo", g, 2, None, [(NormSpec(2.0), 2.0)])
     f = gaussian(2, 8, 2, seed=7)
     lifted = f.values + np.array([3.0, -11.0])
     a = obj.value_grad(f.values)
@@ -311,7 +320,7 @@ def test_smoothed_objective_ignores_added_constants():
 def test_gradients_vanish_along_constant_shifts():
     torus, cube = gaussian(2, 8, 2, seed=8), gaussian(3, 2, 2, seed=9)
     for name, f, k in objective_cases(torus, cube):
-        obj = _make_objective(name, f.geometry, f.d, NormSpec(2.0), 2.0, k)
+        obj = _stack_objective(name, f.geometry, f.d, k, [(NormSpec(2.0), 2.0)])
         _, glhs, _, grhs = obj.value_grad(f.values)
         assert np.abs(glhs.mean(axis=0)).max() < 1e-10
         assert np.abs(grhs.mean(axis=0)).max() < 1e-10

@@ -127,6 +127,18 @@ def test_lengths_on_a_long_trailing_axis_match_numpy_norm():
         np.testing.assert_allclose(NormSpec(q).lengths(v), want, rtol=1e-12, atol=0.0)
 
 
+def test_lengths_at_a_huge_finite_q_neither_overflow_nor_underflow():
+    # |v|^q leaves the normal range at these q; such rows are redone scaled by
+    # their largest entry, and every other row keeps the bits of the plain sum
+    v = np.array([[3.0, -4.0], [1e-3, 2e-3], [0.0, 0.0], [0.5, 0.25], [0.9, 1.1]])
+    for q in (400.0, 800.0, 1e308):
+        got = NormSpec(q).lengths(v)
+        np.testing.assert_allclose(got, np.abs(v).max(axis=-1), rtol=2e-3, atol=0.0)
+    plain = v[[0, 4]]
+    want = np.add.reduce(np.abs(plain) ** 400.0, axis=-1) ** (1.0 / 400.0)
+    assert np.array_equal(NormSpec(400.0).lengths(v)[[0, 4]], want)
+
+
 def test_norm_and_exponent_validation():
     with pytest.raises(ValueError):
         NormSpec(0.5)

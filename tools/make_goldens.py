@@ -47,10 +47,14 @@ def naive_smoothing_ratio(f: FunctionTable, k: int, norm, p: float):
     """Smoothing ratio through the naive stencil, bypassing the fast path."""
     g = f.geometry
     norm, p = as_norm(norm), as_exponent(p)
-    lhs_side, rhs_side = inequality_sides("smoothing", g, k, p)
-    smooth = convolve(f, build_even_box(g, range(g.n), k))
-    lhs = lhs_side.moment(smooth.nd_view(), norm, p)
-    rhs = rhs_side.moment(f.nd_view(), norm, p)
+
+    def stencil(vals, radius):  # B f through the stencil; vals is f.values
+        return convolve(f, build_even_box(g, range(g.n), radius)).values
+
+    lhs, rhs = (
+        side.scale * side.moment(side.read(f.values, stencil).reshape(g.shape + (f.d,)), norm, p)
+        for side in inequality_sides("smoothing", g, k, p)
+    )
     return None if rhs == 0.0 else lhs / rhs
 
 
