@@ -156,8 +156,15 @@ def _cached_parity_shell(geometry: TorusGeometry, axis: int, k: int) -> SupportS
 
 
 def _is_constant(values: np.ndarray) -> np.ndarray:
-    """Per member of a (..., m^n, d) stack, whether its table is constant."""
-    return np.all(values == values[..., :1, :], axis=(-2, -1))
+    """Per member of a (..., m^n, d) stack, whether its table is constant.
+
+    Each row is compared with its neighbour, not with row 0: float == is
+    transitive on non-NaN values and false on NaN, so the decision is the
+    same, and the comparison reads two contiguous slices instead of
+    broadcasting one short row.
+    """
+    same = values[..., 1:, :] == values[..., :-1, :]
+    return same.reshape(values.shape[:-2] + (-1,)).all(axis=-1)
 
 
 def convolve(f: FunctionTable, support: SupportSet) -> FunctionTable:

@@ -114,13 +114,18 @@ def _check_size(work: str, n: int, m: int, d: int, restarts: int = 1) -> None:
     difference per subset and sign pattern: sum_{i,l} C(n,i) C(i,l) = 3^n
     scalar tables. The rule bounds the fit. The replay holds one batch of
     samples, the columns of one table of at most 2^15 entries (one sample's
-    m^n when that is larger), and a few averages of it at a time. A search
-    cell ascends its restarts together, as one stack of tables, so it holds
-    and computes `restarts` times what one of its tables does. Consecutive
-    search cells that share (objective, n, m, k, d) may ascend as one stack,
-    but a stack of several cells holds at most 2^13 entries
+    m^n when that is larger), and the partial window sums of one average at
+    a time, and computes each average only at the points it reads. A
+    search cell ascends its restarts together, as one stack of tables, so it
+    holds and computes `restarts` times what one of its tables does.
+    Consecutive search cells that share (objective, n, m, k, d) may ascend
+    as one stack, but a stack of several cells holds at most 2^13 entries
     (search._STACK_ENTRIES), far below both limits, and a larger cell ascends
-    alone; so the per-cell `restarts` rule still bounds every stack.
+    alone; so the per-cell `restarts` rule still bounds every stack. The
+    rule ignores tables_per_cell, iterations and heldout_samples: it bounds
+    the memory and work of one evaluation, and these keys only repeat
+    evaluations of the same size, so they multiply run time linearly and
+    hold no more at once.
     """
     if n > MAX_HELD_ENTRIES.bit_length():  # m >= 2, so m^n alone is too large
         held = computed = math.inf

@@ -29,8 +29,16 @@ from itertools import combinations
 
 import numpy as np
 
-from .averaging import box_average, check_radius, convolve_shell_separable
+from .averaging import (
+    _axis_window_pass,
+    _is_constant,
+    box_average,
+    build_even_box,
+    check_radius,
+    convolve_shell_separable,
+)
 from .inequalities import RatioReport, _build_report, _grid_moment, edge_energy, shift_difference
+from .kernels import window_sums
 from .torus import FunctionTable, TorusGeometry, as_exponent, as_norm, sign_vectors
 
 __all__ = [
@@ -58,8 +66,10 @@ IDENTITY_RESIDUAL_TOL = 1e-8
 REPLAY_SAMPLES = 200
 
 # the replay stacks its samples as the columns of one table of at most this
-# many float64 entries (8 samples at n = 4, m = 8), so each average is one
-# call per batch rather than per sample
+# many float64 entries (8 samples at n = 4, m = 8), so each window pass runs
+# once per batch rather than per sample; beside the batch it holds the
+# partial window sums of one average at a time, and it computes each
+# average only at the points that it reads
 _REPLAY_BATCH_ENTRIES = 2**15
 
 
@@ -237,6 +247,95 @@ class IdentityCheck:
     passed: bool
 
 
+def _passes_at(
+    values: np.ndarray,
+    geometry: TorusGeometry,
+    k: int,
+    passes: list[tuple[int, bool]],
+    coords: np.ndarray,
+    samples: np.ndarray,
+) -> np.ndarray:
+    """Undivided (axis, odd_window) window passes of a (m^n, size) batch, read at points.
+
+    coords is a (..., n) stack of grid points and samples, broadcast against
+    its leading shape, names each point's column. Every pass but the last
+    runs over the whole batch, as the separable averages run it. The last
+    runs only at the points: its tap t moves the axis coordinate by
+    1 - k + 2t (even window, k taps) or -k + 2t (odd window, k + 1 taps),
+    the order averaging._axis_window_pass sums them in, and one window_sums
+    call adds each point's row of taps by the same binary tree, so every sum
+    is bitwise the grid pass's entry there. With no passes this reads the
+    batch itself.
+    """
+    strides = np.asarray(geometry.strides, dtype=np.int64)
+    if not passes:
+        return values[coords @ strides, samples]
+    partial = values
+    for axis, odd_window in passes[:-1]:
+        partial = _axis_window_pass(partial, geometry, axis, k, odd_window)
+    axis, odd_window = passes[-1]
+    width, start = (k + 1, -k) if odd_window else (k, 1 - k)
+    rest = coords @ strides - coords[..., axis] * strides[axis]
+    moved = (coords[..., axis, None] + np.arange(start, start + 2 * width, 2)) % geometry.m
+    taps = partial[rest[..., None] + moved * strides[axis], samples[..., None]]
+    return window_sums(taps.reshape(-1, width), 0, width, 1)[:, 0].reshape(rest.shape)
+
+
+def _box_at(
+    values: np.ndarray,
+    geometry: TorusGeometry,
+    axes: tuple[int, ...],
+    k: int,
+    constant: bool,
+    coords: np.ndarray,
+    samples: np.ndarray,
+) -> np.ndarray:
+    """box_average of a batch over axes, read only at the given points.
+
+    box_average fixes a constant batch and any radius-1 box. It averages one
+    axis or none through the stencil: the taps in the support's offset
+    order, added to zeros and divided by their count, as gather_mean does.
+    Two or more axes take one even window pass each, then the division. At
+    k = 1 the stencil's one tap gives (0 + v) / 1, which differs from v only
+    in the sign of a zero; the replay's sums start from +0.0 and so never
+    hold a -0.0, and read the same either way.
+    """
+    if constant or k == 1:
+        return _passes_at(values, geometry, k, [], coords, samples)
+    if len(axes) < 2:
+        support = build_even_box(geometry, axes, k)
+        strides = np.asarray(geometry.strides, dtype=np.int64)
+        acc = np.zeros(coords.shape[:-1])
+        for offset in support.offsets:
+            acc += values[((coords + offset) % geometry.m) @ strides, samples]
+        return acc / support.count
+    passes = [(axis, False) for axis in axes]
+    return _passes_at(values, geometry, k, passes, coords, samples) / float(k ** len(axes))
+
+
+def _shell_at(
+    values: np.ndarray,
+    geometry: TorusGeometry,
+    axis: int,
+    k: int,
+    constant: bool,
+    coords: np.ndarray,
+    samples: np.ndarray,
+) -> np.ndarray:
+    """convolve_shell_separable of a batch on one axis, read only at the given points.
+
+    The even pass on the axis (none at k = 1), then the odd passes on the
+    other axes in order, then the division; a constant batch is its own
+    average.
+    """
+    if constant:
+        return _passes_at(values, geometry, k, [], coords, samples)
+    passes = [(axis, False)] if k > 1 else []
+    passes += [(other, True) for other in range(geometry.n) if other != axis]
+    count = float(k * (k + 1) ** (geometry.n - 1))
+    return _passes_at(values, geometry, k, passes, coords, samples) / count
+
+
 def _replay_batch(
     geometry: TorusGeometry,
     k: int,
@@ -248,12 +347,15 @@ def _replay_batch(
 
     Each sample draws a scalar table, then its x, then its eps, in that order,
     and becomes one column of a shared table. Every average acts on each
-    column alone. For each (subset, l), the flat indices of x + eps * c for
-    every sample and every row c of _pattern_multipliers come from one
-    modular step, and one fancy index gathers both sides of all the sign
-    patterns. Each feature then adds those columns over subsets, then
-    patterns, in _term_table's order, so every row is bitwise the one a
-    pointwise read of that sample's own table gives.
+    column alone, and is computed only at the points the features and
+    targets read: for each subset, the points x + eps * c of every sample
+    and every row c of every l's _pattern_multipliers come from one modular
+    step, and the complement's box average is read there. A separable
+    average runs all its window passes but the last over the batch, one
+    average at a time, and the last only at those points. Each feature then
+    adds its columns over subsets, then patterns, in _term_table's order, so
+    every row is bitwise the one a pointwise read of that sample's own table
+    gives.
     """
     n, m = geometry.n, geometry.m
     values = np.empty((geometry.size, size))
@@ -263,19 +365,21 @@ def _replay_batch(
         values[:, s] = rng.standard_normal((geometry.size, 1))[:, 0]
         x[s] = rng.integers(0, m, size=n)
         eps[s] = 1 - 2 * rng.integers(0, 2, size=n)
-    f = FunctionTable(geometry, values)
     samples = np.arange(size)
-    strides = np.asarray(geometry.strides, dtype=np.int64)
+    # box_average and convolve_shell_separable test the whole batch at once
+    constant = bool(_is_constant(values))
 
     totals = {pair: np.zeros(size) for pair in pairs}
     for i in range(n + 1):
         for subset in combinations(range(n), i):
-            table = box_average(f, _complement(n, subset), k).values
-            for l in range(i + 1):
-                mult = _pattern_multipliers(n, k, subset, l)
-                # (2, patterns, size) flat indices of x + eps * mult, per side
-                index = ((x + eps * mult[:, :, None, :]) % m) @ strides
-                plus, minus = table[index, samples]
+            mults = [_pattern_multipliers(n, k, subset, l) for l in range(i + 1)]
+            # (2, patterns, size, n) points x + eps * mult, per side, every l in a row
+            coords = (x + eps * np.concatenate(mults, axis=1)[:, :, None, :]) % m
+            read = _box_at(values, geometry, _complement(n, subset), k, constant, coords, samples)
+            begin = 0
+            for l, mult in enumerate(mults):
+                plus, minus = read[:, begin : begin + mult.shape[1]]
+                begin += mult.shape[1]
                 total = totals[i, l]
                 for p in range(mult.shape[1]):
                     total += plus[p]
@@ -284,11 +388,11 @@ def _replay_batch(
 
     targets = np.zeros(size)
     for axis in range(n):
-        shell = convolve_shell_separable(f, axis, k).values
         step = np.zeros(n, dtype=np.int64)
         step[axis] = 1
-        forward = shell[geometry.encode(x + step), samples]
-        backward = shell[geometry.encode(x - step), samples]
+        # (2, size, n) points x + e_axis and x - e_axis
+        coords = (x + np.stack([step, -step])[:, None, :]) % m
+        forward, backward = _shell_at(values, geometry, axis, k, constant, coords, samples)
         targets += eps[:, axis] * (forward - backward)
     return rows, targets
 
@@ -361,9 +465,11 @@ def verify_identity(
     Each sample draws a fresh random scalar table and a fresh (x, eps) from
     the seeded stream, so the check is independent of the impulse system
     the coefficients were fitted on. The samples are drawn and replayed in
-    batches of table columns, and each batch reads every sign pattern of a
-    (subset, l) with one gather from a cached multiplier table; the worst
-    residual is bitwise the one a replay of one sample at a time gives.
+    batches of table columns. A batch computes each complement's box
+    average and each shell average only at the points its features and
+    targets read, the sign patterns of every l of a subset at once from the
+    cached multiplier tables; the worst residual is bitwise the one a
+    replay of one sample at a time gives.
     n_samples must be an int of at least 1 (not a bool): a replay of no
     samples would pass with no evidence.
     Unidentifiable coefficients enter with their fitted values; they

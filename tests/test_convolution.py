@@ -196,6 +196,38 @@ def test_constants_are_fixed_exactly():
         assert np.array_equal(out.values, c.values)
 
 
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_constant_test_is_the_broadcast_comparison_with_row_zero(d):
+    # neighbouring rows against every row against row 0, member by member
+    rng = np.random.default_rng(d)
+    rows = 64
+    column = rng.standard_normal(d)
+    signed_zeros = np.where(rng.integers(0, 2, (rows, d)) == 1, 0.0, -0.0)
+    one_off = np.tile(column, (rows, 1))
+    one_off[37, d - 1] = np.nextafter(column[d - 1], np.inf)
+    late_nan = np.tile(column, (rows, 1))
+    late_nan[rows - 1, 0] = np.nan
+    first_nan = np.tile(column, (rows, 1))
+    first_nan[0, 0] = np.nan
+    stack = np.stack(
+        [
+            np.tile(column, (rows, 1)),
+            signed_zeros,
+            rng.standard_normal((rows, d)),
+            one_off,
+            late_nan,
+            first_nan,
+            np.full((rows, d), 2.5),
+        ]
+    )
+    broadcast = np.all(stack == stack[..., :1, :], axis=(-2, -1))
+    assert broadcast.tolist() == [True, True, False, False, False, False, True]
+    assert np.array_equal(averaging._is_constant(stack), broadcast)
+    assert np.array_equal(averaging._is_constant(stack.reshape(7, 1, rows, d)), broadcast[:, None])
+    for member, expected in zip(stack, broadcast):
+        assert averaging._is_constant(member) == expected
+
+
 def test_radius_one_box_is_identity_exactly():
     f = random_table(2, 8, 3, seed=9)
     assert np.array_equal(convolve_box_separable(f, [0, 1], 1).values, f.values)

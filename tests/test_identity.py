@@ -291,6 +291,100 @@ def test_batched_replay_is_bitwise_the_per_sample_replay(n, m, k):
             assert check.samples == n_samples
 
 
+def full_grid_replay_batch(geometry, k, rng, pairs, size):
+    """The replay that averages whole batches: every complement and shell over all points.
+
+    Draws as _replay_batch does, builds each box and shell average over the
+    whole (m^n, size) batch with box_average and convolve_shell_separable,
+    then gathers the points the features and targets read.
+    """
+    n, m = geometry.n, geometry.m
+    values = np.empty((geometry.size, size))
+    x = np.empty((size, n), dtype=np.int64)
+    eps = np.empty((size, n), dtype=np.int64)
+    for s in range(size):
+        values[:, s] = rng.standard_normal((geometry.size, 1))[:, 0]
+        x[s] = rng.integers(0, m, size=n)
+        eps[s] = 1 - 2 * rng.integers(0, 2, size=n)
+    f = FunctionTable(geometry, values)
+    samples = np.arange(size)
+    strides = np.asarray(geometry.strides, dtype=np.int64)
+
+    totals = {pair: np.zeros(size) for pair in pairs}
+    for i in range(n + 1):
+        for subset in combinations(range(n), i):
+            complement = tuple(a for a in range(n) if a not in subset)
+            table = box_average(f, complement, k).values
+            for l in range(i + 1):
+                mult = _pattern_multipliers(n, k, subset, l)
+                index = ((x + eps * mult[:, :, None, :]) % m) @ strides
+                plus, minus = table[index, samples]
+                total = totals[i, l]
+                for p in range(mult.shape[1]):
+                    total += plus[p]
+                    total -= minus[p]
+    rows = np.stack([coefficient_scale(n, k, i) * totals[i, l] for i, l in pairs], axis=1)
+
+    targets = np.zeros(size)
+    for axis in range(n):
+        shell = convolve_shell_separable(f, axis, k).values
+        step = np.zeros(n, dtype=np.int64)
+        step[axis] = 1
+        forward = shell[geometry.encode(x + step), samples]
+        backward = shell[geometry.encode(x - step), samples]
+        targets += eps[:, axis] * (forward - backward)
+    return rows, targets
+
+
+class _RewrittenTables:
+    """A seeded generator whose table draws pass through a rewrite; x and eps draw as usual."""
+
+    def __init__(self, seed, rewrite):
+        self._rng = np.random.default_rng(seed)
+        self._rewrite = rewrite
+
+    def standard_normal(self, shape):
+        return self._rewrite(self._rng.standard_normal(shape))
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+
+_BATCH_TABLES = {
+    "gaussian": lambda draw: draw,
+    "constant": lambda draw: np.full_like(draw, 0.75),
+    # about 38% of the entries become +0.0 or -0.0, with the sign of the draw
+    "zeros": lambda draw: np.where(np.abs(draw) < 0.5, np.copysign(0.0, draw), draw),
+}
+
+
+@pytest.mark.parametrize(
+    "n,m,k",
+    [
+        pytest.param(n, m, k, id=f"{n}-{m}-{k}")
+        for n in (1, 2, 3, 4)
+        for m in (8, 12, 16)
+        for k in (1, 3, 5, 7)
+        if 2 * k < m
+    ],
+)
+def test_point_reads_are_bitwise_the_full_grid_replay(n, m, k):
+    # the averages read only at the gathered points give the rows and
+    # targets of averaging whole batches, byte for byte, on random,
+    # constant and signed-zero batches of 1 and 3 samples
+    g = TorusGeometry(n, m)
+    pairs = coefficient_pairs(n)
+    for name, rewrite in _BATCH_TABLES.items():
+        for size in (1, 3):
+            seed = 11 * size + n
+            rows, targets = identity._replay_batch(g, k, _RewrittenTables(seed, rewrite), pairs, size)
+            want_rows, want_targets = full_grid_replay_batch(
+                g, k, _RewrittenTables(seed, rewrite), pairs, size
+            )
+            assert rows.tobytes() == want_rows.tobytes(), (name, size)
+            assert targets.tobytes() == want_targets.tobytes(), (name, size)
+
+
 @pytest.mark.parametrize("n_samples", [0, -3, True])
 def test_verify_refuses_a_replay_without_samples(n_samples):
     g = TorusGeometry(2, 8)
