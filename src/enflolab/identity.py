@@ -30,7 +30,6 @@ from itertools import combinations
 import numpy as np
 
 from .averaging import (
-    _axis_window_pass,
     _is_constant,
     box_average,
     build_even_box,
@@ -65,12 +64,13 @@ IDENTITY_RESIDUAL_TOL = 1e-8
 # the replay's default sample count, also the heldout_samples config default
 REPLAY_SAMPLES = 200
 
-# the replay stacks its samples as the columns of one table of at most this
-# many float64 entries (8 samples at n = 4, m = 8), so each window pass runs
-# once per batch rather than per sample; beside the batch it holds the
-# partial window sums of one average at a time, and it computes each
-# average only at the points that it reads
-_REPLAY_BATCH_ENTRIES = 2**15
+# the replay stacks its samples as the rows of one table of at most this
+# many float64 entries (32 samples at n = 4, m = 8), so each subset's
+# patterns and each window_sums call serve a batch rather than one sample;
+# beside the batch it holds one average's gathered taps, 2 * 2^i * k^(n-i)
+# per sample for a subset of size i and 2k (k+1)^(n-1) for a shell, both
+# below m^n as 2k < m
+_REPLAY_BATCH_ENTRIES = 2**17
 
 
 def coefficient_pairs(n: int) -> list[tuple[int, int]]:
@@ -253,32 +253,35 @@ def _passes_at(
     k: int,
     passes: list[tuple[int, bool]],
     coords: np.ndarray,
-    samples: np.ndarray,
+    starts: np.ndarray,
 ) -> np.ndarray:
-    """Undivided (axis, odd_window) window passes of a (m^n, size) batch, read at points.
+    """Undivided (axis, odd_window) window passes of a (size, m^n) batch, read at points.
 
-    coords is a (..., n) stack of grid points and samples, broadcast against
-    its leading shape, names each point's column. Every pass but the last
-    runs over the whole batch, as the separable averages run it. The last
-    runs only at the points: its tap t moves the axis coordinate by
-    1 - k + 2t (even window, k taps) or -k + 2t (odd window, k + 1 taps),
-    the order averaging._axis_window_pass sums them in, and one window_sums
-    call adds each point's row of taps by the same binary tree, so every sum
-    is bitwise the grid pass's entry there. With no passes this reads the
-    batch itself.
+    coords is a (..., n) stack of grid points and starts, broadcast against
+    its leading shape, the flat index of each point's sample row in the
+    batch. The passes act on distinct axes and run only at the points. One
+    indexed read gathers each point's full product of taps in the layout
+    (..., t_{c-1}, ..., t_0): tap t_j of pass j moves axis_j by 1 - k + 2 t_j
+    (even window, k taps) or -k + 2 t_j (odd window, k + 1 taps), mod m, the
+    order averaging._axis_window_pass sums them in. Then each pass, in
+    order, sums the last axis by one window_sums call, the grid pass's
+    binary tree, so every sum is bitwise the separable grid entry there.
+    With no passes this reads the batch itself.
     """
     strides = np.asarray(geometry.strides, dtype=np.int64)
-    if not passes:
-        return values[coords @ strides, samples]
-    partial = values
-    for axis, odd_window in passes[:-1]:
-        partial = _axis_window_pass(partial, geometry, axis, k, odd_window)
-    axis, odd_window = passes[-1]
-    width, start = (k + 1, -k) if odd_window else (k, 1 - k)
-    rest = coords @ strides - coords[..., axis] * strides[axis]
-    moved = (coords[..., axis, None] + np.arange(start, start + 2 * width, 2)) % geometry.m
-    taps = partial[rest[..., None] + moved * strides[axis], samples[..., None]]
-    return window_sums(taps.reshape(-1, width), 0, width, 1)[:, 0].reshape(rest.shape)
+    lead = coords.shape[:-1]
+    index = starts + coords @ strides
+    widths = []
+    for axis, odd_window in reversed(passes):
+        width, start = (k + 1, -k) if odd_window else (k, 1 - k)
+        here = coords[..., axis, None]
+        moved = ((here + np.arange(start, start + 2 * width, 2)) % geometry.m - here) * strides[axis]
+        index = index[..., None] + moved.reshape(lead + (1,) * len(widths) + (width,))
+        widths.append(width)
+    taps = values.reshape(-1)[index]
+    for width in reversed(widths):
+        taps = window_sums(taps.reshape(-1, width), 0, width, 1)[:, 0].reshape(taps.shape[:-1])
+    return taps
 
 
 def _box_at(
@@ -288,7 +291,7 @@ def _box_at(
     k: int,
     constant: bool,
     coords: np.ndarray,
-    samples: np.ndarray,
+    starts: np.ndarray,
 ) -> np.ndarray:
     """box_average of a batch over axes, read only at the given points.
 
@@ -301,16 +304,17 @@ def _box_at(
     hold a -0.0, and read the same either way.
     """
     if constant or k == 1:
-        return _passes_at(values, geometry, k, [], coords, samples)
+        return _passes_at(values, geometry, k, [], coords, starts)
     if len(axes) < 2:
         support = build_even_box(geometry, axes, k)
         strides = np.asarray(geometry.strides, dtype=np.int64)
+        flat = values.reshape(-1)
         acc = np.zeros(coords.shape[:-1])
         for offset in support.offsets:
-            acc += values[((coords + offset) % geometry.m) @ strides, samples]
+            acc += flat[starts + ((coords + offset) % geometry.m) @ strides]
         return acc / support.count
     passes = [(axis, False) for axis in axes]
-    return _passes_at(values, geometry, k, passes, coords, samples) / float(k ** len(axes))
+    return _passes_at(values, geometry, k, passes, coords, starts) / float(k ** len(axes))
 
 
 def _shell_at(
@@ -320,7 +324,7 @@ def _shell_at(
     k: int,
     constant: bool,
     coords: np.ndarray,
-    samples: np.ndarray,
+    starts: np.ndarray,
 ) -> np.ndarray:
     """convolve_shell_separable of a batch on one axis, read only at the given points.
 
@@ -329,11 +333,11 @@ def _shell_at(
     average.
     """
     if constant:
-        return _passes_at(values, geometry, k, [], coords, samples)
+        return _passes_at(values, geometry, k, [], coords, starts)
     passes = [(axis, False)] if k > 1 else []
     passes += [(other, True) for other in range(geometry.n) if other != axis]
     count = float(k * (k + 1) ** (geometry.n - 1))
-    return _passes_at(values, geometry, k, passes, coords, samples) / count
+    return _passes_at(values, geometry, k, passes, coords, starts) / count
 
 
 def _replay_batch(
@@ -345,29 +349,29 @@ def _replay_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature rows (size, len(pairs)) and targets (size,) of fresh samples.
 
-    Each sample draws a scalar table, then its x, then its eps, in that order,
-    and becomes one column of a shared table. Every average acts on each
-    column alone, and is computed only at the points the features and
-    targets read: for each subset, the points x + eps * c of every sample
-    and every row c of every l's _pattern_multipliers come from one modular
-    step, and the complement's box average is read there. A separable
-    average runs all its window passes but the last over the batch, one
-    average at a time, and the last only at those points. Each feature then
-    adds its columns over subsets, then patterns, in _term_table's order, so
-    every row is bitwise the one a pointwise read of that sample's own table
-    gives.
+    Each sample draws a scalar table straight into its own contiguous row of
+    a shared (size, m^n) table, then its x, then its eps, in that order.
+    Every average acts on each row alone, and is computed only at the
+    points the features and targets read: for each subset, the points
+    x + eps * c of every sample and every row c of every l's
+    _pattern_multipliers come from one modular step, and the complement's
+    box average is read there. A separable average gathers every point's
+    taps of all its window passes in one read and sums them pass by pass;
+    no pass runs over the whole batch. Each feature then adds its reads
+    over subsets, then patterns, in _term_table's order, so every row is
+    bitwise the one a pointwise read of that sample's own table gives.
     """
     n, m = geometry.n, geometry.m
-    values = np.empty((geometry.size, size))
+    values = np.empty((size, geometry.size))
     x = np.empty((size, n), dtype=np.int64)
     eps = np.empty((size, n), dtype=np.int64)
     for s in range(size):
-        values[:, s] = rng.standard_normal((geometry.size, 1))[:, 0]
+        rng.standard_normal(out=values[s])
         x[s] = rng.integers(0, m, size=n)
         eps[s] = 1 - 2 * rng.integers(0, 2, size=n)
-    samples = np.arange(size)
+    starts = np.arange(size) * geometry.size
     # box_average and convolve_shell_separable test the whole batch at once
-    constant = bool(_is_constant(values))
+    constant = bool(_is_constant(values[:, :, None]).all())
 
     totals = {pair: np.zeros(size) for pair in pairs}
     for i in range(n + 1):
@@ -375,7 +379,7 @@ def _replay_batch(
             mults = [_pattern_multipliers(n, k, subset, l) for l in range(i + 1)]
             # (2, patterns, size, n) points x + eps * mult, per side, every l in a row
             coords = (x + eps * np.concatenate(mults, axis=1)[:, :, None, :]) % m
-            read = _box_at(values, geometry, _complement(n, subset), k, constant, coords, samples)
+            read = _box_at(values, geometry, _complement(n, subset), k, constant, coords, starts)
             begin = 0
             for l, mult in enumerate(mults):
                 plus, minus = read[:, begin : begin + mult.shape[1]]
@@ -392,7 +396,7 @@ def _replay_batch(
         step[axis] = 1
         # (2, size, n) points x + e_axis and x - e_axis
         coords = (x + np.stack([step, -step])[:, None, :]) % m
-        forward, backward = _shell_at(values, geometry, axis, k, constant, coords, samples)
+        forward, backward = _shell_at(values, geometry, axis, k, constant, coords, starts)
         targets += eps[:, axis] * (forward - backward)
     return rows, targets
 
@@ -465,11 +469,13 @@ def verify_identity(
     Each sample draws a fresh random scalar table and a fresh (x, eps) from
     the seeded stream, so the check is independent of the impulse system
     the coefficients were fitted on. The samples are drawn and replayed in
-    batches of table columns. A batch computes each complement's box
-    average and each shell average only at the points its features and
-    targets read, the sign patterns of every l of a subset at once from the
-    cached multiplier tables; the worst residual is bitwise the one a
-    replay of one sample at a time gives.
+    batches of table rows, at most _REPLAY_BATCH_ENTRIES entries each. A
+    batch computes each complement's box average and each shell average
+    only at the points its features and targets read, every window pass
+    from one gather of those points' taps, and the sign patterns of every
+    l of a subset at once from the cached multiplier tables; the worst
+    residual is bitwise the one a replay of one sample at a time gives, at
+    any batch size.
     n_samples must be an int of at least 1 (not a bool): a replay of no
     samples would pass with no evidence.
     Unidentifiable coefficients enter with their fitted values; they

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from enflolab import identity
+from enflolab import averaging, identity
 from enflolab.averaging import box_average, check_radius, convolve_shell_separable
 from enflolab.identity import (
     IdentityCoefficients,
@@ -277,7 +277,7 @@ def test_fitted_coefficients_satisfy_the_tabulated_identity(n, k):
     ],
 )
 def test_batched_replay_is_bitwise_the_per_sample_replay(n, m, k):
-    # sample counts below, at and past a batch (4096 columns at n = 1, 8 at
+    # sample counts below and past a batch (16384 rows at n = 1, 32 at
     # n = 4, m = 8), and not multiples of it; the first N samples of the
     # oracle's stream are the ones an N-sample replay draws, so one oracle
     # pass per seed serves every N
@@ -343,8 +343,12 @@ class _RewrittenTables:
         self._rng = np.random.default_rng(seed)
         self._rewrite = rewrite
 
-    def standard_normal(self, shape):
-        return self._rewrite(self._rng.standard_normal(shape))
+    def standard_normal(self, size=None, out=None):
+        draw = self._rewrite(self._rng.standard_normal(size, out=out))
+        if out is None:
+            return draw
+        out[...] = draw
+        return out
 
     def integers(self, *args, **kwargs):
         return self._rng.integers(*args, **kwargs)
@@ -383,6 +387,42 @@ def test_point_reads_are_bitwise_the_full_grid_replay(n, m, k):
             )
             assert rows.tobytes() == want_rows.tobytes(), (name, size)
             assert targets.tobytes() == want_targets.tobytes(), (name, size)
+
+
+@pytest.mark.parametrize(
+    "n,k", [pytest.param(n, k, id=f"{n}-{k}") for n in (2, 3, 4) for k in (1, 3)]
+)
+def test_the_replay_does_not_depend_on_the_batch_size(n, k, monkeypatch):
+    # one sample per batch, batches of 5 that leave a remainder of 2, and
+    # all 37 samples in one batch give the same worst residual, bit for bit
+    g = TorusGeometry(n, 8)
+    fitted = fit_identity_coefficients(g, k)
+    residuals = set()
+    for samples_per_batch in (1, 5, 37):
+        monkeypatch.setattr(identity, "_REPLAY_BATCH_ENTRIES", samples_per_batch * g.size)
+        check = verify_identity(fitted, g, k, n_samples=37, seed=5)
+        residuals.add(check.max_residual.hex())
+    assert len(residuals) == 1, residuals
+
+
+def test_no_window_pass_runs_over_the_whole_batch(monkeypatch):
+    # the replay reads every pass at its points, so a whole-batch axis pass
+    # may not run; the fit still uses it and is not called here
+    g, k = TorusGeometry(4, 8), 3
+    pairs = coefficient_pairs(g.n)
+    want_rows, want_targets = full_grid_replay_batch(
+        g, k, _RewrittenTables(3, lambda draw: draw), pairs, 3
+    )
+
+    def whole_batch_pass(*args, **kwargs):
+        raise AssertionError("a window pass ran over the whole batch")
+
+    monkeypatch.setattr(averaging, "_axis_window_pass", whole_batch_pass)
+    # a module that imported the pass by name would call its own binding
+    monkeypatch.setattr(identity, "_axis_window_pass", whole_batch_pass, raising=False)
+    rows, targets = identity._replay_batch(g, k, _RewrittenTables(3, lambda draw: draw), pairs, 3)
+    assert rows.tobytes() == want_rows.tobytes()
+    assert targets.tobytes() == want_targets.tobytes()
 
 
 @pytest.mark.parametrize("n_samples", [0, -3, True])
