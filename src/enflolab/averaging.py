@@ -82,7 +82,7 @@ class SupportSet:
         rows = {tuple(row) for row in offs.tolist()}
         if len(rows) != offs.shape[0]:
             raise ValueError("offsets must be distinct")
-        negated = {tuple((-np.asarray(row) % self.geometry.m).tolist()) for row in rows}
+        negated = {tuple(row) for row in (-offs % self.geometry.m).tolist()}
         if negated != rows:
             raise ValueError("support must be symmetric under negation mod m")
         if self.weight * offs.shape[0] != 1:

@@ -114,9 +114,9 @@ def _check_size(work: str, n: int, m: int, d: int, restarts: int = 1) -> None:
     difference per subset and sign pattern: sum_{i,l} C(n,i) C(i,l) = 3^n
     scalar tables. The rule bounds the fit. The replay holds one batch of
     samples, the rows of one table of at most 2^17 entries (one sample's
-    m^n when that is larger), plus one average's gathered taps, which are
-    fewer than the batch table's entries as 2k < m; it computes each
-    average only at the points it reads. A
+    m^n when that is larger), plus the tap indices of one average read by
+    gather_mean, which are fewer than the batch table's entries as 2k < m;
+    it computes each average only at the points it reads. A
     search cell ascends its restarts together, as one stack of tables, so it
     holds and computes `restarts` times what one of its tables does.
     Consecutive search cells that share (objective, n, m, k, d) may ascend

@@ -30,14 +30,15 @@ from itertools import combinations
 import numpy as np
 
 from .averaging import (
-    _is_constant,
+    SupportSet,
     box_average,
     build_even_box,
+    build_parity_shell,
     check_radius,
     convolve_shell_separable,
 )
 from .inequalities import RatioReport, _build_report, _grid_moment, edge_energy, shift_difference
-from .kernels import window_sums
+from .kernels import gather_mean
 from .torus import FunctionTable, TorusGeometry, as_exponent, as_norm, sign_vectors
 
 __all__ = [
@@ -66,10 +67,10 @@ REPLAY_SAMPLES = 200
 
 # the replay stacks its samples as the rows of one table of at most this
 # many float64 entries (32 samples at n = 4, m = 8), so each subset's
-# patterns and each window_sums call serve a batch rather than one sample;
-# beside the batch it holds one average's gathered taps, 2 * 2^i * k^(n-i)
-# per sample for a subset of size i and 2k (k+1)^(n-1) for a shell, both
-# below m^n as 2k < m
+# patterns and each gather_mean call serve a batch rather than one sample;
+# beside the batch it holds the tap indices of one average read by
+# gather_mean, 2 * 2^i * k^(n-i) per sample for a subset of size i and
+# 2k (k+1)^(n-1) for a shell, both below m^n as 2k < m
 _REPLAY_BATCH_ENTRIES = 2**17
 
 
@@ -247,97 +248,24 @@ class IdentityCheck:
     passed: bool
 
 
-def _passes_at(
-    values: np.ndarray,
-    geometry: TorusGeometry,
-    k: int,
-    passes: list[tuple[int, bool]],
-    coords: np.ndarray,
-    starts: np.ndarray,
+def _mean_at(
+    values: np.ndarray, support: SupportSet, coords: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
-    """Undivided (axis, odd_window) window passes of a (size, m^n) batch, read at points.
+    """A support's average of each row of a (size, m^n) batch, read at points.
 
     coords is a (..., n) stack of grid points and starts, broadcast against
-    its leading shape, the flat index of each point's sample row in the
-    batch. The passes act on distinct axes and run only at the points. One
-    indexed read gathers each point's full product of taps in the layout
-    (..., t_{c-1}, ..., t_0): tap t_j of pass j moves axis_j by 1 - k + 2 t_j
-    (even window, k taps) or -k + 2 t_j (odd window, k + 1 taps), mod m, the
-    order averaging._axis_window_pass sums them in. Then each pass, in
-    order, sums the last axis by one window_sums call, the grid pass's
-    binary tree, so every sum is bitwise the separable grid entry there.
-    With no passes this reads the batch itself.
+    its leading shape, the flat index of each point's sample row. The tap
+    indices are built one axis at a time from a (taps, m) table of moved
+    coordinates, in the support's offset order, and gather_mean adds them
+    to zeros in that order and divides by their count: every value is
+    bitwise convolve's entry at that point.
     """
-    strides = np.asarray(geometry.strides, dtype=np.int64)
-    lead = coords.shape[:-1]
-    index = starts + coords @ strides
-    widths = []
-    for axis, odd_window in reversed(passes):
-        width, start = (k + 1, -k) if odd_window else (k, 1 - k)
-        here = coords[..., axis, None]
-        moved = ((here + np.arange(start, start + 2 * width, 2)) % geometry.m - here) * strides[axis]
-        index = index[..., None] + moved.reshape(lead + (1,) * len(widths) + (width,))
-        widths.append(width)
-    taps = values.reshape(-1)[index]
-    for width in reversed(widths):
-        taps = window_sums(taps.reshape(-1, width), 0, width, 1)[:, 0].reshape(taps.shape[:-1])
-    return taps
-
-
-def _box_at(
-    values: np.ndarray,
-    geometry: TorusGeometry,
-    axes: tuple[int, ...],
-    k: int,
-    constant: bool,
-    coords: np.ndarray,
-    starts: np.ndarray,
-) -> np.ndarray:
-    """box_average of a batch over axes, read only at the given points.
-
-    box_average fixes a constant batch and any radius-1 box. It averages one
-    axis or none through the stencil: the taps in the support's offset
-    order, added to zeros and divided by their count, as gather_mean does.
-    Two or more axes take one even window pass each, then the division. At
-    k = 1 the stencil's one tap gives (0 + v) / 1, which differs from v only
-    in the sign of a zero; the replay's sums start from +0.0 and so never
-    hold a -0.0, and read the same either way.
-    """
-    if constant or k == 1:
-        return _passes_at(values, geometry, k, [], coords, starts)
-    if len(axes) < 2:
-        support = build_even_box(geometry, axes, k)
-        strides = np.asarray(geometry.strides, dtype=np.int64)
-        flat = values.reshape(-1)
-        acc = np.zeros(coords.shape[:-1])
-        for offset in support.offsets:
-            acc += flat[starts + ((coords + offset) % geometry.m) @ strides]
-        return acc / support.count
-    passes = [(axis, False) for axis in axes]
-    return _passes_at(values, geometry, k, passes, coords, starts) / float(k ** len(axes))
-
-
-def _shell_at(
-    values: np.ndarray,
-    geometry: TorusGeometry,
-    axis: int,
-    k: int,
-    constant: bool,
-    coords: np.ndarray,
-    starts: np.ndarray,
-) -> np.ndarray:
-    """convolve_shell_separable of a batch on one axis, read only at the given points.
-
-    The even pass on the axis (none at k = 1), then the odd passes on the
-    other axes in order, then the division; a constant batch is its own
-    average.
-    """
-    if constant:
-        return _passes_at(values, geometry, k, [], coords, starts)
-    passes = [(axis, False)] if k > 1 else []
-    passes += [(other, True) for other in range(geometry.n) if other != axis]
-    count = float(k * (k + 1) ** (geometry.n - 1))
-    return _passes_at(values, geometry, k, passes, coords, starts) / count
+    m = support.geometry.m
+    index = starts
+    for axis, stride in enumerate(support.geometry.strides):
+        moved = (support.offsets[:, axis, None] + np.arange(m)) % m * stride
+        index = index + moved[:, coords[..., axis]]
+    return gather_mean(values.reshape(-1), index)
 
 
 def _replay_batch(
@@ -351,15 +279,15 @@ def _replay_batch(
 
     Each sample draws a scalar table straight into its own contiguous row of
     a shared (size, m^n) table, then its x, then its eps, in that order.
-    Every average acts on each row alone, and is computed only at the
-    points the features and targets read: for each subset, the points
-    x + eps * c of every sample and every row c of every l's
-    _pattern_multipliers come from one modular step, and the complement's
-    box average is read there. A separable average gathers every point's
-    taps of all its window passes in one read and sums them pass by pass;
-    no pass runs over the whole batch. Each feature then adds its reads
-    over subsets, then patterns, in _term_table's order, so every row is
-    bitwise the one a pointwise read of that sample's own table gives.
+    Every average acts on each row alone, and is read only at the points
+    the features and targets read, straight off its support by _mean_at:
+    for each subset, the points x + eps * c of every sample and every row c
+    of every l's _pattern_multipliers come from one modular step, and the
+    complement's even box is read there; each axis's parity shell is read
+    at x + e_axis and x - e_axis. Nothing runs over the whole batch or the
+    whole grid. Each feature then adds its reads over subsets, then
+    patterns, in _term_table's order, so every row and target is bitwise
+    the one a pointwise stencil read of that sample's own table gives.
     """
     n, m = geometry.n, geometry.m
     values = np.empty((size, geometry.size))
@@ -370,8 +298,6 @@ def _replay_batch(
         x[s] = rng.integers(0, m, size=n)
         eps[s] = 1 - 2 * rng.integers(0, 2, size=n)
     starts = np.arange(size) * geometry.size
-    # box_average and convolve_shell_separable test the whole batch at once
-    constant = bool(_is_constant(values[:, :, None]).all())
 
     totals = {pair: np.zeros(size) for pair in pairs}
     for i in range(n + 1):
@@ -379,7 +305,8 @@ def _replay_batch(
             mults = [_pattern_multipliers(n, k, subset, l) for l in range(i + 1)]
             # (2, patterns, size, n) points x + eps * mult, per side, every l in a row
             coords = (x + eps * np.concatenate(mults, axis=1)[:, :, None, :]) % m
-            read = _box_at(values, geometry, _complement(n, subset), k, constant, coords, starts)
+            box = build_even_box(geometry, _complement(n, subset), k)
+            read = _mean_at(values, box, coords, starts)
             begin = 0
             for l, mult in enumerate(mults):
                 plus, minus = read[:, begin : begin + mult.shape[1]]
@@ -396,7 +323,8 @@ def _replay_batch(
         step[axis] = 1
         # (2, size, n) points x + e_axis and x - e_axis
         coords = (x + np.stack([step, -step])[:, None, :]) % m
-        forward, backward = _shell_at(values, geometry, axis, k, constant, coords, starts)
+        shell = build_parity_shell(geometry, axis, k)
+        forward, backward = _mean_at(values, shell, coords, starts)
         targets += eps[:, axis] * (forward - backward)
     return rows, targets
 
@@ -470,12 +398,13 @@ def verify_identity(
     the seeded stream, so the check is independent of the impulse system
     the coefficients were fitted on. The samples are drawn and replayed in
     batches of table rows, at most _REPLAY_BATCH_ENTRIES entries each. A
-    batch computes each complement's box average and each shell average
-    only at the points its features and targets read, every window pass
-    from one gather of those points' taps, and the sign patterns of every
-    l of a subset at once from the cached multiplier tables; the worst
-    residual is bitwise the one a replay of one sample at a time gives, at
-    any batch size.
+    batch reads each complement's box average and each shell average
+    straight off its support, through gather_mean, at only the points its
+    features and targets read, so the replay checks the fit's separable
+    averages against the stencil; it reads the sign patterns of every l of
+    a subset at once from the cached multiplier tables. The worst residual
+    is bitwise the one a replay of one sample at a time gives, at any batch
+    size.
     n_samples must be an int of at least 1 (not a bool): a replay of no
     samples would pass with no evidence.
     Unidentifiable coefficients enter with their fitted values; they

@@ -70,8 +70,15 @@ def window_sums(blocks: np.ndarray, start: int, width: int, step: int = 1) -> np
 
 
 def gather_mean(values: np.ndarray, index_table: np.ndarray) -> np.ndarray:
-    """Mean over taps t of values[index_table[t]], accumulated in tap order."""
-    acc = np.zeros_like(values)
-    for t in range(index_table.shape[0]):
-        acc += values[index_table[t]]
+    """Mean over taps t of values[index_table[t]], accumulated in tap order.
+
+    index_table has shape (taps, ...) and indexes the first axis of values;
+    the result has shape index_table.shape[1:] + values.shape[1:]. The sum
+    starts from zeros, so it never holds a -0.0, and is divided by the tap
+    count once.
+    """
+    acc = np.zeros(index_table.shape[1:] + values.shape[1:])
+    for taps in index_table:
+        # take reads the same entries as values[taps], with less overhead per call
+        acc += values.take(taps, axis=0)
     return acc / index_table.shape[0]

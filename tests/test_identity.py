@@ -1,14 +1,23 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from enflolab import averaging, identity
-from enflolab.averaging import box_average, check_radius, convolve_shell_separable
+from enflolab import averaging, identity, kernels
+from enflolab.averaging import (
+    box_average,
+    build_even_box,
+    build_parity_shell,
+    check_radius,
+    convolve_shell_separable,
+)
 from enflolab.identity import (
     IdentityCoefficients,
     _check_signs,
@@ -37,8 +46,9 @@ def gaussian(n, m, d, seed):
     return FunctionTable.random_gaussian(g, d, np.random.default_rng(seed))
 
 
-# The per-sample replay: the oracle verify_identity's batched replay must
-# match bitwise. Each sample reads its own scalar table point by point.
+# The pointwise stencil replay: the oracle verify_identity's batched replay
+# must match bitwise. Each sample reads its own scalar table point by point,
+# each average tap by tap off its support's offsets.
 
 
 def oracle_term_shifts(n, m, k, i, l, eps):
@@ -90,14 +100,54 @@ def _feature_row(tables, geometry, k, x, eps, pairs):
     return row
 
 
-def _draw_sample(geometry, k, rng, pairs):
-    f = FunctionTable.random_gaussian(geometry, 1, rng)
-    x = rng.integers(0, geometry.m, size=geometry.n)
-    eps = 1 - 2 * rng.integers(0, 2, size=geometry.n)
-    tables = _complement_tables(f, k, range(geometry.n + 1))
-    row = _feature_row(tables, geometry, k, x, eps, pairs)
-    target = float(shell_difference_sum(f, k, x, eps)[0])
-    return row, target
+def stencil_mean(table, support, point):
+    """The support's average of a flat scalar table at one point, added tap by tap from 0.0."""
+    g = support.geometry
+    strides = np.asarray(g.strides, dtype=np.int64)
+    total = 0.0
+    for tap in table[((point + support.offsets) % g.m) @ strides].tolist():
+        total += tap
+    return total / support.count
+
+
+def stencil_replay_batch(geometry, k, rng, pairs, size):
+    """Feature rows and targets of fresh samples, each average read pointwise off its support.
+
+    Draws as _replay_batch does. Each sample's features add, over the
+    oracle's shifts in order, the complement's even-box average at x + plus
+    minus the one at x + minus; its target adds eps_j times the parity-shell
+    average at x + e_j minus the one at x - e_j. Every average is
+    stencil_mean at that point.
+    """
+    n, m = geometry.n, geometry.m
+    values = np.empty((size, geometry.size))
+    x = np.empty((size, n), dtype=np.int64)
+    eps = np.empty((size, n), dtype=np.int64)
+    for s in range(size):
+        values[s] = rng.standard_normal(geometry.size)
+        x[s] = rng.integers(0, m, size=n)
+        eps[s] = 1 - 2 * rng.integers(0, 2, size=n)
+
+    rows = np.empty((size, len(pairs)))
+    targets = np.empty(size)
+    for s in range(size):
+        for idx, (i, l) in enumerate(pairs):
+            total = 0.0
+            for subset, plus, minus in oracle_term_shifts(n, m, k, i, l, eps[s]):
+                box = build_even_box(geometry, [a for a in range(n) if a not in subset], k)
+                total += stencil_mean(values[s], box, x[s] + plus)
+                total -= stencil_mean(values[s], box, x[s] + minus)
+            rows[s, idx] = coefficient_scale(n, k, i) * total
+        target = 0.0
+        for axis in range(n):
+            shell = build_parity_shell(geometry, axis, k)
+            step = np.zeros(n, dtype=np.int64)
+            step[axis] = 1
+            forward = stencil_mean(values[s], shell, x[s] + step)
+            backward = stencil_mean(values[s], shell, x[s] - step)
+            target += float(eps[s, axis]) * (forward - backward)
+        targets[s] = target
+    return rows, targets
 
 
 def sample_residuals(coefficients, geometry, k, n_samples, seed):
@@ -107,8 +157,8 @@ def sample_residuals(coefficients, geometry, k, n_samples, seed):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_samples):
-        row, target = _draw_sample(geometry, k, rng, pairs)
-        out.append(abs(target - float(row @ full)))
+        rows, targets = stencil_replay_batch(geometry, k, rng, pairs, 1)
+        out.append(abs(float(targets[0]) - float(rows[0] @ full)))
     return out
 
 
@@ -185,7 +235,7 @@ def test_term_table_is_bitwise_the_rolled_pattern_sum(n, m, k):
 
 
 def test_term_table_matches_pointwise_terms():
-    # _feature_row is the pointwise reader of the per-sample replay oracle
+    # _feature_row reads the term tables point by point at the oracle's shifts
     f = gaussian(2, 8, 1, seed=5)
     g = f.geometry
     eps = np.array([-1, 1])
@@ -291,51 +341,6 @@ def test_batched_replay_is_bitwise_the_per_sample_replay(n, m, k):
             assert check.samples == n_samples
 
 
-def full_grid_replay_batch(geometry, k, rng, pairs, size):
-    """The replay that averages whole batches: every complement and shell over all points.
-
-    Draws as _replay_batch does, builds each box and shell average over the
-    whole (m^n, size) batch with box_average and convolve_shell_separable,
-    then gathers the points the features and targets read.
-    """
-    n, m = geometry.n, geometry.m
-    values = np.empty((geometry.size, size))
-    x = np.empty((size, n), dtype=np.int64)
-    eps = np.empty((size, n), dtype=np.int64)
-    for s in range(size):
-        values[:, s] = rng.standard_normal((geometry.size, 1))[:, 0]
-        x[s] = rng.integers(0, m, size=n)
-        eps[s] = 1 - 2 * rng.integers(0, 2, size=n)
-    f = FunctionTable(geometry, values)
-    samples = np.arange(size)
-    strides = np.asarray(geometry.strides, dtype=np.int64)
-
-    totals = {pair: np.zeros(size) for pair in pairs}
-    for i in range(n + 1):
-        for subset in combinations(range(n), i):
-            complement = tuple(a for a in range(n) if a not in subset)
-            table = box_average(f, complement, k).values
-            for l in range(i + 1):
-                mult = _pattern_multipliers(n, k, subset, l)
-                index = ((x + eps * mult[:, :, None, :]) % m) @ strides
-                plus, minus = table[index, samples]
-                total = totals[i, l]
-                for p in range(mult.shape[1]):
-                    total += plus[p]
-                    total -= minus[p]
-    rows = np.stack([coefficient_scale(n, k, i) * totals[i, l] for i, l in pairs], axis=1)
-
-    targets = np.zeros(size)
-    for axis in range(n):
-        shell = convolve_shell_separable(f, axis, k).values
-        step = np.zeros(n, dtype=np.int64)
-        step[axis] = 1
-        forward = shell[geometry.encode(x + step), samples]
-        backward = shell[geometry.encode(x - step), samples]
-        targets += eps[:, axis] * (forward - backward)
-    return rows, targets
-
-
 class _RewrittenTables:
     """A seeded generator whose table draws pass through a rewrite; x and eps draw as usual."""
 
@@ -373,20 +378,23 @@ _BATCH_TABLES = {
     ],
 )
 def test_point_reads_are_bitwise_the_full_grid_replay(n, m, k):
-    # the averages read only at the gathered points give the rows and
-    # targets of averaging whole batches, byte for byte, on random,
-    # constant and signed-zero batches of 1 and 3 samples
+    # the batched point reads give the rows and targets of the pointwise
+    # stencil replay, whose every average is the full-grid stencil's entry
+    # at its point, byte for byte, on random, constant and signed-zero
+    # batches of 1 and 3 samples; a constant batch has no differences
     g = TorusGeometry(n, m)
     pairs = coefficient_pairs(n)
     for name, rewrite in _BATCH_TABLES.items():
         for size in (1, 3):
             seed = 11 * size + n
             rows, targets = identity._replay_batch(g, k, _RewrittenTables(seed, rewrite), pairs, size)
-            want_rows, want_targets = full_grid_replay_batch(
+            want_rows, want_targets = stencil_replay_batch(
                 g, k, _RewrittenTables(seed, rewrite), pairs, size
             )
             assert rows.tobytes() == want_rows.tobytes(), (name, size)
             assert targets.tobytes() == want_targets.tobytes(), (name, size)
+            if name == "constant":
+                assert not rows.any() and not targets.any(), size
 
 
 @pytest.mark.parametrize(
@@ -405,21 +413,27 @@ def test_the_replay_does_not_depend_on_the_batch_size(n, k, monkeypatch):
     assert len(residuals) == 1, residuals
 
 
-def test_no_window_pass_runs_over_the_whole_batch(monkeypatch):
-    # the replay reads every pass at its points, so a whole-batch axis pass
-    # may not run; the fit still uses it and is not called here
+def test_the_replay_does_no_whole_batch_or_whole_grid_work(monkeypatch):
+    # the replay reads each average at its points off the support offsets:
+    # no window sum, axis pass or full-grid stencil may run, and no
+    # (taps, m^n) index table may be read, not even one already cached on a
+    # support (a class property beats the instance's cached value); the fit
+    # still uses them and is not called here
     g, k = TorusGeometry(4, 8), 3
     pairs = coefficient_pairs(g.n)
-    want_rows, want_targets = full_grid_replay_batch(
+    want_rows, want_targets = stencil_replay_batch(
         g, k, _RewrittenTables(3, lambda draw: draw), pairs, 3
     )
 
-    def whole_batch_pass(*args, **kwargs):
-        raise AssertionError("a window pass ran over the whole batch")
+    def whole_table_work(*args, **kwargs):
+        raise AssertionError("the replay worked over a whole batch or grid")
 
-    monkeypatch.setattr(averaging, "_axis_window_pass", whole_batch_pass)
-    # a module that imported the pass by name would call its own binding
-    monkeypatch.setattr(identity, "_axis_window_pass", whole_batch_pass, raising=False)
+    # a module that imported a name would call its own binding
+    for module, name in product(
+        (kernels, averaging, identity), ("window_sums", "_axis_window_pass", "convolve")
+    ):
+        monkeypatch.setattr(module, name, whole_table_work, raising=False)
+    monkeypatch.setattr(averaging.SupportSet, "index_table", property(whole_table_work))
     rows, targets = identity._replay_batch(g, k, _RewrittenTables(3, lambda draw: draw), pairs, 3)
     assert rows.tobytes() == want_rows.tobytes()
     assert targets.tobytes() == want_targets.tobytes()
@@ -491,6 +505,17 @@ def test_golden_tool_reproduces_the_committed_fits():
         committed = IdentityCoefficients.from_json_dict(json.loads((GOLDEN / name).read_text()))
         assert np.abs(fitted.values - committed.values).max() <= 1e-12, name
         assert np.array_equal(fitted.identifiable, committed.identifiable), name
+
+
+def test_golden_tool_runs_from_a_checkout_without_an_install(tmp_path):
+    # the tool puts the checkout's src/ on sys.path itself; run under another
+    # name than __main__ it only imports, and writes no golden
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    code = f"import runpy; runpy.run_path({str(GOLDEN_TOOL)!r}, run_name='goldens')"
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_golden_shape_constants():

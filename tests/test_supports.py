@@ -11,6 +11,7 @@ from enflolab.averaging import (
     build_parity_shell,
     check_radius,
 )
+from enflolab.kernels import gather_mean
 from enflolab.torus import TorusGeometry, linf_dist
 
 
@@ -125,3 +126,22 @@ def test_index_table_matches_direct_lookup(cell):
     for t in (0, s.count - 1):
         want = g.encode((pts + s.offsets[t]) % m)
         assert np.array_equal(table[t], want)
+
+
+@pytest.mark.parametrize("taps", [1, 9, 192])
+def test_gather_mean_reads_an_index_table_of_any_shape(taps):
+    # a (taps, 2, 3) index table over a flat table of signed zeros and
+    # Gaussians: each entry is bitwise a Python sum from 0.0 in tap order,
+    # divided by the tap count
+    rng = np.random.default_rng(taps)
+    values = rng.standard_normal(60)
+    values[::3] = 0.0
+    values[1::3] = -0.0
+    index = rng.integers(0, values.size, size=(taps, 2, 3))
+    got = gather_mean(values, index)
+    assert got.shape == (2, 3)
+    for point in np.ndindex(2, 3):
+        total = 0.0
+        for t in range(taps):
+            total += float(values[index[(t,) + point]])
+        assert np.float64(total / taps).tobytes() == got[point].tobytes(), point

@@ -18,15 +18,21 @@ Rerun only to change the protocol; commit the diff.
 
 import json
 import pathlib
+import sys
 
 import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the checkout's own package, as tools/compare_outputs.py runs it, so the
+# tool needs no install
+sys.path.insert(0, str(ROOT / "src"))
 
 from enflolab.averaging import build_even_box, convolve
 from enflolab.identity import decomposition_moment, fit_identity_coefficients
 from enflolab.inequalities import inequality_sides
 from enflolab.torus import FunctionTable, TorusGeometry, as_exponent, as_norm
 
-GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
+GOLDEN_DIR = ROOT / "tests" / "golden"
 
 FIT_CELLS = [(1, 3), (2, 1), (2, 3), (3, 3)]
 FIT_M = 8
