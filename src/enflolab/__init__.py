@@ -6,110 +6,3 @@ shell difference identity, and extremal search over tables.
 """
 
 __version__ = "0.1.0"
-
-from .averaging import (
-    SupportSet,
-    box_average,
-    build_even_box,
-    build_parity_shell,
-    check_radius,
-    convolve,
-    convolve_box_separable,
-    convolve_shell_separable,
-)
-from .identity import (
-    IDENTITY_RESIDUAL_TOL,
-    IdentityCheck,
-    IdentityCoefficients,
-    coefficient_pairs,
-    coefficient_scale,
-    decomposition_moment,
-    decomposition_term_table,
-    fit_identity_coefficients,
-    shell_difference_sum_table,
-    verify_identity,
-)
-from .inequalities import (
-    PROVEN_BOUND_RTOL,
-    REPORT_CSV_COLUMNS,
-    ProvenBoundViolation,
-    RatioReport,
-    approximation_ratio,
-    edge_energy,
-    enflo_ratio,
-    pisier_ratio,
-    rademacher_ratio,
-    scaled_enflo_ratio,
-    scheme_composite_check,
-    smoothing_ratio,
-)
-from .search import (
-    SEARCH_OBJECTIVES,
-    OptimizationConfig,
-    SearchOutcome,
-    default_k_rule,
-    gradient_check,
-    maximize_cells,
-    maximize_ratio,
-    scan_grid,
-)
-from .torus import (
-    FunctionTable,
-    NormSpec,
-    TorusGeometry,
-    as_exponent,
-    as_norm,
-    linf_dist,
-    residue_abs,
-    sign_vectors,
-)
-
-__all__ = [
-    "__version__",
-    "TorusGeometry",
-    "FunctionTable",
-    "NormSpec",
-    "as_norm",
-    "as_exponent",
-    "residue_abs",
-    "linf_dist",
-    "sign_vectors",
-    "SupportSet",
-    "check_radius",
-    "build_even_box",
-    "build_parity_shell",
-    "convolve",
-    "convolve_box_separable",
-    "convolve_shell_separable",
-    "box_average",
-    "RatioReport",
-    "ProvenBoundViolation",
-    "REPORT_CSV_COLUMNS",
-    "PROVEN_BOUND_RTOL",
-    "edge_energy",
-    "rademacher_ratio",
-    "enflo_ratio",
-    "scaled_enflo_ratio",
-    "approximation_ratio",
-    "smoothing_ratio",
-    "pisier_ratio",
-    "scheme_composite_check",
-    "IdentityCoefficients",
-    "IdentityCheck",
-    "IDENTITY_RESIDUAL_TOL",
-    "coefficient_pairs",
-    "coefficient_scale",
-    "decomposition_term_table",
-    "shell_difference_sum_table",
-    "fit_identity_coefficients",
-    "verify_identity",
-    "decomposition_moment",
-    "OptimizationConfig",
-    "SearchOutcome",
-    "SEARCH_OBJECTIVES",
-    "maximize_ratio",
-    "maximize_cells",
-    "gradient_check",
-    "default_k_rule",
-    "scan_grid",
-]

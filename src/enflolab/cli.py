@@ -522,9 +522,10 @@ def main(argv=None) -> int:
         return 2
     try:
         # json.loads detects the encoding of bytes; a decode error is a ValueError,
-        # and so is an integer literal beyond Python's digit limit
+        # and so is an integer literal beyond Python's digit limit; nesting past
+        # the interpreter's recursion limit raises RecursionError
         payload = json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     try:

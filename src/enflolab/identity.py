@@ -44,7 +44,6 @@ from .torus import FunctionTable, TorusGeometry, as_exponent, as_norm, sign_vect
 __all__ = [
     "IdentityCoefficients",
     "IdentityCheck",
-    "decomposition_term_table",
     "shell_difference_sum_table",
     "fit_identity_coefficients",
     "verify_identity",
@@ -149,16 +148,6 @@ def _term_table(
     return acc
 
 
-def decomposition_term_table(f: FunctionTable, i: int, l: int, k: int, eps) -> np.ndarray:
-    """One signed difference term tabulated over every x, as an (m^n, d) array."""
-    g = f.geometry
-    _check_indices(g.n, i, l)
-    check_radius(k, g.m)
-    ev = _check_signs(eps, g.n)
-    tables = _complement_tables(f, k, [i])
-    return _term_table(tables, g, k, i, l, ev, g.shape + (f.d,)).reshape(f.values.shape)
-
-
 def shell_difference_sum_table(f: FunctionTable, k: int, eps) -> np.ndarray:
     """The shell difference sum tabulated over every x."""
     g = f.geometry
@@ -201,10 +190,6 @@ class IdentityCoefficients:
     def coefficient(self, i: int, l: int) -> float:
         _check_indices(self.n, i, l)
         return float(self.values[i, l])
-
-    def is_identifiable(self, i: int, l: int) -> bool:
-        _check_indices(self.n, i, l)
-        return bool(self.identifiable[i, l])
 
     def shape_constant(self) -> float:
         """Largest |coefficient| relative to (i-l)! l! / 2^i over identifiable entries."""

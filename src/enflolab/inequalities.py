@@ -128,10 +128,6 @@ class RatioReport:
     def to_csv_row(self) -> list[str]:
         return [format_cell(getattr(self, column)) for column in REPORT_CSV_COLUMNS]
 
-    def to_json_dict(self) -> dict:
-        blob = {column: getattr(self, column) for column in REPORT_CSV_COLUMNS}
-        return dict(blob, q="inf" if math.isinf(self.q) else self.q)
-
 
 def _build_report(
     evaluator: str,

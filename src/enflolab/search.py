@@ -53,8 +53,6 @@ __all__ = [
     "OptimizationConfig",
     "SearchOutcome",
     "SEARCH_OBJECTIVES",
-    "maximize_ratio",
-    "gradient_check",
     "default_k_rule",
     "map_cells",
     "maximize_cells",
@@ -83,9 +81,6 @@ _SMOOTHING_EPS = 1e-6
 
 # first trial step of every ascent round, halved after each failed trial
 _STEP = 0.5
-
-# central-difference step of gradient_check
-_FD_STEP = 1e-5
 
 _MAX_BACKTRACKS = 40
 
@@ -248,17 +243,6 @@ class _Objective:
         """Exact report of a table by the evaluator of the given block's cell."""
         return self.blocks[block].report(table)
 
-    def min_diff(self, vals: np.ndarray) -> float:
-        """Smallest Euclidean length among all difference vectors of both sides."""
-        worst = math.inf
-        for side in self.sides:
-            nd = side.read(vals, self._average).reshape(self.shape)
-            for op in side.ops:
-                diff = op.apply(nd)
-                mags = np.sqrt(np.sum(diff * diff, axis=-1))
-                worst = min(worst, float(mags.min()))
-        return worst
-
 
 def _stack_objective(
     name: str,
@@ -407,55 +391,6 @@ def _maximize_stack(
     return outcomes
 
 
-def maximize_ratio(
-    objective: str,
-    geometry: TorusGeometry,
-    d: int = 1,
-    norm=2.0,
-    p=2.0,
-    k: int | None = None,
-    config: OptimizationConfig | None = None,
-) -> SearchOutcome:
-    """Search for a table maximizing the named inequality ratio; the best restart wins."""
-    cfg = config if config is not None else OptimizationConfig()
-    return _maximize_stack(objective, geometry, d, k, [(norm, p)], [_seed_tuple(cfg.seed)], cfg)[0]
-
-
-def gradient_check(objective: str, f: FunctionTable, norm, p, k: int | None = None) -> float:
-    """Worst relative error of the analytic gradient against central differences.
-
-    Checks the smoothed log-ratio objective, at _SMOOTHING_EPS, at the
-    given table over 20 coordinates, with steps of _FD_STEP. Refuses
-    p = 1 and tables whose smallest difference vector
-    sits at the smoothing scale; both would compare derivatives across a
-    near kink, where finite differences say nothing.
-    """
-    p = as_exponent(p)
-    if not p > 1:
-        raise ValueError("gradient checks need p above 1")
-    obj = _stack_objective(objective, f.geometry, f.d, k, [(norm, p)])
-    vals = f.values
-    if obj.min_diff(vals) < 10.0 * _SMOOTHING_EPS:
-        raise ValueError("table has differences at the smoothing scale")
-    lhs, glhs, rhs, grhs = obj.value_grad(vals)
-    grad = (glhs / lhs - grhs / rhs).reshape(-1)
-    flat = vals.reshape(-1)
-    rng = np.random.default_rng(0)
-    picks = rng.choice(flat.size, size=min(20, flat.size), replace=False)
-    worst = 0.0
-    for j in picks:
-        plus = flat.copy()
-        plus[j] += _FD_STEP
-        minus = flat.copy()
-        minus[j] -= _FD_STEP
-        lp, _, rp, _ = obj.value_grad(plus.reshape(vals.shape))
-        lm, _, rm, _ = obj.value_grad(minus.reshape(vals.shape))
-        numeric = ((math.log(lp) - math.log(rp)) - (math.log(lm) - math.log(rm))) / (2 * _FD_STEP)
-        denom = max(abs(numeric), abs(grad[j]), 1e-8)
-        worst = max(worst, abs(numeric - grad[j]) / denom)
-    return worst
-
-
 def map_cells(runner, count: int, threads: int) -> list:
     """runner(0), ..., runner(count - 1) in order, on min(threads, usable CPUs, count) threads.
 
@@ -499,12 +434,12 @@ def _stacks(cells, restarts: int) -> list[list[int]]:
 
 
 def maximize_cells(cells, config: OptimizationConfig, threads: int = 1) -> list[SearchOutcome]:
-    """maximize_ratio on each (objective, n, m, k, p, q, d) cell, in cell order.
+    """Best restart of each (objective, n, m, k, p, q, d) cell, in cell order.
 
     Cell i searches on the stream (config's seed..., i), so the outcomes do
     not depend on the thread count. The cells of each of _stacks(cells)
-    ascend as one stack, and each outcome is bitwise the one maximize_ratio
-    finds for its cell alone.
+    ascend as one stack, and each outcome is bitwise the one _maximize_stack
+    finds for its cell alone, as a stack of one on that stream.
     """
     base = _seed_tuple(config.seed)
     stacks = _stacks(cells, config.restarts)

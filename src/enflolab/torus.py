@@ -21,8 +21,6 @@ __all__ = [
     "NormSpec",
     "as_norm",
     "as_exponent",
-    "residue_abs",
-    "linf_dist",
     "sign_vectors",
 ]
 
@@ -30,14 +28,6 @@ __all__ = [
 def _is_count(value, minimum: int) -> bool:
     """An int of at least minimum; a bool is not a count."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
-
-
-def _integer_array(values, what: str) -> np.ndarray:
-    """values as an int64 array; bools and non-integers are refused, not truncated."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -78,35 +68,19 @@ class TorusGeometry:
         return _grid_points(self.n, self.m)
 
     def encode(self, coords):
-        """Flat row-major index of a residue vector, or of a (..., n) stack."""
-        arr = _integer_array(coords, "coordinates")
+        """Flat row-major index of a residue vector, or of a (..., n) stack.
+
+        Bools and non-integers are refused, not truncated.
+        """
+        arr = np.asarray(coords)
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"coordinates must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         if arr.ndim == 0 or arr.shape[-1] != self.n:
             raise ValueError("coordinate vector must have length n")
         arr = arr % self.m
         idx = arr @ np.asarray(self.strides, dtype=np.int64)
         return int(idx) if idx.ndim == 0 else idx
-
-    def decode(self, index):
-        """Residue vector(s) for flat index (or index array)."""
-        idx = _integer_array(index, "flat index")
-        if np.any(idx < 0) or np.any(idx >= self.size):
-            raise ValueError("index out of range")
-        return np.stack(np.unravel_index(idx, self.shape), axis=-1)
-
-
-def residue_abs(z, m: int):
-    """Cycle distance to zero, min(z mod m, m - z mod m)."""
-    r = np.asarray(z, dtype=np.int64) % m
-    out = np.minimum(r, m - r)
-    return int(out) if out.ndim == 0 else out
-
-
-def linf_dist(x, y, m: int):
-    """Largest coordinatewise cycle distance between two points."""
-    dx = np.asarray(x, dtype=np.int64) - np.asarray(y, dtype=np.int64)
-    r = dx % m
-    out = np.minimum(r, m - r).max(axis=-1)
-    return int(out) if np.ndim(out) == 0 else out
 
 
 @lru_cache(maxsize=None)
@@ -274,11 +248,6 @@ class FunctionTable:
         return cls(geometry, values)
 
     @classmethod
-    def constant(cls, geometry: TorusGeometry, vector) -> "FunctionTable":
-        vec = np.atleast_1d(np.asarray(vector, dtype=np.float64))
-        return cls(geometry, np.tile(vec, (geometry.size, 1)))
-
-    @classmethod
     def indicator(cls, geometry: TorusGeometry, point) -> "FunctionTable":
         """Scalar table equal to 1 at one point and 0 elsewhere."""
         vals = np.zeros((geometry.size, 1))
@@ -288,12 +257,4 @@ class FunctionTable:
     @classmethod
     def random_gaussian(cls, geometry: TorusGeometry, d: int, rng) -> "FunctionTable":
         return cls(geometry, rng.standard_normal((geometry.size, d)))
-
-    @classmethod
-    def linear_hypercube(cls, coefficients) -> "FunctionTable":
-        """Hypercube table of eps -> sum_j eps_j c_j for coefficient rows c_j."""
-        coeffs = np.atleast_2d(np.asarray(coefficients, dtype=np.float64))
-        n = coeffs.shape[0]
-        values = sign_vectors(n).astype(np.float64) @ coeffs
-        return cls(TorusGeometry(n, 2), values)
 

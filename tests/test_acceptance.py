@@ -33,7 +33,7 @@ from enflolab.inequalities import (
     rademacher_ratio,
     smoothing_ratio,
 )
-from enflolab.torus import FunctionTable, TorusGeometry, residue_abs
+from enflolab.torus import FunctionTable, TorusGeometry, sign_vectors
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -50,7 +50,7 @@ def test_criterion_1_support_cardinalities_exhaustive():
             continue
         g = TorusGeometry(n, m)
         pts = g.points()
-        res = residue_abs(pts, m)
+        res = np.minimum(pts, m - pts)  # cycle distance of each residue to 0
         even = pts % 2 == 0
         for size in range(n + 1):
             for axes in combinations(range(n), size):
@@ -89,10 +89,10 @@ def test_criterion_2_identity_coefficient_recovery():
         residual = verify_identity(fitted, g, k, n_samples=200).max_residual
         assert residual < 1e-8, (n, k, residual)
         for l in range(n + 1):
-            assert not fitted.is_identifiable(n, l)
+            assert not fitted.identifiable[n, l]
         c_fit = fitted.shape_constant()
         for i, l in coefficient_pairs(n):
-            if fitted.is_identifiable(i, l):
+            if fitted.identifiable[i, l]:
                 bound = math.factorial(i - l) * math.factorial(l) / 2.0**i
                 assert abs(fitted.coefficient(i, l)) <= c_fit * bound + 1e-12
         assert c_fit <= 1.5, c_fit
@@ -131,7 +131,7 @@ def test_criterion_4_hilbert_exactness():
     exponents = list(product((1.0, 1.5, 2.0), (1.0, 2.0, math.inf)))
     for trial in range(30):
         coeffs = rng.normal(size=(int(rng.integers(2, 7)), int(rng.integers(1, 4))))
-        table = FunctionTable.linear_hypercube(coeffs)
+        table = FunctionTable(TorusGeometry(len(coeffs), 2), sign_vectors(len(coeffs)) @ coeffs)
         p, q = exponents[trial % len(exponents)]
         a = enflo_ratio(table, q, p)
         b = rademacher_ratio(coeffs, q, p)

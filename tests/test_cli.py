@@ -382,6 +382,12 @@ def test_invalid_config_exits_2_and_writes_nothing(tmp_path):
     garbled.write_bytes(b"\xff{}")
     assert cli.main(["--config", str(garbled), "--out", str(tmp_path / "garbled")]) == 2
     assert not (tmp_path / "garbled").exists()
+    # so is one nested past the parser's recursion limit, which raises
+    # RecursionError; a traceback's exit 1 would claim a violated bound
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200000 + "]" * 200000)
+    assert cli.main(["--config", str(nested), "--out", str(tmp_path / "nested")]) == 2
+    assert not (tmp_path / "nested").exists()
 
 
 @pytest.mark.parametrize("q", [800.0, 1e308])

@@ -186,7 +186,7 @@ def test_shell_equals_box_at_n1():
 
 def test_constants_are_fixed_exactly():
     g = TorusGeometry(3, 8)
-    c = FunctionTable.constant(g, [0.1, -7.3])
+    c = FunctionTable(g, np.tile([0.1, -7.3], (g.size, 1)))
     for out in (
         box_average(c, range(3), 3),
         convolve_box_separable(c, [0, 2], 3),

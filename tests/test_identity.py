@@ -20,13 +20,14 @@ from enflolab.averaging import (
 )
 from enflolab.identity import (
     IdentityCoefficients,
+    _check_indices,
     _check_signs,
     _complement_tables,
     _pattern_multipliers,
+    _term_table,
     coefficient_pairs,
     coefficient_scale,
     decomposition_moment,
-    decomposition_term_table,
     fit_identity_coefficients,
     shell_difference_sum_table,
     verify_identity,
@@ -44,6 +45,16 @@ def true_coefficient(i, l):
 def gaussian(n, m, d, seed):
     g = TorusGeometry(n, m)
     return FunctionTable.random_gaussian(g, d, np.random.default_rng(seed))
+
+
+def decomposition_term_table(f, i, l, k, eps):
+    """One signed difference term tabulated over every x, as an (m^n, d) array."""
+    g = f.geometry
+    _check_indices(g.n, i, l)
+    check_radius(k, g.m)
+    ev = _check_signs(eps, g.n)
+    tables = _complement_tables(f, k, [i])
+    return _term_table(tables, g, k, i, l, ev, g.shape + (f.d,)).reshape(f.values.shape)
 
 
 # The pointwise stencil replay: the oracle verify_identity's batched replay
@@ -249,7 +260,7 @@ def test_term_table_matches_pointwise_terms():
         axis=1,
     )
     for idx in range(g.size):
-        row = _feature_row(tables, g, 3, g.decode(idx), eps, pairs)
+        row = _feature_row(tables, g, 3, g.points()[idx], eps, pairs)
         assert np.abs(row - want[idx]).max() < 1e-12
 
 
@@ -282,7 +293,7 @@ def test_shell_sum_antisymmetry_and_pointwise_match():
     flipped = shell_difference_sum_table(f, 3, -eps)
     assert np.array_equal(flipped, -table)
     for idx in range(g.size):
-        single = shell_difference_sum(f, 3, g.decode(idx), eps)
+        single = shell_difference_sum(f, 3, g.points()[idx], eps)
         assert np.abs(table[idx] - single).max() < 1e-12
 
 
@@ -301,10 +312,10 @@ def test_fit_recovers_the_known_coefficients():
         assert verify_identity(fitted, g, 3, n_samples=200).max_residual < 1e-8
         for i, l in coefficient_pairs(n):
             if i < n:
-                assert fitted.is_identifiable(i, l)
+                assert fitted.identifiable[i, l]
                 assert abs(fitted.coefficient(i, l) - true_coefficient(i, l)) < 1e-12
             else:
-                assert not fitted.is_identifiable(i, l)
+                assert not fitted.identifiable[i, l]
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 3), (3, 1), (3, 3)])

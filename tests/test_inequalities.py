@@ -33,6 +33,7 @@ from enflolab.inequalities import (
     smoothing_ratio,
     unit_steps,
 )
+from enflolab.search import OptimizationConfig, maximize_cells
 from enflolab.torus import FunctionTable, NormSpec, TorusGeometry, sign_vectors
 
 
@@ -70,7 +71,7 @@ def test_rademacher_rejects_bad_input():
 def test_enflo_on_linear_tables_matches_rademacher():
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=(4, 2))
-    f = FunctionTable.linear_hypercube(coeffs)
+    f = FunctionTable(TorusGeometry(4, 2), sign_vectors(4) @ coeffs)
     for p in (1.0, 1.5, 2.0):
         for q in (1.0, 2.0, math.inf):
             a = enflo_ratio(f, q, p)
@@ -91,7 +92,7 @@ def test_edge_energy_matches_pointwise_definition():
         step = np.zeros(2, dtype=np.int64)
         step[axis] = 1
         for idx in range(g.size):
-            x = g.decode(idx)
+            x = g.points()[idx]
             diff = f.values[g.encode((x + step) % g.m)] - f.values[idx]
             total += float(np.sum(diff * diff)) / g.size
     assert abs(edge_energy(f, 2.0, 2.0) - total) < 1e-12
@@ -318,7 +319,7 @@ def test_smoothing_kills_the_parity_indicator():
 
 def test_constant_tables_degenerate_with_no_ratio(composite):
     g = TorusGeometry(2, 8)
-    c = FunctionTable.constant(g, [2.5, -1.0])
+    c = FunctionTable(g, np.tile([2.5, -1.0], (g.size, 1)))
     for report in (
         scaled_enflo_ratio(c, 2.0, 2.0),
         smoothing_ratio(c, 3, 2.0, 2.0),
@@ -534,7 +535,74 @@ def test_report_serialization_formats():
     assert row[11] == ""  # seed unset until attached
     stamped = report.with_seed(77)
     assert stamped.to_csv_row()[11] == "77"
-    blob = stamped.to_json_dict()
-    assert blob["q"] == "inf"
-    assert blob["seed"] == 77
-    assert blob["k"] is None
+
+
+# The triangle-inequality ceiling. Walking from x to x + (m/2) eps in n m/2
+# unit steps, the triangle inequality, Hoelder and translation invariance give
+# E|f(x + (m/2) eps) - f(x)|^p <= (nm/2)^(p-1) (m/2) sum_j E|f(x + e_j) - f(x)|^p
+# in every normed space, so the scaled Enflo ratio is at most n^(p-1) / 2^p;
+# on the cube, with no m^p factor, the Enflo ratio is at most n^(p-1).
+
+
+def ceiling(name, n, p):
+    return n ** (p - 1) / 2**p if name == "scaled_enflo" else n ** (p - 1)
+
+
+def assert_under_ceiling(report):
+    bound = ceiling(report.evaluator, report.n, report.p)
+    assert report.lhs <= bound * report.rhs * (1.0 + PROVEN_BOUND_RTOL), report
+
+
+def test_random_tables_stay_under_the_triangle_inequality_ceiling():
+    rng = np.random.default_rng(140)
+    for p in (1.0, 1.5, 2.0):
+        for q in (1.0, 1.5, 2.0, math.inf):
+            for d in (1, 3):
+                for n, m in ((1, 4), (1, 12), (2, 8), (3, 4), (3, 8)):
+                    f = FunctionTable.random_gaussian(TorusGeometry(n, m), d, rng)
+                    assert_under_ceiling(scaled_enflo_ratio(f, q, p))
+                for n in (1, 3, 5):
+                    f = FunctionTable.random_gaussian(TorusGeometry(n, 2), d, rng)
+                    assert_under_ceiling(enflo_ratio(f, q, p))
+
+
+def test_search_outcomes_stay_under_the_triangle_inequality_ceiling():
+    cells = [
+        (name, n, m, None, p, q, d)
+        for name, n, m in (("scaled_enflo", 1, 4), ("scaled_enflo", 2, 8), ("enflo", 3, 2))
+        for p in (1.5, 2.0)
+        for q in (1.0, 2.0, math.inf)
+        for d in (1, 2)
+    ]
+    config = OptimizationConfig(restarts=2, iterations=20, seed=14)
+    outcomes = maximize_cells(cells, config)
+    assert [out.report.evaluator for out in outcomes] == [cell[0] for cell in cells]
+    for out in outcomes:
+        assert_under_ceiling(out.report)
+
+
+def l1_cycle_embedding(geometry):
+    """Each cycle Z_m isometrically into l1^(m/2): coordinate (j, i) is 1[(x_j - i) mod m < m/2]."""
+    half = geometry.m // 2
+    pts = geometry.points()
+    inside = (pts[:, :, None] - np.arange(half)) % geometry.m < half
+    return FunctionTable(geometry, inside.reshape(geometry.size, -1).astype(np.float64))
+
+
+@pytest.mark.parametrize("n,m", [(1, 8), (2, 8), (3, 8), (4, 8), (2, 12), (3, 12)])
+def test_l1_cycle_embedding_attains_the_scaled_enflo_ceiling(n, m):
+    f = l1_cycle_embedding(TorusGeometry(n, m))
+    assert f.d == n * m // 2
+    for p in (1.0, 1.5, 2.0):
+        report = scaled_enflo_ratio(f, 1.0, p)
+        bound = ceiling("scaled_enflo", n, p)
+        assert abs(report.ratio - bound) <= 1e-12 * bound, (p, report.ratio)
+
+
+def test_identity_map_of_the_cube_into_l1_attains_the_enflo_ceiling():
+    for n in range(2, 6):
+        f = FunctionTable(TorusGeometry(n, 2), sign_vectors(n).astype(np.float64))
+        for p in (1.0, 1.5, 2.0):
+            report = enflo_ratio(f, 1.0, p)
+            bound = ceiling("enflo", n, p)
+            assert abs(report.ratio - bound) <= 1e-12 * bound, (n, p, report.ratio)

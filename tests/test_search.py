@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,18 +13,20 @@ from enflolab.search import (
     _SMOOTHING_EPS,
     _STACK_ENTRIES,
     _ascend,
+    _maximize_stack,
     _smooth_piece,
     _stack_objective,
     _stacks,
     default_k_rule,
-    gradient_check,
     maximize_cells,
-    maximize_ratio,
     scan_grid,
 )
-from enflolab.torus import FunctionTable, NormSpec, TorusGeometry
+from enflolab.torus import FunctionTable, NormSpec, TorusGeometry, as_exponent
 
 TINY = OptimizationConfig(restarts=2, iterations=30, seed=0)
+
+# central-difference step of gradient_check
+_FD_STEP = 1e-5
 
 
 def gaussian(n, m, d, seed):
@@ -112,6 +114,53 @@ def test_smoothed_piece_is_bitwise_the_oracle_in_fewer_arrays():
                     assert np.isnan(joint[:3]).all() and np.isnan(joint[4:]).all()
 
 
+def min_diff(obj, vals):
+    """Smallest Euclidean length among all difference vectors of both sides."""
+    worst = math.inf
+    for side in obj.sides:
+        nd = side.read(vals, obj._average).reshape(obj.shape)
+        for op in side.ops:
+            diff = op.apply(nd)
+            mags = np.sqrt(np.sum(diff * diff, axis=-1))
+            worst = min(worst, float(mags.min()))
+    return worst
+
+
+def gradient_check(objective, f, norm, p, k=None):
+    """Worst relative error of the analytic gradient against central differences.
+
+    Checks the smoothed log-ratio objective, at _SMOOTHING_EPS, at the
+    given table over 20 coordinates, with steps of _FD_STEP. Refuses
+    p = 1 and tables whose smallest difference vector
+    sits at the smoothing scale; both would compare derivatives across a
+    near kink, where finite differences say nothing.
+    """
+    p = as_exponent(p)
+    if not p > 1:
+        raise ValueError("gradient checks need p above 1")
+    obj = _stack_objective(objective, f.geometry, f.d, k, [(norm, p)])
+    vals = f.values
+    if min_diff(obj, vals) < 10.0 * _SMOOTHING_EPS:
+        raise ValueError("table has differences at the smoothing scale")
+    lhs, glhs, rhs, grhs = obj.value_grad(vals)
+    grad = (glhs / lhs - grhs / rhs).reshape(-1)
+    flat = vals.reshape(-1)
+    rng = np.random.default_rng(0)
+    picks = rng.choice(flat.size, size=min(20, flat.size), replace=False)
+    worst = 0.0
+    for j in picks:
+        plus = flat.copy()
+        plus[j] += _FD_STEP
+        minus = flat.copy()
+        minus[j] -= _FD_STEP
+        lp, _, rp, _ = obj.value_grad(plus.reshape(vals.shape))
+        lm, _, rm, _ = obj.value_grad(minus.reshape(vals.shape))
+        numeric = ((math.log(lp) - math.log(rp)) - (math.log(lm) - math.log(rm))) / (2 * _FD_STEP)
+        denom = max(abs(numeric), abs(grad[j]), 1e-8)
+        worst = max(worst, abs(numeric - grad[j]) / denom)
+    return worst
+
+
 def test_gradients_match_finite_differences_everywhere():
     for name, table, k in objective_cases():
         err = gradient_check(name, table, 2.0, 2.0, k=k)
@@ -140,7 +189,7 @@ def test_gradient_check_guards():
     f = gaussian(2, 8, 1, seed=3)
     with pytest.raises(ValueError):
         gradient_check("scaled_enflo", f, 2.0, 1.0)
-    flat = FunctionTable.constant(f.geometry, [1.0])
+    flat = FunctionTable(f.geometry, np.ones((f.geometry.size, 1)))
     with pytest.raises(ValueError):
         gradient_check("scaled_enflo", flat, 2.0, 2.0)
     with pytest.raises(ValueError):
@@ -148,7 +197,7 @@ def test_gradient_check_guards():
 
 
 def test_reported_ratio_is_a_fresh_exact_evaluation():
-    out = maximize_ratio("scaled_enflo", TorusGeometry(2, 8), norm=2.0, p=2.0, config=TINY)
+    out = maximize_cells([("scaled_enflo", 2, 8, None, 2.0, 2.0, 1)], TINY)[0]
     again = scaled_enflo_ratio(out.table, NormSpec(2.0), 2.0)
     assert abs(out.report.ratio - again.ratio) < 1e-12
     assert out.report.lhs == again.lhs
@@ -291,16 +340,14 @@ def test_search_at_a_huge_finite_q_accepts_its_steps():
     # sq^(q/2) overflows at q = 400, so the smoothed objective takes the sup
     # surrogate's power there; the ascent must still move from its start
     config = OptimizationConfig(restarts=1, iterations=5)
-    g = TorusGeometry(2, 8)
-    outcome = maximize_ratio("scaled_enflo", g, d=2, norm=400.0, p=2.0, config=config)
+    outcome = maximize_cells([("scaled_enflo", 2, 8, None, 2.0, 400.0, 2)], config)[0]
     assert outcome.accepted_steps == 5
     assert all(math.isfinite(value) for value in outcome.trace)
 
 
 def test_trace_is_nondecreasing():
-    g = TorusGeometry(2, 8)
     config = OptimizationConfig(restarts=2, iterations=40, seed=5)
-    out = maximize_ratio("scaled_enflo", g, config=config)
+    out = maximize_cells([("scaled_enflo", 2, 8, None, 2.0, 2.0, 1)], config)[0]
     diffs = np.diff(np.array(out.trace))
     assert np.all(diffs >= -1e-15)
     assert out.accepted_steps >= 1
@@ -327,13 +374,9 @@ def test_gradients_vanish_along_constant_shifts():
 
 
 def test_more_restarts_never_hurt():
-    g = TorusGeometry(2, 8)
-    few = maximize_ratio(
-        "scaled_enflo", g, config=OptimizationConfig(restarts=2, iterations=30, seed=9)
-    ).report
-    many = maximize_ratio(
-        "scaled_enflo", g, config=OptimizationConfig(restarts=4, iterations=30, seed=9)
-    ).report
+    cells = [("scaled_enflo", 2, 8, None, 2.0, 2.0, 1)]
+    few = maximize_cells(cells, OptimizationConfig(restarts=2, iterations=30, seed=9))[0].report
+    many = maximize_cells(cells, OptimizationConfig(restarts=4, iterations=30, seed=9))[0].report
     assert many.ratio >= few.ratio
 
 
@@ -345,9 +388,9 @@ def assert_same_outcome(a, b):
 
 
 def test_search_is_reproducible():
-    g = TorusGeometry(2, 8)
-    a = maximize_ratio("scaled_enflo", g, config=TINY)
-    b = maximize_ratio("scaled_enflo", g, config=TINY)
+    cells = [("scaled_enflo", 2, 8, None, 2.0, 2.0, 1)]
+    a = maximize_cells(cells, TINY)[0]
+    b = maximize_cells(cells, TINY)[0]
     assert_same_outcome(a, b)
 
 
@@ -363,9 +406,9 @@ def test_maximize_cells_is_maximize_ratio_on_each_cell_stream():
         assert len(outcomes) == len(cells)
         for i, (cell, out) in enumerate(zip(cells, outcomes)):
             objective, n, m, k, p, q, d = cell
-            alone = maximize_ratio(
-                objective, TorusGeometry(n, m), d, q, p, k, replace(config, seed=stream + (i,))
-            )
+            alone = _maximize_stack(
+                objective, TorusGeometry(n, m), d, k, [(q, p)], [stream + (i,)], config
+            )[0]
             assert_same_outcome(out, alone)
             report = out.report
             assert (report.evaluator, report.n, report.m, report.k, report.d) == (
@@ -384,9 +427,7 @@ def test_stacked_cells_are_each_maximize_ratio_alone():
     config = OptimizationConfig(restarts=2, iterations=8, seed=(6, 2))
     assert _stacks(cells, 2) == [list(range(9)), [9, 10], [11], [12]]
     alone = [
-        maximize_ratio(
-            objective, TorusGeometry(n, m), d, q, p, k, replace(config, seed=(6, 2, i))
-        )
+        _maximize_stack(objective, TorusGeometry(n, m), d, k, [(q, p)], [(6, 2, i)], config)[0]
         for i, (objective, n, m, k, p, q, d) in enumerate(cells)
     ]
     for threads in (1, 2):
@@ -400,20 +441,22 @@ def test_stacked_cells_are_each_maximize_ratio_alone():
 
 
 def test_maximize_validation():
-    g = TorusGeometry(2, 8)
+    def cell(objective, n=2, m=8, k=None):
+        return [(objective, n, m, k, 2.0, 2.0, 1)]
+
     with pytest.raises(ValueError):
-        maximize_ratio("unknown", g)
+        maximize_cells(cell("unknown"), OptimizationConfig())
     with pytest.raises(ValueError):
-        maximize_ratio("smoothing", g)  # k missing
+        maximize_cells(cell("smoothing"), OptimizationConfig())  # k missing
     with pytest.raises(ValueError):
-        maximize_ratio("scaled_enflo", g, k=3)
+        maximize_cells(cell("scaled_enflo", k=3), OptimizationConfig())
     with pytest.raises(ValueError):
-        maximize_ratio("enflo", g, config=TINY)  # not a hypercube
+        maximize_cells(cell("enflo"), TINY)  # not a hypercube
     with pytest.raises(ValueError):
-        maximize_ratio("pisier", TorusGeometry(1, 2), config=TINY)
+        maximize_cells(cell("pisier", n=1, m=2), TINY)
     # radius 1 makes every approximation table 0/0, so the cell is refused before any draw
     with pytest.raises(ValueError, match="zero right-hand side"):
-        maximize_ratio("approximation", g, k=1, config=TINY)
+        maximize_cells(cell("approximation", k=1), TINY)
 
 
 def test_optimization_config_validation():

@@ -8,8 +8,6 @@ from enflolab.torus import (
     TorusGeometry,
     as_exponent,
     as_norm,
-    linf_dist,
-    residue_abs,
     sign_vectors,
 )
 
@@ -32,14 +30,14 @@ def test_geometry_validation():
 def test_encode_decode_round_trip(nm, raw):
     g = TorusGeometry(*nm)
     idx = raw % g.size
-    assert g.encode(g.decode(idx)) == idx
+    assert g.encode(g.points()[idx]) == idx
 
 
 def test_encode_is_row_major():
     g = TorusGeometry(2, 4)
     # coordinate 0 is the slow axis
     assert g.encode([1, 2]) == 6
-    assert list(g.decode(6)) == [1, 2]
+    assert list(g.points()[6]) == [1, 2]
     assert g.encode([5, 2]) == 6  # reduced mod m
 
 
@@ -54,17 +52,12 @@ def test_encode_and_decode_refuse_what_they_would_truncate():
     for coords in ([0.5, 2.9], [1, 2.0], np.array([1.0, 2.0]), [True, False], 5, np.int64(5)):
         with pytest.raises(ValueError):
             g.encode(coords)
-    for index in (1.5, np.float64(1.0), True, [1, 2.5], np.array([True])):
-        with pytest.raises(ValueError):
-            g.decode(index)
     # the point mass must not land on the truncated point (0, 2)
     with pytest.raises(ValueError):
         FunctionTable.indicator(g, [0.5, 2.9])
     # integer arrays of any width keep working
     assert g.encode(np.array([1, 2], dtype=np.int32)) == 10
     assert list(g.encode(np.array([[1, 2], [9, -1]], dtype=np.int8))) == [10, 15]
-    assert g.decode(np.array([10, 15], dtype=np.uint16)).tolist() == [[1, 2], [1, 7]]
-    assert g.decode(np.int64(10)).tolist() == [1, 2]
 
 
 def test_points_match_decode():
@@ -72,20 +65,9 @@ def test_points_match_decode():
     pts = g.points()
     assert pts.shape == (16, 2)
     for idx in range(16):
-        assert list(pts[idx]) == list(g.decode(idx))
+        assert list(pts[idx]) == list(np.unravel_index(idx, g.shape))
     with pytest.raises(ValueError):
         pts[0, 0] = 9  # read-only
-
-
-def test_residue_functions_on_z8():
-    assert [residue_abs(z, 8) for z in range(8)] == [0, 1, 2, 3, 4, 3, 2, 1]
-
-
-def test_lengths_and_distance():
-    assert linf_dist([0, 0], [3, 7], 8) == 3
-    assert linf_dist([1, 1], [1, 1], 8) == 0
-    arr = linf_dist(np.zeros((2, 2), dtype=int), np.array([[0, 5], [4, 4]]), 8)
-    assert list(arr) == [3, 4]
 
 
 def test_sign_vectors_match_hypercube_encoding():
@@ -94,7 +76,7 @@ def test_sign_vectors_match_hypercube_encoding():
         sv = sign_vectors(n)
         assert sv.shape == (2**n, n)
         for idx in range(2**n):
-            assert list(sv[idx]) == list(1 - 2 * g.decode(idx))
+            assert list(sv[idx]) == list(1 - 2 * g.points()[idx])
 
 
 @given(
@@ -181,19 +163,8 @@ def test_record_round_trip():
         FunctionTable.from_record(bad)
 
 
-def test_linear_hypercube_values():
-    coeffs = np.array([[1.0, 0.0], [0.0, 2.0]])
-    f = FunctionTable.linear_hypercube(coeffs)
-    assert f.geometry == TorusGeometry(2, 2)
-    sv = sign_vectors(2).astype(float)
-    assert np.array_equal(f.values, sv @ coeffs)
-
-
 def test_constant_and_indicator():
     g = TorusGeometry(1, 8)
-    c = FunctionTable.constant(g, [1.5, -2.0])
-    assert c.d == 2
-    assert np.all(c.values == [1.5, -2.0])
     ind = FunctionTable.indicator(g, [3])
     assert ind.values.sum() == 1.0
     assert ind.values[3, 0] == 1.0
