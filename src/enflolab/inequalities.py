@@ -495,7 +495,10 @@ def _evaluate(name: str, f: FunctionTable, k: int | None, norm, p) -> RatioRepor
         key = (side.source, side.ops, norm.q, p)
         moment = memo.get(key)
         if moment is None:
-            if side.source is None and side.ops == unit_steps(g.n):
+            if side.source == Box(1, displaced=True):
+                # the radius-1 box is the zero offset alone, so B f - f is 0
+                moment = 0.0
+            elif side.source is None and side.ops == unit_steps(g.n):
                 moment = edge_energy(f, norm, p)
             else:
                 moment = side.moment(side.read(f.values, smooth).reshape(g.shape + (f.d,)), norm, p)

@@ -105,7 +105,7 @@ def sign_vectors(n: int) -> np.ndarray:
 # against 0.6-3.7 ms for the reduce at d = 2..7, but 3.2x (sum) and 1.3x (max)
 # the reduce's time at d = 64, and 24x and 36x at d = 2048. Any config whose
 # d_values holds an entry above 7 takes the reduce; no perfbench workload
-# does yet (sweep uses d in {1, 3}).
+# does yet (sweep uses d in {1, 3}, and d = 1 needs no fold).
 _FOLD_MAX_D = 7
 
 
@@ -128,6 +128,9 @@ class NormSpec:
         """
         v = np.asarray(vectors, dtype=np.float64)
         out = np.empty(v.shape[:-1])
+        if v.shape[-1] == 1:
+            # every l_q norm of a 1-vector is its absolute value, exactly
+            return np.abs(v[..., 0], out=out)
         if self.q == 2.0:
             np.einsum("...i,...i->...", v, v, out=out)
             return np.sqrt(out, out=out)
@@ -175,9 +178,13 @@ def _moment_power(lengths: np.ndarray, p: float) -> np.ndarray:
 
     Pass only an array the caller owns, such as a fresh NormSpec.lengths.
     """
-    # p in {1, 2} covers most cells; avoid the pow call there
+    # p in {1, 1.5, 2} covers most cells; there the power is made of
+    # multiplies and a square root, each correctly rounded, so its bits do not
+    # depend on the SIMD loops numpy dispatches to, as pow's do
     if p == 1.0:
         return lengths
+    if p == 1.5:
+        return np.multiply(lengths, np.sqrt(lengths), out=lengths)
     if p == 2.0:
         return np.multiply(lengths, lengths, out=lengths)
     return np.power(lengths, p, out=lengths)

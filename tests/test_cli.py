@@ -410,6 +410,37 @@ def test_check_lemmas_at_a_huge_finite_q_reports_finite_ratios(q, tmp_path):
         assert all(math.isfinite(float(row[column])) for column in ("lhs", "rhs", "ratio"))
 
 
+def test_a_radius_one_cell_writes_the_degenerate_approximation_row_unread(tmp_path, monkeypatch):
+    # the radius-1 box is the zero offset, so B f - f is 0 and the approximation
+    # side has moment 0 without a read: each table takes 1 + n moments for
+    # scaled Enflo (its edge energy shared) and 2^(n-1) for smoothing
+    calls = []
+    real = inequalities._grid_moment
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(inequalities, "_grid_moment", counted)
+    config = base_config(
+        "check-lemmas",
+        n_values=[1, 2],
+        m_values=[8],
+        k_values=[1],
+        p_values=[1.5],
+        q_values=[2],
+        d_values=[2],
+        tables_per_cell=1,
+    )
+    assert run_main(config, tmp_path) == 0
+    lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
+    assert [line for line in lines if line.startswith("approximation,")] == [
+        "approximation,1,8,1,1.5,2.0,2,0.0,0.0,,true,0",
+        "approximation,2,8,1,1.5,2.0,2,0.0,0.0,,true,0",
+    ]
+    assert len(calls) == (1 + 1 + 1) + (1 + 2 + 2)
+
+
 def test_scan_outputs_are_thread_independent(tmp_path):
     cfg = base_config(
         "scan",

@@ -394,7 +394,7 @@ def test_search_is_reproducible():
     assert_same_outcome(a, b)
 
 
-def test_maximize_cells_is_maximize_ratio_on_each_cell_stream():
+def test_maximize_cells_is_each_cell_ascended_alone_on_its_stream():
     cells = [
         ("smoothing", 2, 8, 3, 2.0, 2.0, 2),
         ("smoothing", 2, 8, 3, 1.5, math.inf, 2),
@@ -417,7 +417,7 @@ def test_maximize_cells_is_maximize_ratio_on_each_cell_stream():
             assert (report.p, report.q) == (p, q)
 
 
-def test_stacked_cells_are_each_maximize_ratio_alone():
+def test_stacked_cells_are_each_their_one_cell_stack():
     cells = [
         ("smoothing", 2, 8, 3, p, q, 2) for p in (1.0, 1.5, 2.0) for q in (1.0, 2.0, math.inf)
     ]

@@ -6,6 +6,7 @@ from enflolab.torus import (
     FunctionTable,
     NormSpec,
     TorusGeometry,
+    _moment_power,
     as_exponent,
     as_norm,
     sign_vectors,
@@ -27,7 +28,7 @@ def test_geometry_validation():
 
 
 @given(geometries, st.integers(0, 10**6))
-def test_encode_decode_round_trip(nm, raw):
+def test_encode_inverts_points(nm, raw):
     g = TorusGeometry(*nm)
     idx = raw % g.size
     assert g.encode(g.points()[idx]) == idx
@@ -47,7 +48,7 @@ def test_encode_stacks():
     assert list(g.encode(pts)) == [1, 15, 0]
 
 
-def test_encode_and_decode_refuse_what_they_would_truncate():
+def test_encode_and_indicator_refuse_what_they_would_truncate():
     g = TorusGeometry(2, 8)
     for coords in ([0.5, 2.9], [1, 2.0], np.array([1.0, 2.0]), [True, False], 5, np.int64(5)):
         with pytest.raises(ValueError):
@@ -60,7 +61,7 @@ def test_encode_and_decode_refuse_what_they_would_truncate():
     assert list(g.encode(np.array([[1, 2], [9, -1]], dtype=np.int8))) == [10, 15]
 
 
-def test_points_match_decode():
+def test_points_are_row_major_and_read_only():
     g = TorusGeometry(2, 4)
     pts = g.points()
     assert pts.shape == (16, 2)
@@ -100,6 +101,25 @@ def test_l1_and_sup_lengths_equal_numpy_reductions_bitwise(d):
     v = rng.standard_normal((64, 33, d)) * rng.uniform(0.0, 1e3, (64, 33, 1))
     assert np.array_equal(NormSpec(1.0).lengths(v), np.abs(v).sum(axis=-1))
     assert np.array_equal(NormSpec(np.inf).lengths(v), np.abs(v).max(axis=-1))
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, np.inf, 400.0])
+def test_lengths_of_one_vectors_are_their_absolute_values_bitwise(q):
+    # v^2 leaves the normal range at 1e-200 and 1e200, where sqrt(v^2) is not |v|
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal((5, 7, 1)) * np.logspace(-8, 8, 7)[:, None]
+    v[0, :4, 0] = [1e-200, -1e-200, 1e200, -1e200]
+    got = NormSpec(q).lengths(v)
+    assert got.shape == (5, 7) and got.tobytes() == np.abs(v[..., 0]).tobytes()
+
+
+def test_the_one_and_a_half_power_is_x_sqrt_x_within_2_ulp_of_pow():
+    x = np.logspace(-300, 300, 6001)
+    with np.errstate(over="ignore"):
+        got = _moment_power(x.copy(), 1.5)
+        assert got.tobytes() == (x * np.sqrt(x)).tobytes()
+        # nonnegative floats order as their bit patterns, inf one past the largest
+        assert np.abs(got.view(np.int64) - np.power(x, 1.5).view(np.int64)).max() <= 2
 
 
 def test_lengths_on_a_long_trailing_axis_match_numpy_norm():
@@ -163,7 +183,7 @@ def test_record_round_trip():
         FunctionTable.from_record(bad)
 
 
-def test_constant_and_indicator():
+def test_indicator_is_a_unit_point_mass():
     g = TorusGeometry(1, 8)
     ind = FunctionTable.indicator(g, [3])
     assert ind.values.sum() == 1.0

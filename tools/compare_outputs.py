@@ -10,14 +10,18 @@ is run at seeds 0 and 1 through ``enflolab.cli.main``, once with DIR's
 config's ``report.csv``, ``h_coeffs_*.json`` and ``run_manifest.json`` must
 then match byte for byte, both trees must write the same such files, and
 both must return the same exit code. The tool prints one line per workload
-and seed and every difference it finds, and exits 1 if there is any. It
-writes only to a temporary directory.
+and seed and every difference it finds, then one more line per workload and
+seed with the number of numeric ``report.csv`` cells that differ, their
+largest relative difference and their columns. It exits 1 if there is any
+difference, and writes only to a temporary directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -65,6 +69,36 @@ def differences(base_out: Path, out: Path) -> list[str]:
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
+def numeric_gaps(base_out: Path, out: Path) -> tuple[int, float, set[str]]:
+    """Numeric report.csv cells that differ between two runs: count, largest relative gap, columns."""
+    tables = []
+    for run in (base_out, out):
+        path = run / "report.csv"
+        if not path.is_file():
+            return 0, 0.0, set()
+        with open(path, newline="") as fh:
+            tables.append(list(csv.reader(fh)))
+    header = tables[0][0] if tables[0] else []
+    count, worst, columns = 0, 0.0, set()
+    for row_a, row_b in zip(tables[0][1:], tables[1][1:]):
+        for name, a, b in zip(header, row_a, row_b):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                continue
+            if x == y:  # one value written two ways
+                gap = 0.0
+            elif math.isfinite(x) and math.isfinite(y):
+                gap = abs(x - y) / max(abs(x), abs(y))
+            else:
+                gap = math.inf
+            count, worst = count + 1, max(worst, gap)
+            columns.add(name)
+    return count, worst, columns
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, type=Path)
@@ -89,15 +123,23 @@ def main(argv=None) -> int:
                 jobs = [[p, str(o)] for p, o in zip(paths, outs[side])]
                 codes[side] = run_tree(tree, jobs, scratch / f"{side}-{tag}.jobs.json")
             found, files = [], 0
+            cells, worst, columns = 0, 0.0, set()
             for i, (a, b) in enumerate(zip(outs["base"], outs["this"])):
                 if codes["base"][i] != codes["this"][i]:
                     found.append(f"config {i}: exit {codes['base'][i]} vs {codes['this'][i]}")
                 found += [f"config {i}: {name} differs" for name in differences(a, b)]
                 files += len(compared_files(b))
+                count, gap, names = numeric_gaps(a, b)
+                cells, worst, columns = cells + count, max(worst, gap), columns | names
             status = "identical" if not found else f"{len(found)} differences"
             print(f"{workload} seed {seed}: {len(paths)} configs, {files} files, {status}")
             for line in found:
                 print(f"  {line}")
+            where = f" in {', '.join(sorted(columns))}" if columns else ""
+            print(
+                f"{workload} seed {seed}: {cells} numeric cells differ, "
+                f"largest relative difference {worst:.2g}{where}"
+            )
             failed = failed or bool(found)
     return 1 if failed else 0
 
