@@ -100,45 +100,61 @@ MAX_HELD_ENTRIES = 2**23
 MAX_COMPUTED_ENTRIES = 2**28
 
 
-def _check_size(work: str, n: int, m: int, d: int, restarts: int = 1) -> None:
-    """Refuse a cell whose one table evaluation is past the size limits.
+def _cell_entries(
+    work: str, n: int, m: int, d: int, restarts: int = 1
+) -> tuple[float, float]:
+    """(held, computed): float64 entries one evaluation holds at once and computes.
 
     work is a command or a search objective. A table holds m^n d entries; the
     diagonal moment of smoothing, which check-lemmas also runs, is counted as
     2^n fields of that size, though it computes only the 2^(n-1) fields of
     diagonal_differences: the rule over-counts it twice, and keeps refusing
     the cells it refused when the moment summed all 2^n. Pisier's sign
-    combinations hold 4^n d. An identity fit holds the box average over the
-    complement of every coordinate subset (2^n scalar tables) plus its
-    impulse system of (n+1)(n+2)/2 columns, and computes one shifted
-    difference per subset and sign pattern: sum_{i,l} C(n,i) C(i,l) = 3^n
-    scalar tables. The rule bounds the fit. The replay holds one batch of
-    samples, the rows of one table of at most 2^17 entries (one sample's
-    m^n when that is larger), plus the tap indices of one average read by
-    gather_mean, which are fewer than the batch table's entries as 2k < m;
-    it computes each average only at the points it reads. A
-    search cell ascends its restarts together, as one stack of tables, so it
-    holds and computes `restarts` times what one of its tables does.
+    combinations hold 4^n d. An identity fit holds its impulse system of
+    P = (n+1)(n+2)/2 scalar columns, and its SVD three more copies of them
+    (numpy's copy of the input for LAPACK, LAPACK's u and the returned u),
+    plus the targets and a few scratch tables: 4P + 4 tables. One fit's
+    peak resident growth measured 4P tables at n = 2..5 on grids of 2^18
+    to 2^19 entries (2-core Xeon, numpy 2.4). The held count never drops
+    below 2^n + P, the rule of the fit that held 2^n complement averages, so
+    no cell refused then passes now. The computed count, 3^n
+    tables, one shifted difference per subset and sign pattern, is now an
+    over-count: the fit adds one slice of m^(n-i) entries per subset of size
+    i < n and point of {-k, +k}^i, (m+2)^n - 2^n entries in all. The replay
+    holds one batch of samples, the rows of one table of at most 2^17
+    entries (one sample's m^n when that is larger), plus the tap indices of
+    one average read by gather_mean, which are fewer than the batch table's
+    entries as 2k < m; it computes each average only at the points it reads.
+    A search cell ascends its restarts together, as one stack of tables, so
+    it holds and computes `restarts` times what one of its tables does.
     Consecutive search cells that share (objective, n, m, k, d) may ascend
     as one stack, but a stack of several cells holds at most 2^13 entries
     (search._STACK_ENTRIES), far below both limits, and a larger cell ascends
-    alone; so the per-cell `restarts` rule still bounds every stack. The
-    rule ignores tables_per_cell, iterations and heldout_samples: it bounds
-    the memory and work of one evaluation, and these keys only repeat
-    evaluations of the same size, so they multiply run time linearly and
-    hold no more at once.
+    alone; so the per-cell `restarts` rule still bounds every stack.
     """
     if n > MAX_HELD_ENTRIES.bit_length():  # m >= 2, so m^n alone is too large
         held = computed = math.inf
     elif work == "pisier":
         held = computed = 4**n * d
     elif work == "verify-identity":
-        held = (2**n + (n + 1) * (n + 2) // 2) * m**n * d
+        columns = (n + 1) * (n + 2) // 2
+        held = max(4 * columns + 4, 2**n + columns) * m**n * d
         computed = 3**n * m**n * d
     else:
         held = m**n * d
         computed = 2**n * held if work in ("check-lemmas", "smoothing") else held
-    held, computed = held * restarts, computed * restarts
+    return held * restarts, computed * restarts
+
+
+def _check_size(work: str, n: int, m: int, d: int, restarts: int = 1) -> None:
+    """Refuse a cell whose one table evaluation is past the size limits.
+
+    _cell_entries counts the cell. The rule ignores tables_per_cell,
+    iterations and heldout_samples: it bounds the memory and work of one
+    evaluation, and these keys only repeat evaluations of the same size, so
+    they multiply run time linearly and hold no more at once.
+    """
+    held, computed = _cell_entries(work, n, m, d, restarts)
     if held > MAX_HELD_ENTRIES or computed > MAX_COMPUTED_ENTRIES:
         stack = f" with {restarts} restarts" if restarts > 1 else ""
         raise ConfigError(
@@ -367,7 +383,7 @@ def _run_check_lemmas(cfg: ExperimentConfig, threads: int):
             ]
             if m % 4 == 0:
                 reports.append(scheme_composite_check(*reports))
-            rows.extend(r.with_seed(cfg.seed).to_csv_row() for r in reports)
+            rows.extend(r.to_csv_row(cfg.seed) for r in reports)
         return rows
 
     collected = map_cells(run, len(cells), threads)

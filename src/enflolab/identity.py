@@ -148,6 +148,49 @@ def _term_table(
     return acc
 
 
+def _impulse_term_columns(geometry: TorusGeometry, k: int, pairs) -> np.ndarray:
+    """(m^n, len(pairs)) columns: each pair's term on the point mass at 0, at eps = 1, scaled.
+
+    Column (i, l) is bitwise coefficient_scale(n, k, i) times _term_table's
+    (i, l) term of _complement_tables(delta_0, ...), built from n small
+    kernels instead of 2^n complement averages and 3^n shifted copies.
+    B_C delta_0 vanishes off the slice x_S = 0, where S is the complement
+    of C, and on that slice it equals K_c(x_C), the c-axis box average of
+    the c-axis point mass, c = |C|: both are exact sums of zeros and ones
+    divided once by the same count. A pattern of S shifts x_S by k off its
+    flipped positions and by -k on them, on both sides, so it reads nonzero
+    values only where x_S is -k off and +k on its flipped positions; as
+    2k < m, each point with x_S in {-k, +k}^S and exactly l entries at +k
+    is read by one pattern of l flips, and every other (point, pattern)
+    adds an exact 0.0 - 0.0, which leaves a sum that is never -0.0 as it is.
+    So each subset adds, in combinations order, D_c(x_C) = K_c(x_C + 1) -
+    K_c(x_C - 1), the same single subtraction _term_table makes, to each of
+    those points of its column, and nothing elsewhere. At i = n the plus and
+    minus shifts coincide, and the column stays exactly zero. The columns
+    are scaled in place once summed, as _term_table's sum is.
+    """
+    n, m = geometry.n, geometry.m
+    rows = np.zeros((geometry.size, len(pairs)))
+    grid = rows.reshape(geometry.shape + (len(pairs),))
+    column = {pair: j for j, pair in enumerate(pairs)}
+    for c in range(1, n + 1):
+        axes = TorusGeometry(c, m)
+        point_mass = FunctionTable.indicator(axes, np.zeros(c, dtype=np.int64))
+        kernel = box_average(point_mass, range(c), k)
+        step = shift_difference((1,) * c, (-1,) * c)
+        diff = step.apply(kernel.values.reshape(axes.shape))
+        i = n - c
+        for subset in combinations(range(n), i):
+            for l in range(i + 1):
+                for flipped in combinations(subset, l):
+                    at = [slice(None)] * n + [column[i, l]]
+                    for a in subset:
+                        at[a] = k if a in flipped else m - k
+                    grid[tuple(at)] += diff
+    rows *= [coefficient_scale(n, k, i) for i, _ in pairs]
+    return rows
+
+
 def shell_difference_sum_table(f: FunctionTable, k: int, eps) -> np.ndarray:
     """The shell difference sum tabulated over every x."""
     g = f.geometry
@@ -321,9 +364,12 @@ def fit_identity_coefficients(geometry: TorusGeometry, k: int) -> IdentityCoeffi
     the identity holds for every f exactly when it holds for the point mass
     at 0. Tabulating each term and the shell difference sum on that point
     mass at eps = (1, ..., 1) gives one linear equation per x: m^n rows, no
-    sampling. The (0, 0) coefficient is pinned to its known value 1, the rest
-    are the minimum-norm least-squares solution, and coefficients with any
-    weight in the numerical null space of the feature map are flagged
+    sampling. _impulse_term_columns builds the terms, bitwise as _term_table
+    would tabulate them, from n box averages of the c-axis point mass,
+    c = 1..n, in one (m^n, (n+1)(n+2)/2) array written in place. The (0, 0)
+    coefficient is pinned to its known value 1, the rest are the
+    minimum-norm least-squares solution, and coefficients with any weight
+    in the numerical null space of the feature map are flagged
     unidentifiable; one thin SVD gives the solution, the rank and the null
     space. The fit replays nothing; verify_identity measures the residual.
     """
@@ -331,18 +377,8 @@ def fit_identity_coefficients(geometry: TorusGeometry, k: int) -> IdentityCoeffi
     n = geometry.n
     pairs = coefficient_pairs(n)
     impulse = FunctionTable.indicator(geometry, np.zeros(n, dtype=np.int64))
-    eps = np.ones(n, dtype=np.int64)
-    tables = _complement_tables(impulse, k, range(n + 1))
-    shape = geometry.shape + (1,)
-    rows = np.stack(
-        [
-            coefficient_scale(n, k, i)
-            * _term_table(tables, geometry, k, i, l, eps, shape).reshape(geometry.size)
-            for i, l in pairs
-        ],
-        axis=1,
-    )
-    targets = shell_difference_sum_table(impulse, k, eps)[:, 0]
+    rows = _impulse_term_columns(geometry, k, pairs)
+    targets = shell_difference_sum_table(impulse, k, np.ones(n, dtype=np.int64))[:, 0]
     # pairs[0] is the pinned (0, 0); a zero column there leaves nothing to pin
     if not np.any(rows[:, 0]):
         raise RuntimeError("the pinned (0, 0) feature column is zero")

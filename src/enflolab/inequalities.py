@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -120,13 +120,11 @@ class RatioReport:
     p: float
     q: float
     d: int
-    seed: int | None = None
 
-    def with_seed(self, seed: int | None) -> "RatioReport":
-        return replace(self, seed=seed)
-
-    def to_csv_row(self) -> list[str]:
-        return [format_cell(getattr(self, column)) for column in REPORT_CSV_COLUMNS]
+    def to_csv_row(self, seed: int | None = None) -> list[str]:
+        """The report's REPORT_CSV_COLUMNS cells, the last one the run's seed."""
+        cells = [format_cell(getattr(self, column)) for column in REPORT_CSV_COLUMNS[:-1]]
+        return cells + [format_cell(seed)]
 
 
 def _build_report(

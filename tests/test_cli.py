@@ -565,6 +565,43 @@ def test_size_guard_counts_restarts(tmp_path, payload):
     assert read_outputs(tmp_path) == {}
 
 
+FIT_PEAK_SCRIPT = """
+import sys, tracemalloc
+from enflolab.identity import fit_identity_coefficients
+from enflolab.torus import TorusGeometry
+n, m, k = map(int, sys.argv[1:])
+tracemalloc.start()
+fit_identity_coefficients(TorusGeometry(n, m), k)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize("n,m,k", [(3, 16, 3), (4, 8, 3), (4, 12, 5), (5, 8, 3)])
+def test_the_identity_size_rule_bounds_one_fit(n, m, k):
+    # a fit in a fresh process, so the supports it caches count too;
+    # tracemalloc sees numpy's arrays, not LAPACK's own buffers, which the
+    # rule also counts. The fit that held 2^n complement averages peaked at
+    # 43.8, 66.8, 73.3 and 97.6 m^n entries here, past the rule's 2^n + P
+    held, computed = cli._cell_entries("verify-identity", n, m, 1)
+    proc = subprocess.run(
+        [sys.executable, "-c", FIT_PEAK_SCRIPT, str(n), str(m), str(k)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    peak = int(proc.stdout)
+    assert peak <= 8 * held, (peak / 8 / m**n, held / m**n)
+    assert computed == 3**n * m**n
+
+
+def test_the_identity_size_rule_only_tightens():
+    # never below the count of 2^n complement averages plus the impulse system
+    for n in range(1, 25):
+        for m in (4, 8, 16, 64):
+            held, _ = cli._cell_entries("verify-identity", n, m, 1)
+            assert held >= (2**n + (n + 1) * (n + 2) // 2) * m**n
+
+
 def test_every_benchmark_config_passes_the_size_guard(monkeypatch):
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)

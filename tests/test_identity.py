@@ -478,6 +478,73 @@ def test_pattern_multipliers_reproduce_the_subset_shifts():
                         assert np.array_equal((eps * mult[1, p]) % m, minus)
 
 
+# every (n, m, k) with 2k < m over these axes on at most 2^16 points
+IMPULSE_GRID = [
+    (n, m, k)
+    for n in (1, 2, 3, 4, 5)
+    for m in (4, 6, 8, 10, 12, 16)
+    for k in (1, 3, 5, 7)
+    if 2 * k < m and m**n <= 2**16
+]
+
+
+def term_table_columns(geometry, k, pairs):
+    """The impulse system through _complement_tables and _term_table, column by column."""
+    n = geometry.n
+    impulse = FunctionTable.indicator(geometry, np.zeros(n, dtype=np.int64))
+    tables = _complement_tables(impulse, k, range(n + 1))
+    eps, shape = np.ones(n, dtype=np.int64), geometry.shape + (1,)
+    return np.stack(
+        [
+            coefficient_scale(n, k, i)
+            * _term_table(tables, geometry, k, i, l, eps, shape).reshape(geometry.size)
+            for i, l in pairs
+        ],
+        axis=1,
+    )
+
+
+def test_impulse_columns_are_bitwise_the_term_tables():
+    for n, m, k in IMPULSE_GRID:
+        g = TorusGeometry(n, m)
+        pairs = coefficient_pairs(n)
+        got = identity._impulse_term_columns(g, k, pairs)
+        want = term_table_columns(g, k, pairs)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (n, m, k)
+
+
+def test_the_fit_builds_no_complement_table_or_pattern(monkeypatch):
+    # the fit reads the impulse's terms off n kernels, one box_average per
+    # complement size, and never takes the replay's or the moment's path
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the fit took the tabulated-term path")
+
+    for name in ("_term_table", "_pattern_multipliers", "_complement_tables"):
+        monkeypatch.setattr(identity, name, forbidden)
+    sizes = []
+    real_box_average = identity.box_average
+
+    def counted(f, axes, k):
+        sizes.append((f.geometry.n, tuple(axes)))
+        return real_box_average(f, axes, k)
+
+    monkeypatch.setattr(identity, "box_average", counted)
+    fitted = fit_identity_coefficients(TorusGeometry(4, 8), 3)
+    assert fitted.coefficient(0, 0) == 1.0
+    assert sizes == [(c, tuple(range(c))) for c in range(1, 5)]
+
+
+@pytest.mark.parametrize("n,m,k", [(5, 8, 3), (3, 12, 5)])
+def test_the_fit_is_bytes_the_term_table_fit(n, m, k, monkeypatch):
+    g = TorusGeometry(n, m)
+    fitted = fit_identity_coefficients(g, k)
+    monkeypatch.setattr(identity, "_impulse_term_columns", term_table_columns)
+    want = fit_identity_coefficients(g, k)
+    assert fitted.values.tobytes() == want.values.tobytes()
+    assert fitted.identifiable.tobytes() == want.identifiable.tobytes()
+
+
 def test_fit_draws_no_random_numbers(monkeypatch):
     def no_rng(*args, **kwargs):
         raise AssertionError("the fit drew random numbers")

@@ -542,9 +542,8 @@ def test_report_serialization_formats():
     assert row[3] == ""  # k is unset
     assert row[5] == "inf"
     assert row[10] == "false"
-    assert row[11] == ""  # seed unset until attached
-    stamped = report.with_seed(77)
-    assert stamped.to_csv_row()[11] == "77"
+    assert row[11] == ""  # no seed given
+    assert report.to_csv_row(77)[11] == "77"
 
 
 # The triangle-inequality ceiling. Walking from x to x + (m/2) eps in n m/2
