@@ -6,7 +6,11 @@ rewritten with a smoothed vector norm: each squared component gains
 _SMOOTHING_EPS^2 before the q-th power sum, which makes every objective
 differentiable and strictly positive, so the log never sees zero. A q
 above _SUP_SURROGATE_POWER, the sup norm included, takes that finite power
-instead, where sq^(q/2) would overflow. Each side reads its source through
+instead, where sq^(q/2) would overflow. The smoothed pieces raise their
+powers with torus._dyadic_power, which takes the dyadic exponents that
+p in {1, 1.5, 2} and q in {1, 2, inf} give with square roots, products and
+reciprocals alone, so the ascent's bytes there do not depend on numpy's
+SIMD dispatch. Each side reads its source through
 Side.read with box_average_array; f, B f and B f - f are self adjoint, so
 the same read pulls the gradient back. Iterates live in the mean-zero
 subspace (every objective kills constants), each round's trial
@@ -47,7 +51,7 @@ from .inequalities import (
     scaled_enflo_ratio,
     smoothing_ratio,
 )
-from .torus import FunctionTable, TorusGeometry, _is_count, as_exponent, as_norm
+from .torus import FunctionTable, TorusGeometry, _dyadic_power, _is_count, as_exponent, as_norm
 
 __all__ = [
     "OptimizationConfig",
@@ -127,33 +131,36 @@ def _smooth_piece(diff: np.ndarray, p: float, q_eff: float, eps: float, lead=(),
     mean is a row sum over its own contiguous block, so it is bitwise the
     mean that member gets alone. The gradient is written into out when
     given, else into the array of squares, so it never shares memory with
-    diff. Squares, powers and norms are raised in place, a size-1 value axis
-    is read rather than summed, and where p = q the weight nrm^(p-q), which
-    is 1, is never computed; at q = 2 the powers sq^(q/2) and sq^((q-2)/2)
-    are sq and 1, so that branch skips them. Value and gradient are bitwise
-    those of the plain formulas.
+    diff. Squares, powers and norms are raised in place by
+    torus._dyadic_power, a size-1 value axis is read rather than summed, and
+    where p = q the weight nrm^(p-q), which is 1, is never computed; at
+    q = 2 the powers sq^(q/2) and sq^((q-2)/2) are sq and 1, so that branch
+    skips them, and at p = 1.5 one square root of the norms serves both
+    nrm^p = nrm * sqrt(nrm) and the weight (p / count) / sqrt(nrm).
     """
     sq = np.multiply(diff, diff)
     sq += eps * eps
-    powers = sq if q_eff == 2.0 else sq ** (q_eff / 2.0)
+    powers = sq if q_eff == 2.0 else _dyadic_power(sq, q_eff / 2.0, np.empty_like(sq))
     nrm = powers[..., 0] if powers.shape[-1] == 1 else np.add.reduce(powers, axis=-1)
-    if q_eff == 2.0:
-        np.sqrt(nrm, out=nrm)
-    else:
-        np.power(nrm, 1.0 / q_eff, out=nrm)
+    _dyadic_power(nrm, 1.0 / q_eff)
     count = math.prod(nrm.shape[len(lead) :])
     if p == q_eff:
         weight = p / count
+        _dyadic_power(nrm, p)
+    elif q_eff == 2.0 and p == 1.5:
+        root = np.sqrt(nrm)
+        weight = np.divide(p / count, root)[..., None]
+        np.multiply(nrm, root, out=nrm)
     else:
-        weight = nrm ** (p - q_eff)
+        weight = _dyadic_power(nrm, p - q_eff, np.empty_like(nrm))
         weight *= p / count
         weight = weight[..., None]
-    np.power(nrm, p, out=nrm)
+        _dyadic_power(nrm, p)
     value = nrm.reshape(lead + (-1,)).sum(axis=-1) / count
     grad = sq if out is None else out
     if q_eff == 2.0:
         return value, np.multiply(weight, diff, out=grad)
-    np.power(sq, (q_eff - 2.0) / 2.0, out=sq)
+    _dyadic_power(sq, (q_eff - 2.0) / 2.0)
     np.multiply(weight, sq, out=sq)
     return value, np.multiply(sq, diff, out=grad)
 

@@ -173,21 +173,66 @@ def as_exponent(spec) -> float:
     return p
 
 
+def _dyadic_power(x: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
+    """x ** e written into out, by default x itself, which is returned.
+
+    A dyadic e = a / 2^j with j <= 4 and 0 < |e| <= 16 is raised without
+    pow: x^(2^i) for each set bit of the integer part of |e| by repeated
+    squaring, x^(2^-i) for each set bit of its fraction by i square roots,
+    the product of those factors in that order (x^1.5 is x * sqrt(x)), and
+    for e < 0 one reciprocal. Each is a correctly rounded IEEE operation, so
+    the bits do not depend on the SIMD loops numpy dispatches to, as pow's
+    do. Every other e goes through np.power.
+    """
+    out = x if out is None else out
+    sixteenths = abs(e) * 16.0
+    if e == 0 or not sixteenths <= 256.0 or sixteenths % 1.0:
+        return np.power(x, e, out=out)
+    whole, bits = divmod(int(sixteenths), 16)
+    if bits == 0 and whole & (whole - 1) == 0:
+        # |e| = 2^i: i squarings, the first from x
+        if whole > 1:
+            np.multiply(x, x, out=out)
+        elif out is not x:
+            np.copyto(out, x)
+        for _ in range(whole.bit_length() - 2):
+            np.multiply(out, out, out=out)
+    elif whole == 0 and bits & (bits - 1) == 0:
+        # |e| = 2^-i: i square roots, the first from x
+        np.sqrt(x, out=out)
+        for _ in range(4 - bits.bit_length()):
+            np.sqrt(out, out=out)
+    else:
+        factors, square, root = [], x, x
+        while whole:
+            if whole & 1:
+                factors.append(square)
+            whole >>= 1
+            if whole:
+                square = np.multiply(square, square)
+        while bits:
+            root = np.sqrt(root)
+            if bits & 8:
+                factors.append(root)
+            bits = (bits << 1) & 15
+        # every factor exists before out, which may be x, is written
+        np.multiply(factors[0], factors[1], out=out)
+        for factor in factors[2:]:
+            np.multiply(out, factor, out=out)
+    if e < 0:
+        np.divide(1.0, out, out=out)
+    return out
+
+
 def _moment_power(lengths: np.ndarray, p: float) -> np.ndarray:
     """lengths ** p, raised in place: the argument is consumed and returned.
 
     Pass only an array the caller owns, such as a fresh NormSpec.lengths.
     """
-    # p in {1, 1.5, 2} covers most cells; there the power is made of
-    # multiplies and a square root, each correctly rounded, so its bits do not
-    # depend on the SIMD loops numpy dispatches to, as pow's do
-    if p == 1.0:
-        return lengths
-    if p == 1.5:
-        return np.multiply(lengths, np.sqrt(lengths), out=lengths)
-    if p == 2.0:
-        return np.multiply(lengths, lengths, out=lengths)
-    return np.power(lengths, p, out=lengths)
+    # _dyadic_power raises p in {1, 1.5, 2}, which cover most cells, as
+    # lengths, lengths * sqrt(lengths) and lengths * lengths, and any other
+    # dyadic p in [1, 2] without pow either
+    return _dyadic_power(lengths, p)
 
 
 def _check_values(geometry: TorusGeometry, vals: np.ndarray) -> None:
