@@ -42,14 +42,7 @@ from .inequalities import (
     scheme_composite_check,
     smoothing_ratio,
 )
-from .search import (
-    OptimizationConfig,
-    SEARCH_OBJECTIVES,
-    default_k_rule,
-    map_cells,
-    maximize_cells,
-    scan_grid,
-)
+from .search import SEARCH_OBJECTIVES, map_cells, maximize_cells, scan_grid
 from .torus import FunctionTable, TorusGeometry, as_exponent, as_norm
 
 __all__ = ["main", "parse_config", "ConfigError", "ExperimentConfig", "COMMANDS"]
@@ -168,17 +161,16 @@ def _check_size(work: str, n: int, m: int, d: int, restarts: int = 1) -> None:
 # function owns; a rule that has an owner is applied by calling the owner.
 
 
-def _integer(minimum: int | None = None, parity: str | None = None):
-    """An int, never a bool; fields whose bound has an owner pass no minimum."""
-    rule = "an integer" if minimum is None else f"an integer of at least {minimum}"
+def _integer(minimum: int, parity: str | None = None):
+    """An int, never a bool, of at least minimum.
+
+    The search takes restarts, iterations and seed unchecked, so the CLI owns
+    the bounds of these ascent knobs.
+    """
 
     def parse(value, label: str) -> int:
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, int)
-            or (minimum is not None and value < minimum)
-        ):
-            raise ConfigError(f"{label} must be {rule}")
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ConfigError(f"{label} must be an integer of at least {minimum}")
         if parity is not None and value % 2 != (parity == "odd"):
             raise ConfigError(f"{label} must be {parity}")
         return value
@@ -233,7 +225,8 @@ def _command(value, label: str) -> str:
 
 
 def _schema_version(value, label: str) -> int:
-    if _integer()(value, label) != 1:
+    # an int, so neither true nor 1.0
+    if type(value) is not int or value != 1:
         raise ConfigError(f"{label} must be 1")
     return value
 
@@ -254,12 +247,12 @@ class ExperimentConfig:
     p_values: tuple[float, ...] = _key(_list_of(_exponent), default=(1.0, 2.0))
     q_values: tuple[float, ...] = _key(_list_of(_norm_power), default=(2.0,))
     d_values: tuple[int, ...] = _key(_list_of(_integer(1)), default=(1,))
-    seed: int = _key(_integer(), default=OptimizationConfig.seed)
+    seed: int = _key(_integer(0), default=0)
     tables_per_cell: int = _key(_integer(1), default=25)
     heldout_samples: int = _key(_integer(1), default=REPLAY_SAMPLES)
     objectives: tuple[str, ...] = _key(_list_of(_objective), default=("scaled_enflo",))
-    restarts: int = _key(_integer(), default=OptimizationConfig.restarts)
-    iterations: int = _key(_integer(), default=OptimizationConfig.iterations)
+    restarts: int = _key(_integer(1), default=6)
+    iterations: int = _key(_integer(1), default=120)
 
     def to_echo_dict(self) -> dict:
         """The keys its command reads as strict JSON: lists for tuples, "inf" for an infinite q."""
@@ -268,11 +261,6 @@ class ExperimentConfig:
             if isinstance(value, tuple):
                 echo[key] = ["inf" if entry == math.inf else entry for entry in value]
         return echo
-
-    def optimizer(self) -> OptimizationConfig:
-        """The ascent knobs, read by the names OptimizationConfig declares."""
-        shared = OptimizationConfig.__dataclass_fields__
-        return OptimizationConfig(**{name: getattr(self, name) for name in shared})
 
 
 def parse_config(payload: dict) -> ExperimentConfig:
@@ -290,10 +278,6 @@ def parse_config(payload: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown config key {key!r} for {command}")
         values[key] = known[key].metadata["parse"](value, key)
     cfg = ExperimentConfig(**values)
-    try:
-        cfg.optimizer()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     _validate_for_command(cfg)
     return cfg
 
@@ -406,8 +390,8 @@ def _search_cells(cfg: ExperimentConfig) -> list[tuple]:
     return cells
 
 
-def _search_report(cfg: ExperimentConfig, outcomes, radius) -> str:
-    """One row per search outcome; radius(report) fills the k column."""
+def _search_report(cfg: ExperimentConfig, outcomes) -> str:
+    """One row per search outcome; k is the cell's radius, empty where the objective takes none."""
     rows = []
     for out in outcomes:
         report = out.report
@@ -415,7 +399,7 @@ def _search_report(cfg: ExperimentConfig, outcomes, radius) -> str:
             objective=report.evaluator,
             n=report.n,
             m=report.m,
-            k=radius(report),
+            k=report.k,
             p=report.p,
             q=report.q,
             d=report.d,
@@ -431,8 +415,11 @@ def _search_report(cfg: ExperimentConfig, outcomes, radius) -> str:
 
 
 def _run_estimate_constants(cfg: ExperimentConfig, threads: int):
-    outcomes = maximize_cells(_search_cells(cfg), cfg.optimizer(), threads)
-    return {"report.csv": _search_report(cfg, outcomes, lambda report: report.k)}, True
+    cells = _search_cells(cfg)
+    outcomes = maximize_cells(
+        cells, restarts=cfg.restarts, iterations=cfg.iterations, seed=cfg.seed, threads=threads
+    )
+    return {"report.csv": _search_report(cfg, outcomes)}, True
 
 
 def _run_scan(cfg: ExperimentConfig, threads: int):
@@ -442,12 +429,12 @@ def _run_scan(cfg: ExperimentConfig, threads: int):
         p=cfg.p_values[0],
         q=cfg.q_values[0],
         d=cfg.d_values[0],
-        config=cfg.optimizer(),
+        restarts=cfg.restarts,
+        iterations=cfg.iterations,
+        seed=cfg.seed,
         threads=threads,
     )
-    # the radius the scan's n log n rule picks; the half-shift objective does not use it
-    radius = lambda report: default_k_rule(report.n, report.m)
-    return {"report.csv": _search_report(cfg, outcomes, radius)}, True
+    return {"report.csv": _search_report(cfg, outcomes)}, True
 
 
 def _run_verify_identity(cfg: ExperimentConfig, threads: int):

@@ -39,7 +39,7 @@ from .torus import (
     FunctionTable,
     NormSpec,
     TorusGeometry,
-    _moment_power,
+    _dyadic_power,
     as_exponent,
     as_norm,
     sign_vectors,
@@ -341,7 +341,7 @@ def sign_combinations(n: int) -> DiffOp:
 
 def _grid_moment(diff: np.ndarray, norm: NormSpec, p: float) -> float:
     """Mean over all leading positions of the p-th power of the vector norm."""
-    powers = _moment_power(norm.lengths(diff), p)
+    powers = _dyadic_power(norm.lengths(diff), p)
     # the sum and divide of np.mean, bitwise, without its wrapper
     return float(np.add.reduce(powers, axis=None) / powers.size)
 
@@ -422,8 +422,8 @@ def rademacher_ratio(vectors, norm, p) -> RatioReport:
     n, d = arr.shape
     signs = sign_vectors(n).astype(np.float64)
     sums = signs @ arr
-    lhs = float(np.mean(_moment_power(norm.lengths(sums), p)))
-    rhs = float(np.sum(_moment_power(norm.lengths(arr), p)))
+    lhs = float(np.mean(_dyadic_power(norm.lengths(sums), p)))
+    rhs = float(np.sum(_dyadic_power(norm.lengths(arr), p)))
     return _build_report(
         "rademacher", lhs, rhs, n=n, m=None, k=None, p=p, q=norm.q, d=d
     )

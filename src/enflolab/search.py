@@ -51,13 +51,11 @@ from .inequalities import (
     scaled_enflo_ratio,
     smoothing_ratio,
 )
-from .torus import FunctionTable, TorusGeometry, _dyadic_power, _is_count, as_exponent, as_norm
+from .torus import FunctionTable, TorusGeometry, _dyadic_power, as_exponent, as_norm
 
 __all__ = [
-    "OptimizationConfig",
     "SearchOutcome",
     "SEARCH_OBJECTIVES",
-    "default_k_rule",
     "map_cells",
     "maximize_cells",
     "scan_grid",
@@ -97,32 +95,6 @@ _MAX_BACKTRACKS = 40
 _STACK_ENTRIES = 2**13
 
 
-@dataclass(frozen=True)
-class OptimizationConfig:
-    """Ascent knobs. seed may be a tuple for nested deterministic streams."""
-
-    restarts: int = 6
-    iterations: int = 120
-    seed: int | tuple = 0
-
-    def __post_init__(self) -> None:
-        if not _is_count(self.restarts, 1):
-            raise ValueError("restarts must be a positive integer")
-        if not _is_count(self.iterations, 1):
-            raise ValueError("iterations must be a positive integer")
-        _seed_tuple(self.seed)
-
-
-def _seed_tuple(seed) -> tuple[int, ...]:
-    if isinstance(seed, (tuple, list)):
-        if not all(_is_count(s, 0) for s in seed):
-            raise ValueError("seed tuple entries must be nonnegative integers")
-        return tuple(seed)
-    if not _is_count(seed, 0):
-        raise ValueError("seed must be a nonnegative integer or a tuple of them")
-    return (seed,)
-
-
 def _smooth_piece(diff: np.ndarray, p: float, q_eff: float, eps: float, lead=(), out=None):
     """Mean smoothed q-norm^p over positions, and its gradient in diff.
 
@@ -135,13 +107,18 @@ def _smooth_piece(diff: np.ndarray, p: float, q_eff: float, eps: float, lead=(),
     torus._dyadic_power, a size-1 value axis is read rather than summed, and
     where p = q the weight nrm^(p-q), which is 1, is never computed; at
     q = 2 the powers sq^(q/2) and sq^((q-2)/2) are sq and 1, so that branch
-    skips them, and at p = 1.5 one square root of the norms serves both
-    nrm^p = nrm * sqrt(nrm) and the weight (p / count) / sqrt(nrm).
+    skips them, at p = 1.5 one square root of the norms serves both
+    nrm^p = nrm * sqrt(nrm) and the weight (p / count) / sqrt(nrm), and at
+    q = 1 the gradient's sq^(-1/2) is one over the roots sq^(1/2) the norms
+    sum.
     """
     sq = np.multiply(diff, diff)
     sq += eps * eps
     powers = sq if q_eff == 2.0 else _dyadic_power(sq, q_eff / 2.0, np.empty_like(sq))
     nrm = powers[..., 0] if powers.shape[-1] == 1 else np.add.reduce(powers, axis=-1)
+    if q_eff == 1.0:
+        # before nrm, a view of the roots at d = 1, is raised in place
+        np.divide(1.0, powers, out=sq)
     _dyadic_power(nrm, 1.0 / q_eff)
     count = math.prod(nrm.shape[len(lead) :])
     if p == q_eff:
@@ -160,7 +137,8 @@ def _smooth_piece(diff: np.ndarray, p: float, q_eff: float, eps: float, lead=(),
     grad = sq if out is None else out
     if q_eff == 2.0:
         return value, np.multiply(weight, diff, out=grad)
-    _dyadic_power(sq, (q_eff - 2.0) / 2.0)
+    if q_eff != 1.0:
+        _dyadic_power(sq, (q_eff - 2.0) / 2.0)
     np.multiply(weight, sq, out=sq)
     return value, np.multiply(sq, diff, out=grad)
 
@@ -197,10 +175,6 @@ class _Objective:
 
     def _spans(self, ids) -> list:
         """(block, rows) per block with rows; ids are the rows' member ids, ascending."""
-        if ids is None:
-            if len(self.blocks) > 1:
-                raise ValueError("the rows of a stack of several cells need their member ids")
-            return [(self.blocks[0], Ellipsis)]
         bounds = [0] + [bisect_left(ids, start) for start in self.starts[1:]] + [len(ids)]
         return [(b, slice(lo, hi)) for b, lo, hi in zip(self.blocks, bounds, bounds[1:]) if lo < hi]
 
@@ -231,24 +205,17 @@ class _Objective:
         for block, rows in spans:
             total[rows] *= block.scales[which]
             grad[rows] *= block.scales[which]
-        # [()] makes a lone table's 0-d total a scalar and leaves a stack's as is
-        return total[()], grad
+        return total, grad
 
-    def value_grad(self, vals: np.ndarray, ids=None):
-        """Smoothed (lhs, d lhs, rhs, d rhs) at a (..., m^n, d) stack.
+    def value_grad(self, vals: np.ndarray, ids):
+        """Smoothed (lhs, d lhs, rhs, d rhs) at an (L, m^n, d) stack.
 
-        ids lists the member id of each row of an (L, m^n, d) stack, in
-        ascending order, so each block's rows are contiguous. It may be None
-        for an objective of one cell, whose every member is that cell's. The
-        sides have the stack's leading shape, one value per member, and each
-        member's sides and gradients are bitwise those it gets alone.
+        ids lists the member id of each row, in ascending order, so each
+        block's rows are contiguous. The sides hold one value per row, and
+        each member's sides and gradients are bitwise those it gets alone.
         """
         spans = self._spans(ids)
         return self._side_value_grad(0, vals, spans) + self._side_value_grad(1, vals, spans)
-
-    def report(self, table: FunctionTable, block: int = 0) -> RatioReport:
-        """Exact report of a table by the evaluator of the given block's cell."""
-        return self.blocks[block].report(table)
 
 
 def _stack_objective(
@@ -362,32 +329,34 @@ def _maximize_stack(
     d: int,
     k: int | None,
     exponents,
-    seeds,
-    config: OptimizationConfig,
+    cells,
+    *,
+    restarts: int,
+    iterations: int,
+    seed: int,
 ) -> list[SearchOutcome]:
     """Best restart of each cell of one stack, cell b at exponents[b] = (norm, p).
 
-    Restart r of cell b draws its start from seeds[b] + (r,); all restarts
-    of all cells ascend as one stack, and each cell picks its best restart
-    in restart order.
+    Restart r of cell b draws its start from the stream (seed, cells[b], r);
+    all restarts of all cells ascend as one stack, and each cell picks its
+    best restart in restart order.
     """
-    restarts = config.restarts
     obj = _stack_objective(objective, geometry, d, k, exponents, restarts)
     if any(block.scales[1] == 0.0 for block in obj.blocks):
         # every table is 0/0 there (the approximation ratio at k = 1)
         raise ValueError(f"{objective} has a zero right-hand side on this cell")
     starts = [
-        FunctionTable.random_gaussian(geometry, d, np.random.default_rng(seed + (r,))).values
-        for seed in seeds
+        FunctionTable.random_gaussian(geometry, d, np.random.default_rng((seed, ci, r))).values
+        for ci in cells
         for r in range(restarts)
     ]
-    stack, traces, accepted = _ascend(np.stack(starts), obj.value_grad, _STEP, config.iterations)
+    stack, traces, accepted = _ascend(np.stack(starts), obj.value_grad, _STEP, iterations)
     outcomes = []
     for b, first in enumerate(obj.starts):
         best = None
         for r in range(first, first + restarts):
             table = FunctionTable(geometry, stack[r])
-            report = obj.report(table, b)
+            report = obj.blocks[b].report(table)
             if report.degenerate:
                 continue
             if best is None or report.ratio > best.report.ratio:
@@ -413,15 +382,6 @@ def map_cells(runner, count: int, threads: int) -> list:
         return list(pool.map(runner, range(count)))
 
 
-def default_k_rule(n: int, m: int) -> int:
-    """Largest odd radius at most min(m/2 - 1, ceil(n log n)), at least 1."""
-    target = 1 if n == 1 else math.ceil(n * math.log(n))
-    best = min(m // 2 - 1, target)
-    if best % 2 == 0:
-        best -= 1
-    return max(best, 1)
-
-
 def _stacks(cells, restarts: int) -> list[list[int]]:
     """Cell indices cut into runs of consecutive cells that share (objective, n, m, k, d).
 
@@ -440,23 +400,26 @@ def _stacks(cells, restarts: int) -> list[list[int]]:
     return stacks
 
 
-def maximize_cells(cells, config: OptimizationConfig, threads: int = 1) -> list[SearchOutcome]:
+def maximize_cells(
+    cells, *, restarts: int, iterations: int, seed: int, threads: int = 1
+) -> list[SearchOutcome]:
     """Best restart of each (objective, n, m, k, p, q, d) cell, in cell order.
 
-    Cell i searches on the stream (config's seed..., i), so the outcomes do
-    not depend on the thread count. The cells of each of _stacks(cells)
+    Cell i's restart r starts from the stream (seed, i, r), so the outcomes
+    do not depend on the thread count. The cells of each of _stacks(cells)
     ascend as one stack, and each outcome is bitwise the one _maximize_stack
-    finds for its cell alone, as a stack of one on that stream.
+    finds for its cell alone, as a stack of one.
     """
-    base = _seed_tuple(config.seed)
-    stacks = _stacks(cells, config.restarts)
+    stacks = _stacks(cells, restarts)
 
     def run(si: int) -> list[SearchOutcome]:
         members = stacks[si]
         objective, n, m, k, _, _, d = cells[members[0]]
         exponents = [(cells[ci][5], cells[ci][4]) for ci in members]
-        seeds = [base + (ci,) for ci in members]
-        return _maximize_stack(objective, TorusGeometry(n, m), d, k, exponents, seeds, config)
+        return _maximize_stack(
+            objective, TorusGeometry(n, m), d, k, exponents, members,
+            restarts=restarts, iterations=iterations, seed=seed,
+        )
 
     return [out for outs in map_cells(run, len(stacks), threads) for out in outs]
 
@@ -467,11 +430,16 @@ def scan_grid(
     p=2.0,
     q=2.0,
     d: int = 1,
-    config: OptimizationConfig | None = None,
+    *,
+    restarts: int,
+    iterations: int,
+    seed: int,
     threads: int = 1,
 ) -> list[SearchOutcome]:
     """Maximize the half-shift ratio over an (n, m) grid, one cell per pair, n major."""
     if any(m % 4 != 0 for m in m_values):
         raise ValueError("scan values of m must be divisible by 4")
     cells = [("scaled_enflo", int(n), int(m), None, p, q, d) for n in n_values for m in m_values]
-    return maximize_cells(cells, config if config is not None else OptimizationConfig(), threads)
+    return maximize_cells(
+        cells, restarts=restarts, iterations=iterations, seed=seed, threads=threads
+    )

@@ -184,6 +184,8 @@ def _dyadic_power(x: np.ndarray, e: float, out: np.ndarray | None = None) -> np.
     the bits do not depend on the SIMD loops numpy dispatches to, as pow's
     do. Every other e goes through np.power.
     """
+    # the moment exponents p in {1, 1.5, 2}, which cover most cells, come out
+    # as x, x * sqrt(x) and x * x, and any other dyadic p in [1, 2] without pow
     out = x if out is None else out
     sixteenths = abs(e) * 16.0
     if e == 0 or not sixteenths <= 256.0 or sixteenths % 1.0:
@@ -222,17 +224,6 @@ def _dyadic_power(x: np.ndarray, e: float, out: np.ndarray | None = None) -> np.
     if e < 0:
         np.divide(1.0, out, out=out)
     return out
-
-
-def _moment_power(lengths: np.ndarray, p: float) -> np.ndarray:
-    """lengths ** p, raised in place: the argument is consumed and returned.
-
-    Pass only an array the caller owns, such as a fresh NormSpec.lengths.
-    """
-    # _dyadic_power raises p in {1, 1.5, 2}, which cover most cells, as
-    # lengths, lengths * sqrt(lengths) and lengths * lengths, and any other
-    # dyadic p in [1, 2] without pow either
-    return _dyadic_power(lengths, p)
 
 
 def _check_values(geometry: TorusGeometry, vals: np.ndarray) -> None:

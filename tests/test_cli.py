@@ -22,7 +22,7 @@ from enflolab.cli import (
 )
 from enflolab.identity import IdentityCoefficients
 from enflolab.inequalities import REPORT_CSV_COLUMNS
-from enflolab.search import SEARCH_OBJECTIVES, default_k_rule
+from enflolab.search import SEARCH_OBJECTIVES
 from enflolab.torus import FunctionTable
 
 
@@ -107,9 +107,6 @@ def test_parse_errors_name_the_offending_field():
             base_config("estimate-constants", smoothing_eps=float("inf")),
             "unknown config key 'smoothing_eps'",
         ),
-        (base_config("estimate-constants", restarts=True), "restarts"),
-        (base_config("estimate-constants", restarts=0), "restarts"),
-        (base_config("scan", p_values=[2.0], iterations=0), "iterations"),
         (base_config("check-lemmas", seed=-1), "seed"),
         (base_config("estimate-constants", objectives=["warp"]), "objectives"),
         (
@@ -121,6 +118,12 @@ def test_parse_errors_name_the_offending_field():
             "k_values",
         ),
     ]
+    # the CLI owns the ascent knobs' bounds: the search takes them unchecked
+    for command in COMMANDS:
+        bad = [("seed", -3), ("seed", True)]
+        if "restarts" in READ_KEYS[command]:
+            bad += [(key, value) for key in ("restarts", "iterations") for value in (0, True)]
+        checks += [(dict(MINIMAL_CONFIGS[command], **{key: value}), key) for key, value in bad]
     for payload, fragment in checks:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(payload)
@@ -475,7 +478,7 @@ def search_rows(config, out_dir):
 
 
 def test_scan_rows_report_the_radius_rule_and_the_search(tmp_path):
-    # n = 3 asks for ceil(3 log 3) = 4, so radius 3; m = 4 caps it at 1
+    # the half-shift objective takes no radius, so k is empty
     cfg = base_config(
         "scan", n_values=[1, 3], m_values=[4, 8], p_values=[2.0], restarts=2, iterations=15, seed=1
     )
@@ -483,10 +486,9 @@ def test_scan_rows_report_the_radius_rule_and_the_search(tmp_path):
     assert header == list(SEARCH_CSV_COLUMNS)
     cells = [dict(zip(header, row)) for row in rows]
     assert [(c["n"], c["m"]) for c in cells] == [("1", "4"), ("1", "8"), ("3", "4"), ("3", "8")]
-    assert [c["k"] for c in cells] == ["1", "1", "1", "3"]
+    assert [c["k"] for c in cells] == ["", "", "", ""]
     for row, c in zip(rows, cells):
         assert len(row) == len(SEARCH_CSV_COLUMNS)
-        assert c["k"] == str(default_k_rule(int(c["n"]), int(c["m"])))
         assert c["objective"] == "scaled_enflo"
         theta, lhs, rhs = (float(c[key]) for key in ("empirical_theta", "lhs", "rhs"))
         assert theta > 0.0 and math.isclose(theta, (lhs / rhs) ** 0.5, rel_tol=1e-12)
@@ -494,7 +496,7 @@ def test_scan_rows_report_the_radius_rule_and_the_search(tmp_path):
         assert 0 <= int(c["iterations"]) <= 15
 
 
-def test_scan_rows_are_estimate_constants_rows_but_the_radius(tmp_path):
+def test_scan_rows_are_estimate_constants_rows(tmp_path):
     grid = dict(
         n_values=[1, 2], m_values=[4, 8], p_values=[1.5], restarts=2, iterations=15, seed=7
     )
@@ -503,12 +505,8 @@ def test_scan_rows_are_estimate_constants_rows_but_the_radius(tmp_path):
         base_config("estimate-constants", objectives=["scaled_enflo"], **grid),
         tmp_path / "estimate",
     )
-    k = SEARCH_CSV_COLUMNS.index("k")
-    assert scan[0] == estimate[0]
-    assert len(scan) == len(estimate) == 5
-    for a, b in zip(scan[1:], estimate[1:]):
-        assert a[:k] + a[k + 1 :] == b[:k] + b[k + 1 :]
-        assert (a[k], b[k]) == (str(default_k_rule(int(a[1]), int(a[2]))), "")
+    assert len(scan) == 5
+    assert scan == estimate
 
 
 # cells past the size limits, each refused at config time: a table too large to

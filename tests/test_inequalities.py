@@ -33,7 +33,7 @@ from enflolab.inequalities import (
     smoothing_ratio,
     unit_steps,
 )
-from enflolab.search import OptimizationConfig, maximize_cells
+from enflolab.search import maximize_cells
 from enflolab.torus import FunctionTable, NormSpec, TorusGeometry, sign_vectors
 
 
@@ -583,8 +583,7 @@ def test_search_outcomes_stay_under_the_triangle_inequality_ceiling():
         for q in (1.0, 2.0, math.inf)
         for d in (1, 2)
     ]
-    config = OptimizationConfig(restarts=2, iterations=20, seed=14)
-    outcomes = maximize_cells(cells, config)
+    outcomes = maximize_cells(cells, restarts=2, iterations=20, seed=14)
     assert [out.report.evaluator for out in outcomes] == [cell[0] for cell in cells]
     for out in outcomes:
         assert_under_ceiling(out.report)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from enflolab import search
 from enflolab.inequalities import scaled_enflo_ratio
 from enflolab.search import (
     SEARCH_OBJECTIVES,
-    OptimizationConfig,
     _MAX_BACKTRACKS,
     _SMOOTHING_EPS,
     _STACK_ENTRIES,
@@ -17,13 +15,12 @@ from enflolab.search import (
     _smooth_piece,
     _stack_objective,
     _stacks,
-    default_k_rule,
     maximize_cells,
     scan_grid,
 )
 from enflolab.torus import FunctionTable, NormSpec, TorusGeometry, as_exponent
 
-TINY = OptimizationConfig(restarts=2, iterations=30, seed=0)
+TINY = dict(restarts=2, iterations=30, seed=0)
 
 # step of gradient_check's fourth-order central differences
 _FD_STEP = 1e-4
@@ -164,6 +161,31 @@ def test_smoothed_piece_is_bitwise_the_oracle_in_fewer_arrays():
                     assert np.isnan(joint[:3]).all() and np.isnan(joint[4:]).all()
 
 
+def test_q_one_piece_is_bitwise_two_square_roots_of_the_squares():
+    # at q = 1 the piece takes the gradient's sq^(-1/2) as one over the roots
+    # sq^(1/2) the norms sum; here it is a second square root of the squares,
+    # as the piece once took it. At d = 1 the norms are a view of those roots.
+    def two_roots(diff, p, eps, lead):
+        sq = diff * diff + eps * eps
+        nrm = np.sum(np.sqrt(sq), axis=-1)
+        count = math.prod(nrm.shape[len(lead) :])
+        power = {1.0: nrm, 1.5: nrm * np.sqrt(nrm), 2.0: nrm * nrm}[p]
+        scale = p / count
+        weight = {1.0: np.full_like(nrm, scale), 1.5: np.sqrt(nrm) * scale, 2.0: nrm * scale}[p]
+        value = power.reshape(lead + (-1,)).sum(axis=-1) / count
+        return value, weight[..., None] * (1.0 / np.sqrt(sq)) * diff
+
+    rng = np.random.default_rng(3)
+    for p in (1.0, 1.5, 2.0):
+        for d in (1, 3):
+            for lead in ((), (3,)):
+                diff = rng.standard_normal(lead + (6, 6, d))
+                value, grad = _smooth_piece(diff, p, 1.0, _SMOOTHING_EPS, lead)
+                want_value, want_grad = two_roots(diff, p, _SMOOTHING_EPS, lead)
+                assert np.asarray(value).tobytes() == np.asarray(want_value).tobytes()
+                assert grad.tobytes() == want_grad.tobytes(), (p, d, lead)
+
+
 def smooth_piece_pow(diff, p, q_eff, eps, lead=()):
     """The smoothed piece as first written, every power through np.power."""
     sq = diff * diff + eps * eps
@@ -191,6 +213,11 @@ def test_smoothed_piece_is_the_pow_formula_within_32_ulp():
                 want_value, want_grad = smooth_piece_pow(stack, p, q_eff, eps, (5,))
                 np.testing.assert_allclose(value, want_value, rtol=rtol, atol=0.0)
                 np.testing.assert_allclose(grad, want_grad, rtol=rtol, atol=0.0)
+
+
+def lone(obj, vals):
+    """obj.value_grad at one (m^n, d) table, the stack of one member, id 0."""
+    return tuple(side[0] for side in obj.value_grad(vals[None], [0]))
 
 
 def min_diff(obj, vals):
@@ -222,7 +249,7 @@ def gradient_check(objective, f, norm, p, k=None):
     vals = f.values
     if min_diff(obj, vals) < 10.0 * _SMOOTHING_EPS:
         raise ValueError("table has differences at the smoothing scale")
-    lhs, glhs, rhs, grhs = obj.value_grad(vals)
+    lhs, glhs, rhs, grhs = lone(obj, vals)
     grad = (glhs / lhs - grhs / rhs).reshape(-1)
     flat = vals.reshape(-1)
     rng = np.random.default_rng(0)
@@ -231,7 +258,7 @@ def gradient_check(objective, f, norm, p, k=None):
     def log_ratio(j, step):
         moved = flat.copy()
         moved[j] += step
-        lhs, _, rhs, _ = obj.value_grad(moved.reshape(vals.shape))
+        lhs, _, rhs, _ = lone(obj, moved.reshape(vals.shape))
         return math.log(lhs) - math.log(rhs)
 
     worst = 0.0
@@ -256,8 +283,8 @@ def test_smoothed_sides_match_the_exact_evaluator(monkeypatch):
         for q in (1.0, 1.5, 2.0):
             for p in (1.0, 1.5, 2.0):
                 obj = _stack_objective(name, table.geometry, table.d, k, [(NormSpec(q), p)])
-                lhs, _, rhs, _ = obj.value_grad(table.values)
-                exact = obj.report(table)
+                lhs, _, rhs, _ = lone(obj, table.values)
+                exact = obj.blocks[0].report(table)
                 assert abs(lhs - exact.lhs) <= 1e-12 * exact.lhs, (name, q, p)
                 assert abs(rhs - exact.rhs) <= 1e-12 * exact.rhs, (name, q, p)
 
@@ -287,7 +314,7 @@ def test_gradient_check_guards():
 
 
 def test_reported_ratio_is_a_fresh_exact_evaluation():
-    out = maximize_cells([("scaled_enflo", 2, 8, None, 2.0, 2.0, 1)], TINY)[0]
+    out = maximize_cells([("scaled_enflo", 2, 8, None, 2.0, 2.0, 1)], **TINY)[0]
     again = scaled_enflo_ratio(out.table, NormSpec(2.0), 2.0)
     assert abs(out.report.ratio - again.ratio) < 1e-12
     assert out.report.lhs == again.lhs
@@ -405,9 +432,6 @@ def test_stacked_blocks_ascend_bitwise_as_their_cells_alone():
         assert vals[r].tobytes() == want[0].tobytes(), r
         assert traces[r] == want[1] and accepted[r] == want[2], r
     assert accepted[3] == 0 and min(accepted[:3] + accepted[4:]) > 0
-    # rows of several cells are placed by their member ids only
-    with pytest.raises(ValueError, match="member ids"):
-        obj.value_grad(stack)
 
 
 def test_stacks_are_capped_runs_of_one_operator_set():
@@ -429,15 +453,15 @@ def test_stacks_are_capped_runs_of_one_operator_set():
 def test_search_at_a_huge_finite_q_accepts_its_steps():
     # sq^(q/2) overflows at q = 400, so the smoothed objective takes the sup
     # surrogate's power there; the ascent must still move from its start
-    config = OptimizationConfig(restarts=1, iterations=5)
-    outcome = maximize_cells([("scaled_enflo", 2, 8, None, 2.0, 400.0, 2)], config)[0]
+    cells = [("scaled_enflo", 2, 8, None, 2.0, 400.0, 2)]
+    outcome = maximize_cells(cells, restarts=1, iterations=5, seed=0)[0]
     assert outcome.accepted_steps == 5
     assert all(math.isfinite(value) for value in outcome.trace)
 
 
 def test_trace_is_nondecreasing():
-    config = OptimizationConfig(restarts=2, iterations=40, seed=5)
-    out = maximize_cells([("scaled_enflo", 2, 8, None, 2.0, 2.0, 1)], config)[0]
+    cells = [("scaled_enflo", 2, 8, None, 2.0, 2.0, 1)]
+    out = maximize_cells(cells, restarts=2, iterations=40, seed=5)[0]
     diffs = np.diff(np.array(out.trace))
     assert np.all(diffs >= -1e-15)
     assert out.accepted_steps >= 1
@@ -448,8 +472,8 @@ def test_smoothed_objective_ignores_added_constants():
     obj = _stack_objective("scaled_enflo", g, 2, None, [(NormSpec(2.0), 2.0)])
     f = gaussian(2, 8, 2, seed=7)
     lifted = f.values + np.array([3.0, -11.0])
-    a = obj.value_grad(f.values)
-    b = obj.value_grad(lifted)
+    a = lone(obj, f.values)
+    b = lone(obj, lifted)
     assert abs(a[0] - b[0]) < 1e-12 * max(1.0, abs(a[0]))
     assert abs(a[2] - b[2]) < 1e-12 * max(1.0, abs(a[2]))
 
@@ -458,15 +482,15 @@ def test_gradients_vanish_along_constant_shifts():
     torus, cube = gaussian(2, 8, 2, seed=8), gaussian(3, 2, 2, seed=9)
     for name, f, k in objective_cases(torus, cube):
         obj = _stack_objective(name, f.geometry, f.d, k, [(NormSpec(2.0), 2.0)])
-        _, glhs, _, grhs = obj.value_grad(f.values)
+        _, glhs, _, grhs = lone(obj, f.values)
         assert np.abs(glhs.mean(axis=0)).max() < 1e-10
         assert np.abs(grhs.mean(axis=0)).max() < 1e-10
 
 
 def test_more_restarts_never_hurt():
     cells = [("scaled_enflo", 2, 8, None, 2.0, 2.0, 1)]
-    few = maximize_cells(cells, OptimizationConfig(restarts=2, iterations=30, seed=9))[0].report
-    many = maximize_cells(cells, OptimizationConfig(restarts=4, iterations=30, seed=9))[0].report
+    few = maximize_cells(cells, restarts=2, iterations=30, seed=9)[0].report
+    many = maximize_cells(cells, restarts=4, iterations=30, seed=9)[0].report
     assert many.ratio >= few.ratio
 
 
@@ -479,8 +503,8 @@ def assert_same_outcome(a, b):
 
 def test_search_is_reproducible():
     cells = [("scaled_enflo", 2, 8, None, 2.0, 2.0, 1)]
-    a = maximize_cells(cells, TINY)[0]
-    b = maximize_cells(cells, TINY)[0]
+    a = maximize_cells(cells, **TINY)[0]
+    b = maximize_cells(cells, **TINY)[0]
     assert_same_outcome(a, b)
 
 
@@ -490,15 +514,13 @@ def test_maximize_cells_is_each_cell_ascended_alone_on_its_stream():
         ("smoothing", 2, 8, 3, 1.5, math.inf, 2),
         ("enflo", 2, 2, None, 2.0, 2.0, 1),
     ]
-    for seed, stream in ((4, (4,)), ((4, 1), (4, 1))):
-        config = OptimizationConfig(restarts=2, iterations=20, seed=seed)
-        outcomes = maximize_cells(cells, config, threads=2)
+    for seed in (4, 9):
+        knobs = dict(restarts=2, iterations=20, seed=seed)
+        outcomes = maximize_cells(cells, **knobs, threads=2)
         assert len(outcomes) == len(cells)
         for i, (cell, out) in enumerate(zip(cells, outcomes)):
             objective, n, m, k, p, q, d = cell
-            alone = _maximize_stack(
-                objective, TorusGeometry(n, m), d, k, [(q, p)], [stream + (i,)], config
-            )[0]
+            alone = _maximize_stack(objective, TorusGeometry(n, m), d, k, [(q, p)], [i], **knobs)[0]
             assert_same_outcome(out, alone)
             report = out.report
             assert (report.evaluator, report.n, report.m, report.k, report.d) == (
@@ -514,14 +536,14 @@ def test_stacked_cells_are_each_their_one_cell_stack():
     cells += [("pisier", 3, 2, None, p, 2.0, 1) for p in (1.5, 2.0)]
     # 2 restarts x 16^3 x 2 entries are past the cap, so each of these is a stack alone
     cells += [("scaled_enflo", 3, 16, None, p, 2.0, 2) for p in (1.5, 2.0)]
-    config = OptimizationConfig(restarts=2, iterations=8, seed=(6, 2))
+    knobs = dict(restarts=2, iterations=8, seed=6)
     assert _stacks(cells, 2) == [list(range(9)), [9, 10], [11], [12]]
     alone = [
-        _maximize_stack(objective, TorusGeometry(n, m), d, k, [(q, p)], [(6, 2, i)], config)[0]
+        _maximize_stack(objective, TorusGeometry(n, m), d, k, [(q, p)], [i], **knobs)[0]
         for i, (objective, n, m, k, p, q, d) in enumerate(cells)
     ]
     for threads in (1, 2):
-        outcomes = maximize_cells(cells, config, threads=threads)
+        outcomes = maximize_cells(cells, **knobs, threads=threads)
         assert len(outcomes) == len(cells)
         for cell, out, want in zip(cells, outcomes, alone):
             assert out.table.values.tobytes() == want.table.values.tobytes(), (cell, threads)
@@ -535,62 +557,27 @@ def test_maximize_validation():
         return [(objective, n, m, k, 2.0, 2.0, 1)]
 
     with pytest.raises(ValueError):
-        maximize_cells(cell("unknown"), OptimizationConfig())
+        maximize_cells(cell("unknown"), **TINY)
     with pytest.raises(ValueError):
-        maximize_cells(cell("smoothing"), OptimizationConfig())  # k missing
+        maximize_cells(cell("smoothing"), **TINY)  # k missing
     with pytest.raises(ValueError):
-        maximize_cells(cell("scaled_enflo", k=3), OptimizationConfig())
+        maximize_cells(cell("scaled_enflo", k=3), **TINY)
     with pytest.raises(ValueError):
-        maximize_cells(cell("enflo"), TINY)  # not a hypercube
+        maximize_cells(cell("enflo"), **TINY)  # not a hypercube
     with pytest.raises(ValueError):
-        maximize_cells(cell("pisier", n=1, m=2), TINY)
+        maximize_cells(cell("pisier", n=1, m=2), **TINY)
     # radius 1 makes every approximation table 0/0, so the cell is refused before any draw
     with pytest.raises(ValueError, match="zero right-hand side"):
-        maximize_cells(cell("approximation", k=1), TINY)
-
-
-def test_optimization_config_validation():
-    with pytest.raises(ValueError):
-        OptimizationConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizationConfig(iterations=0)
-    with pytest.raises(ValueError):
-        OptimizationConfig(seed=-3)
-    with pytest.raises(ValueError):
-        OptimizationConfig(seed=(1, -2))
-    for bad in (
-        {"restarts": True},
-        {"iterations": True},
-        {"seed": True},
-        {"seed": (1, True)},
-    ):
-        with pytest.raises(ValueError):
-            OptimizationConfig(**bad)
-    assert OptimizationConfig(seed=(1, 2)).seed == (1, 2)
-    assert [f.name for f in fields(OptimizationConfig)] == ["restarts", "iterations", "seed"]
-
-
-def test_default_k_rule_values_and_properties():
-    assert default_k_rule(1, 8) == 1
-    assert default_k_rule(2, 8) == 1
-    assert default_k_rule(3, 8) == 3
-    assert default_k_rule(3, 16) == 3
-    assert default_k_rule(4, 12) == 5
-    assert default_k_rule(8, 64) == 17
-    assert default_k_rule(2, 4) == 1
-    for n in range(1, 10):
-        for m in (4, 8, 12, 16, 32):
-            k = default_k_rule(n, m)
-            assert k % 2 == 1 and k >= 1 and k < m / 2
+        maximize_cells(cell("approximation", k=1), **TINY)
 
 
 def test_scan_validation():
     with pytest.raises(ValueError):
-        scan_grid([1], [6], config=TINY)  # m not divisible by 4
+        scan_grid([1], [6], **TINY)  # m not divisible by 4
 
 
 def test_scan_single_cell_hits_the_known_extremal():
-    outcomes = scan_grid([1], [4], config=OptimizationConfig(restarts=3, iterations=60, seed=0))
+    outcomes = scan_grid([1], [4], restarts=3, iterations=60, seed=0)
     report = outcomes[0].report
     assert report.evaluator == "scaled_enflo"
     assert report.ratio**0.5 >= 0.25
@@ -598,9 +585,9 @@ def test_scan_single_cell_hits_the_known_extremal():
 
 
 def test_scan_grid_is_thread_deterministic_and_nondegenerate():
-    cfg = OptimizationConfig(restarts=2, iterations=20, seed=3)
-    serial = scan_grid([1, 2, 3], [4, 8, 12], config=cfg, threads=1)
-    threaded = scan_grid([1, 2, 3], [4, 8, 12], config=cfg, threads=3)
+    knobs = dict(restarts=2, iterations=20, seed=3)
+    serial = scan_grid([1, 2, 3], [4, 8, 12], **knobs, threads=1)
+    threaded = scan_grid([1, 2, 3], [4, 8, 12], **knobs, threads=3)
     assert len(serial) == len(threaded) == 9
     for a, b in zip(serial, threaded):
         assert_same_outcome(a, b)

@@ -7,7 +7,6 @@ from enflolab.torus import (
     NormSpec,
     TorusGeometry,
     _dyadic_power,
-    _moment_power,
     as_exponent,
     as_norm,
     sign_vectors,
@@ -117,7 +116,7 @@ def test_lengths_of_one_vectors_are_their_absolute_values_bitwise(q):
 def test_the_one_and_a_half_power_is_x_sqrt_x_within_2_ulp_of_pow():
     x = np.logspace(-300, 300, 6001)
     with np.errstate(over="ignore"):
-        got = _moment_power(x.copy(), 1.5)
+        got = _dyadic_power(x.copy(), 1.5)
         assert got.tobytes() == (x * np.sqrt(x)).tobytes()
         # nonnegative floats order as their bit patterns, inf one past the largest
         assert np.abs(got.view(np.int64) - np.power(x, 1.5).view(np.int64)).max() <= 2
