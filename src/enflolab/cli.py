@@ -30,22 +30,36 @@ import numpy as np
 
 from . import __version__
 from .averaging import check_radius
-from .identity import REPLAY_SAMPLES, fit_identity_coefficients, verify_identity
+from .identity import fit_identity_coefficients, verify_identity
 from .inequalities import (
     INEQUALITY_KINDS,
     ProvenBoundViolation,
-    REPORT_CSV_COLUMNS,
     approximation_ratio,
     check_cell,
-    format_cell,
     scaled_enflo_ratio,
     scheme_composite_check,
     smoothing_ratio,
 )
-from .search import SEARCH_OBJECTIVES, map_cells, maximize_cells, scan_grid
+from .search import map_cells, maximize_cells, scan_grid
 from .torus import FunctionTable, TorusGeometry, as_exponent, as_norm
 
 __all__ = ["main", "parse_config", "ConfigError", "ExperimentConfig", "COMMANDS"]
+
+# each command's report.csv columns; check-lemmas writes one row per RatioReport
+REPORT_CSV_COLUMNS = (
+    "evaluator",
+    "n",
+    "m",
+    "k",
+    "p",
+    "q",
+    "d",
+    "lhs",
+    "rhs",
+    "ratio",
+    "degenerate",
+    "seed",
+)
 
 SEARCH_CSV_COLUMNS = (
     "objective",
@@ -108,9 +122,10 @@ def _cell_entries(
     (numpy's copy of the input for LAPACK, LAPACK's u and the returned u),
     plus the targets and a few scratch tables: 4P + 4 tables. One fit's
     peak resident growth measured 4P tables at n = 2..5 on grids of 2^18
-    to 2^19 entries (2-core Xeon, numpy 2.4). The held count never drops
-    below 2^n + P, the rule of the fit that held 2^n complement averages, so
-    no cell refused then passes now. The computed count, 3^n
+    to 2^19 entries (2-core Xeon, numpy 2.4). The 2^n + P tables of the fit
+    that held 2^n complement averages exceed 4P + 4 only from n = 7 on, and
+    there, at every even m >= 4, both counts refuse or both pass; so the
+    count of 4P + 4 tables gives that rule's verdicts. The computed count, 3^n
     tables, one shifted difference per subset and sign pattern, is now an
     over-count: the fit adds one slice of m^(n-i) entries per subset of size
     i < n and point of {-k, +k}^i, (m+2)^n - 2^n entries in all. The replay
@@ -131,7 +146,7 @@ def _cell_entries(
         held = computed = 4**n * d
     elif work == "verify-identity":
         columns = (n + 1) * (n + 2) // 2
-        held = max(4 * columns + 4, 2**n + columns) * m**n * d
+        held = (4 * columns + 4) * m**n * d
         computed = 3**n * m**n * d
     else:
         held = m**n * d
@@ -213,7 +228,7 @@ def _norm_power(value, label: str) -> float:
 
 
 def _objective(value, label: str) -> str:
-    if value not in SEARCH_OBJECTIVES:
+    if not isinstance(value, str) or value not in INEQUALITY_KINDS:
         raise ConfigError(f"{label} is not recognized")
     return value
 
@@ -249,7 +264,7 @@ class ExperimentConfig:
     d_values: tuple[int, ...] = _key(_list_of(_integer(1)), default=(1,))
     seed: int = _key(_integer(0), default=0)
     tables_per_cell: int = _key(_integer(1), default=25)
-    heldout_samples: int = _key(_integer(1), default=REPLAY_SAMPLES)
+    heldout_samples: int = _key(_integer(1), default=200)
     objectives: tuple[str, ...] = _key(_list_of(_objective), default=("scaled_enflo",))
     restarts: int = _key(_integer(1), default=6)
     iterations: int = _key(_integer(1), default=120)
@@ -298,17 +313,7 @@ def _validate_for_command(cfg: ExperimentConfig) -> None:
         for n in cfg.n_values:
             # identity fits and samples are scalar tables
             _check_size(cfg.command, n, cfg.m_values[0], 1)
-    if cfg.command == "scan":
-        for m in cfg.m_values:
-            if m % 4 != 0:
-                raise ConfigError("m_values entries must be divisible by 4 for scan")
-        for key in ("p_values", "q_values", "d_values"):
-            if len(getattr(cfg, key)) != 1:
-                raise ConfigError(f"{key} must hold a single value for scan")
-        for n in cfg.n_values:
-            for m in cfg.m_values:
-                _check_size("scaled_enflo", n, m, cfg.d_values[0], cfg.restarts)
-    if cfg.command == "estimate-constants":
+    if cfg.command in ("estimate-constants", "scan"):
         if "approximation" in cfg.objectives:
             # radius 1 makes every table a 0/0 approximation cell
             for k in cfg.k_values:
@@ -323,12 +328,26 @@ def _validate_for_command(cfg: ExperimentConfig) -> None:
             _check_size(objective, n, m, d, cfg.restarts)
 
 
-def _csv_text(columns, rows) -> str:
+def _cell_text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)  # a float's shortest round-trip digits, as repr writes them
+
+
+def _csv_text(columns, cells) -> str:
+    """A header of columns, then each {column: value} mapping of cells at those columns.
+
+    A degenerate column is derived: whether the row's ratio is None (0/0).
+    """
     sink = io.StringIO()
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
+    for cell in cells:
+        if "degenerate" in columns:
+            cell = dict(cell, degenerate=cell["ratio"] is None)
+        writer.writerow([_cell_text(cell[column]) for column in columns])
     return sink.getvalue()
 
 
@@ -367,7 +386,7 @@ def _run_check_lemmas(cfg: ExperimentConfig, threads: int):
             ]
             if m % 4 == 0:
                 reports.append(scheme_composite_check(*reports))
-            rows.extend(r.to_csv_row(cfg.seed) for r in reports)
+            rows.extend(dict(vars(r), seed=cfg.seed) for r in reports)
         return rows
 
     collected = map_cells(run, len(cells), threads)
@@ -396,21 +415,14 @@ def _search_report(cfg: ExperimentConfig, outcomes) -> str:
     for out in outcomes:
         report = out.report
         cell = dict(
+            vars(report),
             objective=report.evaluator,
-            n=report.n,
-            m=report.m,
-            k=report.k,
-            p=report.p,
-            q=report.q,
-            d=report.d,
             empirical_theta=report.ratio ** (1.0 / report.p),
-            lhs=report.lhs,
-            rhs=report.rhs,
             restarts=cfg.restarts,
             iterations=out.accepted_steps,  # the best restart's accepted steps
             seed=cfg.seed,
         )
-        rows.append([format_cell(cell[column]) for column in SEARCH_CSV_COLUMNS])
+        rows.append(cell)
     return _csv_text(SEARCH_CSV_COLUMNS, rows)
 
 
@@ -426,9 +438,9 @@ def _run_scan(cfg: ExperimentConfig, threads: int):
     outcomes = scan_grid(
         cfg.n_values,
         cfg.m_values,
-        p=cfg.p_values[0],
-        q=cfg.q_values[0],
-        d=cfg.d_values[0],
+        cfg.p_values,
+        cfg.q_values,
+        cfg.d_values,
         restarts=cfg.restarts,
         iterations=cfg.iterations,
         seed=cfg.seed,
@@ -462,20 +474,13 @@ def _run_verify_identity(cfg: ExperimentConfig, threads: int):
             tolerance=check.tolerance,
             passed=check.passed,
         )
-        row = [format_cell(cell[column]) for column in IDENTITY_CSV_COLUMNS]
-        name = f"h_coeffs_{n}_{k}.json"
-        return row, check.passed, name, _json_text(coeffs.to_json_dict())
+        return cell, f"h_coeffs_{n}_{k}.json", _json_text(coeffs.to_json_dict())
 
     collected = map_cells(run, len(cells), threads)
-    outputs = {}
-    rows = []
-    all_passed = True
-    for row, passed, name, text in collected:
-        rows.append(row)
-        all_passed = all_passed and passed
-        outputs[name] = text
+    rows = [cell for cell, _, _ in collected]
+    outputs = {name: text for _, name, text in collected}
     outputs["report.csv"] = _csv_text(IDENTITY_CSV_COLUMNS, rows)
-    return outputs, all_passed
+    return outputs, all(row["passed"] for row in rows)
 
 
 # the keys every command reads, then each command's runner and its other keys: a

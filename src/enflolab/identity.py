@@ -51,7 +51,6 @@ __all__ = [
     "coefficient_pairs",
     "coefficient_scale",
     "IDENTITY_RESIDUAL_TOL",
-    "REPLAY_SAMPLES",
 ]
 
 # fitted values below this size count as zero when masking identifiability
@@ -60,9 +59,6 @@ _NULL_COMPONENT_TOL = 1e-8
 # a replayed identity passes when its worst residual is below this; read at
 # call time, and no config or argument overrides it
 IDENTITY_RESIDUAL_TOL = 1e-8
-
-# the replay's default sample count, also the heldout_samples config default
-REPLAY_SAMPLES = 200
 
 # the replay stacks its samples as the rows of one table of at most this
 # many float64 entries (32 samples at n = 4, m = 8), so each subset's
@@ -407,8 +403,9 @@ def verify_identity(
     coefficients: IdentityCoefficients,
     geometry: TorusGeometry,
     k: int,
-    n_samples: int = REPLAY_SAMPLES,
-    seed: int = 0,
+    *,
+    n_samples: int,
+    seed: int,
 ) -> IdentityCheck:
     """Replay the identity on fresh samples and report the worst residual.
 

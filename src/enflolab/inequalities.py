@@ -2,8 +2,8 @@
 
 Every expectation is an exact average over the full grid, and over all sign
 vectors where one appears; nothing is sampled. Each evaluator returns a
-RatioReport carrying both sides, the ratio, a degeneracy flag for the 0/0
-case, and the cell parameters. A positive numerator against an exactly zero
+RatioReport carrying both sides, the ratio (None in the 0/0 case), and the
+cell parameters. A positive numerator against an exactly zero
 denominator would falsify a proven bound, so that state aborts instead of
 reporting.
 
@@ -60,7 +60,6 @@ __all__ = [
     "INEQUALITY_KINDS",
     "check_cell",
     "inequality_sides",
-    "REPORT_CSV_COLUMNS",
     "edge_energy",
     "rademacher_ratio",
     "enflo_ratio",
@@ -71,21 +70,6 @@ __all__ = [
     "scheme_composite_check",
 ]
 
-REPORT_CSV_COLUMNS = (
-    "evaluator",
-    "n",
-    "m",
-    "k",
-    "p",
-    "q",
-    "d",
-    "lhs",
-    "rhs",
-    "ratio",
-    "degenerate",
-    "seed",
-)
-
 # relative slack for proven bounds, covering float accumulation only; the
 # checks read it at call time, and no config or argument overrides it
 PROVEN_BOUND_RTOL = 1e-9
@@ -95,36 +79,20 @@ class ProvenBoundViolation(RuntimeError):
     """A numerically evaluated proven inequality failed; this is a build bug."""
 
 
-def format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "inf" if math.isinf(value) else repr(value)
-    return str(value)
-
-
 @dataclass(frozen=True)
 class RatioReport:
-    """One inequality evaluation: both sides, their ratio, and the cell."""
+    """One inequality evaluation: both sides, their ratio (None when both are 0), and the cell."""
 
     evaluator: str
     lhs: float
     rhs: float
     ratio: float | None
-    degenerate: bool
     n: int
     m: int | None
     k: int | None
     p: float
     q: float
     d: int
-
-    def to_csv_row(self, seed: int | None = None) -> list[str]:
-        """The report's REPORT_CSV_COLUMNS cells, the last one the run's seed."""
-        cells = [format_cell(getattr(self, column)) for column in REPORT_CSV_COLUMNS[:-1]]
-        return cells + [format_cell(seed)]
 
 
 def _build_report(
@@ -144,8 +112,8 @@ def _build_report(
             raise ProvenBoundViolation(
                 f"{evaluator}: positive numerator {lhs!r} with zero denominator"
             )
-        return RatioReport(evaluator, lhs, rhs, None, True, n, m, k, p, q, d)
-    return RatioReport(evaluator, lhs, rhs, lhs / rhs, False, n, m, k, p, q, d)
+        return RatioReport(evaluator, lhs, rhs, None, n, m, k, p, q, d)
+    return RatioReport(evaluator, lhs, rhs, lhs / rhs, n, m, k, p, q, d)
 
 
 class DiffOp(NamedTuple):

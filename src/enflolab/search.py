@@ -41,7 +41,6 @@ import numpy as np
 
 from .averaging import box_average_array
 from .inequalities import (
-    INEQUALITY_KINDS,
     RatioReport,
     Side,
     approximation_ratio,
@@ -55,14 +54,10 @@ from .torus import FunctionTable, TorusGeometry, _dyadic_power, as_exponent, as_
 
 __all__ = [
     "SearchOutcome",
-    "SEARCH_OBJECTIVES",
     "map_cells",
     "maximize_cells",
     "scan_grid",
 ]
-
-
-SEARCH_OBJECTIVES = tuple(INEQUALITY_KINDS)
 
 # exact evaluators, looked up by name at call time so rebinding them here takes effect
 _EXACT = {
@@ -357,7 +352,7 @@ def _maximize_stack(
         for r in range(first, first + restarts):
             table = FunctionTable(geometry, stack[r])
             report = obj.blocks[b].report(table)
-            if report.degenerate:
+            if report.ratio is None:
                 continue
             if best is None or report.ratio > best.report.ratio:
                 best = SearchOutcome(table, report, accepted[r], tuple(traces[r]))
@@ -425,21 +420,18 @@ def maximize_cells(
 
 
 def scan_grid(
-    n_values,
-    m_values,
-    p=2.0,
-    q=2.0,
-    d: int = 1,
-    *,
-    restarts: int,
-    iterations: int,
-    seed: int,
-    threads: int = 1,
+    n_values, m_values, p_values, q_values, d_values,
+    *, restarts: int, iterations: int, seed: int, threads: int,
 ) -> list[SearchOutcome]:
-    """Maximize the half-shift ratio over an (n, m) grid, one cell per pair, n major."""
-    if any(m % 4 != 0 for m in m_values):
-        raise ValueError("scan values of m must be divisible by 4")
-    cells = [("scaled_enflo", int(n), int(m), None, p, q, d) for n in n_values for m in m_values]
+    """Maximize the half-shift ratio on every (n, m, p, q, d) cell, nested in that order."""
+    cells = [
+        ("scaled_enflo", n, m, None, p, q, d)
+        for n in n_values
+        for m in m_values
+        for p in p_values
+        for q in q_values
+        for d in d_values
+    ]
     return maximize_cells(
         cells, restarts=restarts, iterations=iterations, seed=seed, threads=threads
     )

@@ -86,7 +86,7 @@ def test_criterion_2_identity_coefficient_recovery():
         g = TorusGeometry(n, m)
         fitted = fit_identity_coefficients(g, k)
         assert abs(fitted.coefficient(0, 0) - 1.0) <= 1e-6
-        residual = verify_identity(fitted, g, k, n_samples=200).max_residual
+        residual = verify_identity(fitted, g, k, n_samples=200, seed=0).max_residual
         assert residual < 1e-8, (n, k, residual)
         for l in range(n + 1):
             assert not fitted.identifiable[n, l]
@@ -112,7 +112,7 @@ def test_criterion_3_approximation_bound_sweep():
                 for _ in range(3):
                     f = gaussian(n, m, d, rng)
                     report = approximation_ratio(f, k, q, p)
-                    if not report.degenerate:
+                    if report.ratio is not None:
                         assert report.lhs <= report.rhs * (1.0 + 1e-9)
                     evaluations += 1
     assert evaluations >= 1000, evaluations

@@ -7,6 +7,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,13 +18,13 @@ from enflolab.cli import (
     ConfigError,
     ExperimentConfig,
     IDENTITY_CSV_COLUMNS,
+    REPORT_CSV_COLUMNS,
     SEARCH_CSV_COLUMNS,
     parse_config,
 )
 from enflolab.identity import IdentityCoefficients
-from enflolab.inequalities import REPORT_CSV_COLUMNS
-from enflolab.search import SEARCH_OBJECTIVES
-from enflolab.torus import FunctionTable
+from enflolab.inequalities import INEQUALITY_KINDS, scaled_enflo_ratio
+from enflolab.torus import FunctionTable, TorusGeometry
 
 
 def run_cli(config, out_dir, *extra):
@@ -60,10 +61,8 @@ def base_config(command, **overrides):
     return cfg
 
 
-# the smallest valid config of each command; scan refuses the defaults alone,
-# because the default p_values holds two entries
+# the smallest valid config of each command
 MINIMAL_CONFIGS = {command: base_config(command) for command in COMMANDS}
-MINIMAL_CONFIGS["scan"] = base_config("scan", p_values=[2.0])
 
 # the keys each command reads: the only keys its config may set, and exactly
 # those its manifest echoes
@@ -92,8 +91,6 @@ def test_parse_errors_name_the_offending_field():
         (base_config("check-lemmas", m_values=[8], k_values=[5]), "m/2"),
         (base_config("check-lemmas", q_values=[float("nan")]), "q_values"),
         (base_config("check-lemmas", p_values=[float("nan")]), "p_values"),
-        (base_config("scan", m_values=[6]), "divisible by 4"),
-        (base_config("scan", p_values=[1.0, 2.0]), "p_values"),
         (base_config("verify-identity", m_values=[8, 12]), "m_values"),
         (base_config("verify-identity", fit_budget=10), "unknown config key 'fit_budget'"),
         (base_config("verify-identity", fit_budget=120), "unknown config key 'fit_budget'"),
@@ -166,7 +163,7 @@ JSON_VALUES = st.recursive(
     | st.floats()
     | st.sampled_from([math.inf, -math.inf, math.nan])
     | st.text(max_size=8)
-    | st.sampled_from(["inf", *COMMANDS, *SEARCH_OBJECTIVES]),
+    | st.sampled_from(["inf", *COMMANDS, *INEQUALITY_KINDS]),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=8,
@@ -215,6 +212,20 @@ def test_check_lemmas_is_byte_identical_across_threads(tmp_path):
     assert "report.csv" in names and "run_manifest.json" in names
     header = runs["a"]["report.csv"].decode().splitlines()[0]
     assert header == ",".join(REPORT_CSV_COLUMNS)
+
+
+def test_report_serialization_formats():
+    f = FunctionTable.random_gaussian(TorusGeometry(1, 8), 1, np.random.default_rng(2))
+    report = scaled_enflo_ratio(f, math.inf, 2.0)
+    cells = [dict(vars(report), seed=None), dict(vars(report), seed=77)]
+    header, row, seeded = csv.reader(cli._csv_text(REPORT_CSV_COLUMNS, cells).splitlines())
+    assert header == list(REPORT_CSV_COLUMNS)
+    assert row[0] == "scaled_enflo"
+    assert row[3] == ""  # k is unset
+    assert row[5] == "inf"
+    assert row[10] == "false"
+    assert row[11] == ""  # no seed given
+    assert seeded[11] == "77"
 
 
 def test_manifest_omits_runtime_only_flags(tmp_path):
@@ -351,9 +362,9 @@ def test_out_at_or_under_a_file_exits_2_before_computing(tmp_path, monkeypatch, 
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path):
     out = tmp_path / "bad"
     out.mkdir()
-    proc = run_cli(base_config("scan", m_values=[6]), out)
+    proc = run_cli(base_config("scan", m_values=[7]), out)
     assert proc.returncode == 2
-    assert "divisible by 4" in proc.stderr
+    assert "m_values" in proc.stderr
     assert read_outputs(out) == {}
     # fit-h is no longer a command; verify-identity fits and replays
     proc = run_cli(base_config("fit-h", n_values=[1]), out)
@@ -509,6 +520,23 @@ def test_scan_rows_are_estimate_constants_rows(tmp_path):
     assert scan == estimate
 
 
+def test_scan_report_is_the_scaled_enflo_report_on_any_even_grid(tmp_path):
+    # scan keeps no rule of its own: m need not be divisible by 4, and the
+    # exponents may hold several values, as for estimate-constants
+    grid = dict(
+        n_values=[1, 2], m_values=[6, 8], p_values=[1.5, 2], restarts=2, iterations=15, seed=3
+    )
+    reports = {}
+    for command, extra in (("scan", {}), ("estimate-constants", {"objectives": ["scaled_enflo"]})):
+        out = tmp_path / command
+        out.mkdir()
+        proc = run_cli(base_config(command, **grid, **extra), out)
+        assert proc.returncode == 0, proc.stderr
+        reports[command] = (out / "report.csv").read_bytes()
+    assert reports["scan"] == reports["estimate-constants"]
+    assert len(reports["scan"].splitlines()) == 1 + 2 * 2 * 2
+
+
 # cells past the size limits, each refused at config time: a table too large to
 # hold, a diagonal moment too long to compute, and identity fits too large to hold
 OVERSIZED_CONFIGS = [
@@ -593,11 +621,32 @@ def test_the_identity_size_rule_bounds_one_fit(n, m, k):
 
 
 def test_the_identity_size_rule_only_tightens():
-    # never below the count of 2^n complement averages plus the impulse system
-    for n in range(1, 25):
-        for m in (4, 8, 16, 64):
-            held, _ = cli._cell_entries("verify-identity", n, m, 1)
-            assert held >= (2**n + (n + 1) * (n + 2) // 2) * m**n
+    # the rule of the fit that held 2^n complement averages and the impulse
+    # system counted max(4P + 4, 2^n + P) tables; it refused exactly the
+    # cells the 4P + 4 tables refuse, at every n and every even m >= 4 up to
+    # the first m both refuse (refusals only grow with m)
+    def old_refuses(n, m):
+        if n > cli.MAX_HELD_ENTRIES.bit_length():
+            return True
+        columns = (n + 1) * (n + 2) // 2
+        held = max(4 * columns + 4, 2**n + columns) * m**n
+        return held > cli.MAX_HELD_ENTRIES or 3**n * m**n > cli.MAX_COMPUTED_ENTRIES
+
+    def refuses(n, m):
+        try:
+            cli._check_size("verify-identity", n, m, 1)
+        except ConfigError:
+            return True
+        return False
+
+    cells = 0
+    for n in range(1, 26):
+        m, refused = 4, False
+        while not refused:
+            refused = old_refuses(n, m)
+            assert refuses(n, m) == refused, (n, m)
+            m, cells = m + 2, cells + 1
+    assert cells > 100
 
 
 def test_every_benchmark_config_passes_the_size_guard(monkeypatch):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from enflolab import search
-from enflolab.inequalities import scaled_enflo_ratio
+from enflolab.inequalities import INEQUALITY_KINDS, DiffOp, scaled_enflo_ratio
 from enflolab.search import (
-    SEARCH_OBJECTIVES,
     _MAX_BACKTRACKS,
     _SMOOTHING_EPS,
     _STACK_ENTRIES,
@@ -42,7 +41,7 @@ def objective_cases(torus=None, cube=None):
         ("enflo", cube, None),
         ("pisier", cube, None),
     ]
-    assert {name for name, _, _ in cases} == set(SEARCH_OBJECTIVES)
+    assert {name for name, _, _ in cases} == set(INEQUALITY_KINDS)
     return cases
 
 
@@ -233,11 +232,14 @@ def min_diff(obj, vals):
 
 
 def gradient_check(objective, f, norm, p, k=None):
-    """Worst relative error of the analytic gradient against central differences.
+    """Worst error of the analytic gradient against central differences, relative to its scale.
 
     Checks the smoothed log-ratio objective, at _SMOOTHING_EPS, at the
     given table over 20 coordinates, by fourth-order central differences
-    with step _FD_STEP, whose truncation error is O(_FD_STEP^4). Refuses
+    with step _FD_STEP, whose truncation error is O(_FD_STEP^4). Each
+    coordinate's error is scored against the sup norm of the sampled
+    numeric and analytic entries, so an entry far below the gradient's
+    scale is held to the accuracy the difference quotient has there. Refuses
     p = 1 and tables whose smallest difference vector
     sits at the smoothing scale; both would compare derivatives across a
     near kink, where finite differences say nothing.
@@ -261,14 +263,14 @@ def gradient_check(objective, f, norm, p, k=None):
         lhs, _, rhs, _ = lone(obj, moved.reshape(vals.shape))
         return math.log(lhs) - math.log(rhs)
 
-    worst = 0.0
+    numeric = []
     for j in picks:
         near = log_ratio(j, _FD_STEP) - log_ratio(j, -_FD_STEP)
         far = log_ratio(j, 2 * _FD_STEP) - log_ratio(j, -2 * _FD_STEP)
-        numeric = (8 * near - far) / (12 * _FD_STEP)
-        denom = max(abs(numeric), abs(grad[j]), 1e-8)
-        worst = max(worst, abs(numeric - grad[j]) / denom)
-    return worst
+        numeric.append((8 * near - far) / (12 * _FD_STEP))
+    numeric, analytic = np.array(numeric), grad[picks]
+    scale = max(np.abs(numeric).max(), np.abs(analytic).max())
+    return float(np.abs(numeric - analytic).max() / scale)
 
 
 def test_gradients_match_finite_differences_everywhere():
@@ -291,15 +293,29 @@ def test_smoothed_sides_match_the_exact_evaluator(monkeypatch):
 
 def test_gradient_check_covers_other_exponents():
     # p = 1.5 raises nrm^p and the weight from one square root at q = 2, and
-    # at q = 1 and q = inf (the power 16) takes other dyadic powers; the torus
-    # table is (2, 8, 2), because on objective_cases' (3, 8, 2) table one
-    # sampled gradient entry at q = inf is 8e-8, where a 1e-6 relative check
-    # needs an accuracy below the rounding of any difference quotient
-    for name, table, k in objective_cases(torus=gaussian(2, 8, 2, seed=2)):
+    # at q = 1 and q = inf (the power 16) takes other dyadic powers
+    for name, table, k in objective_cases():
         for q in (1.0, 2.0, math.inf):
             err = gradient_check(name, table, q, 1.5, k=k)
             assert err < 1e-6, (name, q, err)
     assert gradient_check("scaled_enflo", gaussian(2, 8, 2, seed=2), 1.0, 2.0) < 1e-6
+
+
+def test_gradient_check_fails_a_mutant_adjoint(monkeypatch):
+    # the lhs's first op with its adjoint scaled by 1 + 1e-4: every objective's
+    # gradient is then wrong far past the check's 1e-6
+    declared = search.inequality_sides
+
+    def mutant(name, geometry, k, p):
+        lhs, rhs = declared(name, geometry, k, p)
+        op = lhs.ops[0]
+        scaled = DiffOp(op.apply, lambda w: op.adjoint(w) * (1.0 + 1e-4))
+        return lhs._replace(ops=(scaled,) + lhs.ops[1:]), rhs
+
+    monkeypatch.setattr(search, "inequality_sides", mutant)
+    for name, table, k in objective_cases():
+        for q in (1.0, 2.0, math.inf):
+            assert gradient_check(name, table, q, 1.5, k=k) > 1e-6, (name, q)
 
 
 def test_gradient_check_guards():
@@ -571,13 +587,8 @@ def test_maximize_validation():
         maximize_cells(cell("approximation", k=1), **TINY)
 
 
-def test_scan_validation():
-    with pytest.raises(ValueError):
-        scan_grid([1], [6], **TINY)  # m not divisible by 4
-
-
 def test_scan_single_cell_hits_the_known_extremal():
-    outcomes = scan_grid([1], [4], restarts=3, iterations=60, seed=0)
+    outcomes = scan_grid([1], [4], [2.0], [2.0], [1], restarts=3, iterations=60, seed=0, threads=1)
     report = outcomes[0].report
     assert report.evaluator == "scaled_enflo"
     assert report.ratio**0.5 >= 0.25
@@ -585,9 +596,10 @@ def test_scan_single_cell_hits_the_known_extremal():
 
 
 def test_scan_grid_is_thread_deterministic_and_nondegenerate():
+    grid = ([1, 2, 3], [4, 8, 12], [2.0], [2.0], [1])
     knobs = dict(restarts=2, iterations=20, seed=3)
-    serial = scan_grid([1, 2, 3], [4, 8, 12], **knobs, threads=1)
-    threaded = scan_grid([1, 2, 3], [4, 8, 12], **knobs, threads=3)
+    serial = scan_grid(*grid, **knobs, threads=1)
+    threaded = scan_grid(*grid, **knobs, threads=3)
     assert len(serial) == len(threaded) == 9
     for a, b in zip(serial, threaded):
         assert_same_outcome(a, b)

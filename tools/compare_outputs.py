@@ -17,8 +17,10 @@ the same such files, and both must return the same exit code. The tool
 prints one line per workload and seed and every difference it finds, then
 one more line per workload and seed with the number of numeric
 ``report.csv`` cells that differ, their largest relative difference and
-their columns, and last one line per workload with the number of configs
-that differ. It exits 1 if there is any difference, and writes only to a
+their columns, and the number and columns of the differing cells that are
+not numbers on both sides (a flag that flips, a number that becomes
+empty), and last one line per workload with the number of configs that
+differ. It exits 1 if there is any difference, and writes only to a
 temporary directory.
 """
 
@@ -32,6 +34,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,17 +88,22 @@ def differences(base_out: Path, out: Path) -> list[str]:
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
-def numeric_gaps(base_out: Path, out: Path) -> tuple[int, float, set[str]]:
-    """Numeric report.csv cells that differ between two runs: count, largest relative gap, columns."""
+def cell_gaps(base_out: Path, out: Path) -> tuple[Counter, float, Counter]:
+    """report.csv cells that differ between two runs.
+
+    Returns the differing numeric cells per column, their largest relative
+    gap, and the differing cells per column that are not numbers on both
+    sides.
+    """
+    numeric, worst, other = Counter(), 0.0, Counter()
     tables = []
     for run in (base_out, out):
         path = run / "report.csv"
         if not path.is_file():
-            return 0, 0.0, set()
+            return numeric, worst, other
         with open(path, newline="") as fh:
             tables.append(list(csv.reader(fh)))
     header = tables[0][0] if tables[0] else []
-    count, worst, columns = 0, 0.0, set()
     for row_a, row_b in zip(tables[0][1:], tables[1][1:]):
         for name, a, b in zip(header, row_a, row_b):
             if a == b:
@@ -103,6 +111,7 @@ def numeric_gaps(base_out: Path, out: Path) -> tuple[int, float, set[str]]:
             try:
                 x, y = float(a), float(b)
             except ValueError:
+                other[name] += 1
                 continue
             if x == y:  # one value written two ways
                 gap = 0.0
@@ -110,9 +119,9 @@ def numeric_gaps(base_out: Path, out: Path) -> tuple[int, float, set[str]]:
                 gap = abs(x - y) / max(abs(x), abs(y))
             else:
                 gap = math.inf
-            count, worst = count + 1, max(worst, gap)
-            columns.add(name)
-    return count, worst, columns
+            numeric[name] += 1
+            worst = max(worst, gap)
+    return numeric, worst, other
 
 
 def main(argv=None) -> int:
@@ -155,7 +164,7 @@ def main(argv=None) -> int:
                 jobs = [[p, str(o)] for p, o in zip(paths, outs[side])]
                 codes[side] = run_tree(tree, jobs, scratch / f"{side}-{tag}.jobs.json", env)
             found, files = [], 0
-            cells, worst, columns = 0, 0.0, set()
+            numeric, worst, other = Counter(), 0.0, Counter()
             tally = differing.setdefault(workload, [0, 0])
             for i, (a, b) in enumerate(zip(outs[first], outs[second])):
                 before = len(found)
@@ -165,16 +174,18 @@ def main(argv=None) -> int:
                 tally[0] += len(found) > before
                 tally[1] += 1
                 files += len(compared_files(b))
-                count, gap, names = numeric_gaps(a, b)
-                cells, worst, columns = cells + count, max(worst, gap), columns | names
+                counts, gap, others = cell_gaps(a, b)
+                numeric, worst, other = numeric + counts, max(worst, gap), other + others
             status = "identical" if not found else f"{len(found)} differences"
             print(f"{workload} seed {seed}: {len(paths)} configs, {files} files, {status}")
             for line in found:
                 print(f"  {line}")
-            where = f" in {', '.join(sorted(columns))}" if columns else ""
+            where = f" in {', '.join(sorted(numeric))}" if numeric else ""
+            elsewhere = f" in {', '.join(sorted(other))}" if other else ""
             print(
-                f"{workload} seed {seed}: {cells} numeric cells differ, "
-                f"largest relative difference {worst:.2g}{where}"
+                f"{workload} seed {seed}: {sum(numeric.values())} numeric cells differ, "
+                f"largest relative difference {worst:.2g}{where}; "
+                f"{sum(other.values())} non-numeric cells differ{elsewhere}"
             )
             failed = failed or bool(found)
     for workload, (count, total) in differing.items():
