@@ -138,7 +138,11 @@ def _cell_entries(
     Consecutive search cells that share (objective, n, m, k, d) may ascend
     as one stack, but a stack of several cells holds at most 2^13 entries
     (search._STACK_ENTRIES), far below both limits, and a larger cell ascends
-    alone; so the per-cell `restarts` rule still bounds every stack.
+    alone; so the per-cell `restarts` rule still bounds every stack. A side
+    of a stack smooths the fields of its ops in groups of at most
+    max(2^13, one op's field) entries, and one op's field is what the rule
+    counts for its cell: restarts x m^n d, or restarts x 4^n d for pisier's
+    sign combinations. So that rule bounds every op group too.
     """
     if n > MAX_HELD_ENTRIES.bit_length():  # m >= 2, so m^n alone is too large
         held = computed = math.inf

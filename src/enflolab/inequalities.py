@@ -127,11 +127,14 @@ class DiffOp(NamedTuple):
     keep the batch axes in front of their output, where each member's
     result is bitwise the one it gets alone. The shift operators copy
     through slice plans built once per array shape and held by the op
-    itself, so a plan lives exactly as long as its op.
+    itself, so a plan lives exactly as long as its op, and also write into
+    a given out (see shift_difference). Every side with several ops
+    declares shift operators only, so the search writes their fields
+    into one stacked array.
     """
 
-    apply: Callable[[np.ndarray], np.ndarray]
-    adjoint: Callable[[np.ndarray], np.ndarray]
+    apply: Callable[..., np.ndarray]
+    adjoint: Callable[..., np.ndarray]
 
 
 _ALL = slice(None)
@@ -185,16 +188,21 @@ def _roll_plan(shape: tuple[int, ...], shifts: dict) -> tuple[tuple[int, ...], l
     return view, pairs
 
 
-def _shifted(shifts: dict) -> Callable[[np.ndarray], np.ndarray]:
-    """a -> np.roll(a, shifts) as a planned slice copy; the plans live in this closure."""
+def _shifted(shifts: dict) -> Callable[..., np.ndarray]:
+    """(a, out=None) -> np.roll(a, shifts) as a planned slice copy into out, by default a
+    fresh array; the plans live in this closure."""
     plans: dict = {}
 
-    def shifted(a):
+    def shifted(a, out=None):
         plan = plans.get(a.shape)
         if plan is None:
             plan = plans[a.shape] = _roll_plan(a.shape, shifts)
         view, pairs = plan
-        out = np.empty(a.shape, a.dtype)
+        if out is None:
+            out = np.empty(a.shape, a.dtype)
+        elif out.shape != a.shape or out.dtype != a.dtype or not out.flags.c_contiguous:
+            # reshaping any other out would copy it, and the shifted copy would land there
+            raise ValueError("out must be a C-contiguous array of the input's shape and dtype")
         src, dst = a.reshape(view), out.reshape(view)
         for d, s in pairs:
             dst[d] = src[s]
@@ -203,13 +211,13 @@ def _shifted(shifts: dict) -> Callable[[np.ndarray], np.ndarray]:
     return shifted
 
 
-def _difference(ahead: dict, behind: dict | None) -> Callable[[np.ndarray], np.ndarray]:
-    """a -> np.roll(a, ahead) - np.roll(a, behind), or - a where behind is None."""
+def _difference(ahead: dict, behind: dict | None) -> Callable[..., np.ndarray]:
+    """(a, out=None) -> np.roll(a, ahead) - np.roll(a, behind), or - a where behind is None."""
     first = _shifted(ahead)
     second = (lambda a: a) if behind is None else _shifted(behind)
 
-    def diff(a):
-        out = first(a)
+    def diff(a, out=None):
+        out = first(a, out)
         return np.subtract(out, second(a), out=out)
 
     return diff
@@ -223,7 +231,10 @@ def shift_difference(plus, minus=None, axes=None) -> DiffOp:
     call for an array shape and kept in the op's closure: an axis shifted by
     exactly half its length is one flipped (2, m/2) view, any other shifted
     axis two slice pairs. The result is bitwise equal to np.roll's. axes may
-    be negative; repeated axes raise ValueError.
+    be negative; repeated axes raise ValueError. apply and adjoint take an
+    optional out, a C-contiguous array of the input's shape and dtype, and
+    write the result there and return it; any other out raises ValueError.
+    out must not overlap the input, which is not checked.
     """
     plus = tuple(int(v) for v in plus)
     axes = tuple(range(len(plus))) if axes is None else tuple(int(a) for a in axes)

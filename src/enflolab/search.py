@@ -20,11 +20,16 @@ draws its start from its own seeded stream. Consecutive cells that share
 _STACK_ENTRIES entries of them ascend together: their restarts advance in
 lockstep, as one (rows, m^n, d) stack in which each cell owns a block of
 rows, and whose members each keep their own step size, backtracks and
-stopping rule. The sources and ops run once over the stack and each block's
-smoothed pieces over its own rows; every objective and operator treats
-members independently, so each restart's table, trace and accepted-step
-count are bitwise those of its ascent alone. Scoring between restarts uses
-the exact evaluators, never the smoothed values.
+stopping rule. The sources and ops run once over the stack. A side smooths
+its ops in groups: as many as fit in _STACK_ENTRIES entries write their
+fields into one (ops, rows, positions, d) array, whose smoothed norms (the
+q-part) are taken once for each run of consecutive blocks sharing q_eff,
+and whose powers, weights and per-(op, member) row sums (the p-part) each
+block takes on its own rows; the row sums join the side in op order. Every
+objective and operator treats members independently, so each restart's
+table, trace and accepted-step count are bitwise those of its ascent
+alone. Scoring between restarts uses the exact evaluators, never the
+smoothed values.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import math
 import os
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -82,30 +87,30 @@ _STEP = 0.5
 _MAX_BACKTRACKS = 40
 
 # most float64 entries, restarts x m^n x d summed over its cells, that a
-# stack of several cells holds: 2^13 (64 KiB) keeps an op's temporaries
-# under glibc's 128 KiB mmap threshold, past which every call faults its
-# memory in afresh (value_grad at n = 3, m = 16, d = 1 took 386 us with no
-# minor fault for 2 rows and 962 us with 128 for 4, on a 2-core Xeon); a
-# larger cell is a stack alone
+# stack of several cells holds, and that a group of a side's op fields,
+# smoothed in one pass, holds: 2^13 (64 KiB) keeps the temporaries under
+# glibc's 128 KiB mmap threshold, past which every call faults its memory
+# in afresh. value_grad at n = 3, m = 16, d = 1 took 386 us with no minor
+# fault for 2 rows and 962 us with 128 for 4; stacking all of a side's op
+# fields into one group took 148-432 minor faults per value_grad call and
+# ran 1.2-2.0x slower at n = 3, m = 12 and 16 (2-core Xeon). A larger cell
+# is a stack alone, and an op whose own field is larger a group alone
 _STACK_ENTRIES = 2**13
 
 
-def _smooth_piece(diff: np.ndarray, p: float, q_eff: float, eps: float, lead=(), out=None):
-    """Mean smoothed q-norm^p over positions, and its gradient in diff.
+def _smooth_norms(diff: np.ndarray, q_eff: float, eps: float):
+    """The q-part of the smoothed moment: each vector's smoothed q-norm, and its gradient factor.
 
-    The first len(lead) axes of diff index the members of a stack, shaped
-    lead; every other axis but the last indexes positions. Each member's
-    mean is a row sum over its own contiguous block, so it is bitwise the
-    mean that member gets alone. The gradient is written into out when
-    given, else into the array of squares, so it never shares memory with
-    diff. Squares, powers and norms are raised in place by
-    torus._dyadic_power, a size-1 value axis is read rather than summed, and
-    where p = q the weight nrm^(p-q), which is 1, is never computed; at
+    The last axis of diff holds the vectors. Returns (nrm, sq): nrm, shaped
+    diff.shape[:-1], holds (sum (diff^2 + eps^2)^(q/2))^(1/q); sq, shaped
+    like diff, holds (diff^2 + eps^2)^((q-2)/2), the factor the gradient of
+    nrm^p takes besides the weight p nrm^(p-q). At q = 2 that factor is 1 and
+    sq is scratch, of which nrm is a view at d = 1. Neither shares memory
+    with diff. Squares, powers and norms are raised in place by
+    torus._dyadic_power, a size-1 value axis is read rather than summed, at
     q = 2 the powers sq^(q/2) and sq^((q-2)/2) are sq and 1, so that branch
-    skips them, at p = 1.5 one square root of the norms serves both
-    nrm^p = nrm * sqrt(nrm) and the weight (p / count) / sqrt(nrm), and at
-    q = 1 the gradient's sq^(-1/2) is one over the roots sq^(1/2) the norms
-    sum.
+    skips them, and at q = 1 the factor sq^(-1/2) is one over the roots
+    sq^(1/2) the norms sum.
     """
     sq = np.multiply(diff, diff)
     sq += eps * eps
@@ -114,28 +119,34 @@ def _smooth_piece(diff: np.ndarray, p: float, q_eff: float, eps: float, lead=(),
     if q_eff == 1.0:
         # before nrm, a view of the roots at d = 1, is raised in place
         np.divide(1.0, powers, out=sq)
-    _dyadic_power(nrm, 1.0 / q_eff)
-    count = math.prod(nrm.shape[len(lead) :])
-    if p == q_eff:
-        weight = p / count
-        _dyadic_power(nrm, p)
-    elif q_eff == 2.0 and p == 1.5:
-        root = np.sqrt(nrm)
-        weight = np.divide(p / count, root)[..., None]
-        np.multiply(nrm, root, out=nrm)
-    else:
-        weight = _dyadic_power(nrm, p - q_eff, np.empty_like(nrm))
-        weight *= p / count
-        weight = weight[..., None]
-        _dyadic_power(nrm, p)
-    value = nrm.reshape(lead + (-1,)).sum(axis=-1) / count
-    grad = sq if out is None else out
-    if q_eff == 2.0:
-        return value, np.multiply(weight, diff, out=grad)
-    if q_eff != 1.0:
+    elif q_eff != 2.0:
         _dyadic_power(sq, (q_eff - 2.0) / 2.0)
-    np.multiply(weight, sq, out=sq)
-    return value, np.multiply(sq, diff, out=grad)
+    _dyadic_power(nrm, 1.0 / q_eff)
+    return nrm, sq
+
+
+def _smooth_weight(nrm: np.ndarray, p: float, q_eff: float, scale: float):
+    """The p-part of the smoothed moment: nrm raised to p in place, and the gradient weight.
+
+    The weight is scale * nrm^(p-q), taken before nrm is raised: the float
+    scale itself where p = q, else a fresh array with a trailing size-1 axis
+    that spreads it over each vector. With scale = p / positions it turns
+    the factor of _smooth_norms and the difference into the gradient of the
+    mean of nrm^p. At q = 2 and p = 1.5 one square root of the norms serves
+    both nrm^p = nrm * sqrt(nrm) and the weight scale / sqrt(nrm).
+    """
+    if p == q_eff:
+        _dyadic_power(nrm, p)
+        return scale
+    if q_eff == 2.0 and p == 1.5:
+        root = np.sqrt(nrm)
+        weight = np.divide(scale, root)
+        np.multiply(nrm, root, out=nrm)
+        return weight[..., None]
+    weight = _dyadic_power(nrm, p - q_eff, np.empty_like(nrm))
+    weight *= scale
+    _dyadic_power(nrm, p)
+    return weight[..., None]
 
 
 @dataclass(frozen=True)
@@ -146,6 +157,60 @@ class _Block:
     q_eff: float
     scales: tuple[float, float]  # of the lhs and the rhs
     report: Callable[[FunctionTable], RatioReport]
+
+
+def _runs(spans) -> tuple:
+    """(q_eff, rows, ((p, sub), ...)) per run of consecutive spans that share q_eff.
+
+    spans lists (block, first row, row stop) per block with rows, in row
+    order. rows are the run's rows, or None where the run holds every row;
+    sub is a block's rows within its run, or None where it is the run's
+    only block.
+    """
+    cuts = [i for i, span in enumerate(spans) if i == 0 or span[0].q_eff != spans[i - 1][0].q_eff]
+    runs = []
+    for first, stop in zip(cuts, cuts[1:] + [len(spans)]):
+        members = spans[first:stop]
+        lo, hi = members[0][1], members[-1][2]
+        blocks = tuple(
+            (b.p, None if len(members) == 1 else slice(start - lo, end - lo)) for b, start, end in members
+        )
+        runs.append((members[0][0].q_eff, None if len(cuts) == 1 else slice(lo, hi), blocks))
+    return tuple(runs)
+
+
+def _smooth_group(fields: np.ndarray, runs, sums: np.ndarray) -> np.ndarray:
+    """Smoothed moments and gradients of a (K, L, positions, d) stack of K ops' fields.
+
+    Writes each (member, op)'s sum over positions of nrm^p into sums,
+    shaped (K, L), and returns the fields' gradients, shaped like fields,
+    each op's contiguous. The q-part runs once per run of blocks that
+    share q_eff, over all K fields; the p-part and the gradient run per
+    block. Every member's sum is the contiguous row sum it gets alone.
+    """
+    grads = None if len(runs) == 1 else np.empty_like(fields)
+    for q_eff, rows, blocks in runs:
+        piece = fields if rows is None else fields[:, rows]
+        nrm, sq = _smooth_norms(piece, q_eff, _SMOOTHING_EPS)
+        count = nrm.shape[-1]
+        weights = [
+            _smooth_weight(nrm if sub is None else nrm[:, sub], p, q_eff, p / count)
+            for p, sub in blocks
+        ]
+        # before the gradient, which may write over sq, of which nrm may be a view
+        np.add.reduce(nrm, axis=-1, out=sums if rows is None else sums[:, rows])
+        grad = sq if rows is None else grads[:, rows]
+        for (_, sub), weight in zip(blocks, weights):
+            # at q = 2 the gradient is weight * diff, else (weight * sq) * diff
+            source, target = (piece, grad) if q_eff == 2.0 else (sq, sq)
+            if sub is not None:
+                source, target = source[:, sub], target[:, sub]
+            np.multiply(weight, source, out=target)
+        if q_eff != 2.0:
+            np.multiply(sq, piece, out=grad)
+        if rows is None:
+            grads = grad
+    return grads
 
 
 @dataclass(frozen=True)
@@ -164,42 +229,65 @@ class _Objective:
     shape: tuple[int, ...]  # (m,)*n + (d,)
     blocks: tuple[_Block, ...]
     starts: tuple[int, ...]
+    # _layout per tuple of member ids; a stack's objective runs on one thread
+    layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _average(self, vals: np.ndarray, k: int) -> np.ndarray:
         return box_average_array(self.geometry, vals, range(self.geometry.n), k)
 
-    def _spans(self, ids) -> list:
-        """(block, rows) per block with rows; ids are the rows' member ids, ascending."""
-        bounds = [0] + [bisect_left(ids, start) for start in self.starts[1:]] + [len(ids)]
-        return [(b, slice(lo, hi)) for b, lo, hi in zip(self.blocks, bounds, bounds[1:]) if lo < hi]
+    def _layout(self, ids) -> tuple:
+        """(runs, scales) of rows whose member ids are ids, ascending, so each block's rows are
+        contiguous: the _runs of the blocks, and per side None where every block's scale is 1,
+        else the scale of each row."""
+        key = tuple(ids)
+        layout = self.layouts.get(key)
+        if layout is not None:
+            return layout
+        bounds = [0] + [bisect_left(key, start) for start in self.starts[1:]] + [len(key)]
+        spans = [(b, lo, hi) for b, lo, hi in zip(self.blocks, bounds, bounds[1:]) if lo < hi]
+        scales = tuple(
+            None
+            if all(b.scales[which] == 1.0 for b, _, _ in spans)
+            else np.concatenate([np.full(hi - lo, b.scales[which]) for b, lo, hi in spans])
+            for which in (0, 1)
+        )
+        layout = self.layouts[key] = (_runs(spans), scales)
+        return layout
 
-    def _side_value_grad(self, which: int, vals: np.ndarray, spans: list):
+    def _side_value_grad(self, which: int, vals: np.ndarray, runs: tuple, scale):
         side = self.sides[which]
-        lead = vals.shape[:-2]
-        nd = side.read(vals, self._average).reshape(lead + self.shape)
-        total = np.zeros(lead)
-        grad = np.zeros_like(nd)
-        for op in side.ops:
-            diff = op.apply(nd)
-            # one block squares into its own gradient; several write theirs into one array
-            joint = None if len(spans) == 1 else np.empty_like(diff)
-            for block, rows in spans:
-                piece = diff[rows]
-                v, g = _smooth_piece(
-                    piece,
-                    block.p,
-                    block.q_eff,
-                    _SMOOTHING_EPS,
-                    piece.shape[: len(lead)],
-                    None if joint is None else joint[rows],
-                )
-                total[rows] += v
-            grad += op.adjoint(g if joint is None else joint).reshape(nd.shape)
+        nd = side.read(vals, self._average).reshape(vals.shape[:1] + self.shape)
+        ops = side.ops
+        # the summed smoothed moment of each (op, member), one op per row
+        moments = np.empty((len(ops), len(vals)))
+        grad = np.zeros(nd.shape)
+        # a group of fields stays within _STACK_ENTRIES; a larger field is a group alone
+        width = max(1, _STACK_ENTRIES // nd.size)
+        for first in range(0, len(ops), width):
+            group = ops[first : first + width]
+            if len(group) == 1:
+                fields = group[0].apply(nd)
+                shape = fields.shape  # pisier's sign combinations hold 2^n fields per member
+            else:
+                shape = nd.shape
+                fields = np.empty((len(group),) + shape)
+                for op, out in zip(group, fields):
+                    op.apply(nd, out=out)
+            fields = fields.reshape((len(group), len(vals), -1, nd.shape[-1]))
+            grads = _smooth_group(fields, runs, moments[first : first + len(group)])
+            for op, g in zip(group, grads):
+                grad += op.adjoint(g.reshape(shape))
+        # every op of a side has fields of one shape, so one count of positions;
+        # each op's mean joins the side in op order: the accumulation is
+        # sequential, and its first term is the mean itself, as 0 plus a positive
+        # mean is
+        moments /= fields.shape[2]
+        total = moments[0] if len(ops) == 1 else np.add.accumulate(moments)[-1]
         # the source read is self adjoint, so it pulls the gradient back
         grad = side.read(grad.reshape(vals.shape), self._average)
-        for block, rows in spans:
-            total[rows] *= block.scales[which]
-            grad[rows] *= block.scales[which]
+        if scale is not None:
+            total *= scale
+            grad *= scale[:, None, None]
         return total, grad
 
     def value_grad(self, vals: np.ndarray, ids):
@@ -209,8 +297,10 @@ class _Objective:
         block's rows are contiguous. The sides hold one value per row, and
         each member's sides and gradients are bitwise those it gets alone.
         """
-        spans = self._spans(ids)
-        return self._side_value_grad(0, vals, spans) + self._side_value_grad(1, vals, spans)
+        runs, scales = self._layout(ids)
+        return self._side_value_grad(0, vals, runs, scales[0]) + self._side_value_grad(
+            1, vals, runs, scales[1]
+        )
 
 
 def _stack_objective(

@@ -187,6 +187,12 @@ def _dyadic_power(x: np.ndarray, e: float, out: np.ndarray | None = None) -> np.
     # the moment exponents p in {1, 1.5, 2}, which cover most cells, come out
     # as x, x * sqrt(x) and x * x, and any other dyadic p in [1, 2] without pow
     out = x if out is None else out
+    # the square and the root of the Euclidean norm, the search's commonest
+    # powers, skip the bookkeeping below, whose first pass they would take
+    if e == 2.0:
+        return np.multiply(x, x, out=out)
+    if e == 0.5:
+        return np.sqrt(x, out=out)
     sixteenths = abs(e) * 16.0
     if e == 0 or not sixteenths <= 256.0 or sixteenths % 1.0:
         return np.power(x, e, out=out)

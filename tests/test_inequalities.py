@@ -228,6 +228,35 @@ def test_shift_difference_refuses_repeated_axes():
         shift_difference((1, 2), axes=(0,))
 
 
+def test_shift_ops_write_into_a_contiguous_out_and_refuse_any_other():
+    rng = np.random.default_rng(5)
+    for n, m, d in ((1, 8, 1), (2, 6, 3), (3, 4, 2)):
+        ops = list(unit_steps(n)) + list(diagonal_differences(n)) + [half_shift(n, m)]
+        ops.append(shift_difference((1,) * n, (-2,) * n))
+        stack = rng.standard_normal((3,) + (m,) * n + (d,))
+        stack.flags.writeable = False
+        for op in ops:
+            for run in (op.apply, op.adjoint):
+                fresh = run(stack)
+                buf = np.full(stack.shape, np.nan)
+                assert run(stack, out=buf) is buf
+                assert same_bits(buf, fresh), (n, m, d)
+                # a member of a C-contiguous stack of fields is itself C-contiguous
+                fields = np.full((2,) + stack.shape, np.nan)
+                member = fields[1]
+                assert run(stack, out=member) is member
+                assert same_bits(member, fresh) and np.isnan(fields[0]).all()
+                # reshaping a strided out copies it; the op must not write half of
+                # its result there and the other half into out itself
+                wide = np.full((stack.shape[0], 2) + stack.shape[1:], np.nan)
+                for bad in (wide[:, 0], np.full(stack.shape[:-1] + (d + 1,), np.nan)):
+                    with pytest.raises(ValueError, match="C-contiguous"):
+                        run(stack, out=bad)
+                assert np.isnan(wide).all()
+                with pytest.raises(ValueError, match="dtype"):
+                    run(stack, out=np.zeros(stack.shape, np.float32))
+
+
 def test_roll_plans_die_with_their_op():
     # each op keeps its plans in its own closure, so throwaway ops leave
     # nothing behind; a module-level plan cache would keep all 2000

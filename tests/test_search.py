@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from enflolab.search import (
     _MAX_BACKTRACKS,
     _SMOOTHING_EPS,
     _STACK_ENTRIES,
+    _Block,
     _ascend,
     _maximize_stack,
-    _smooth_piece,
+    _runs,
+    _smooth_group,
     _stack_objective,
     _stacks,
     maximize_cells,
@@ -45,6 +49,32 @@ def objective_cases(torus=None, cube=None):
     return cases
 
 
+def smooth_blocks(diff, exponents, lead=()):
+    """(values, gradient) of diff, members on its lead axes, through one op's _smooth_group.
+
+    exponents lists one (p, q_eff, rows) per block, its rows consecutive;
+    they fill the lead axes, flattened. Each value is a member's mean
+    smoothed moment, the group's sum over the count of positions, as
+    _side_value_grad divides it.
+    """
+    rows = math.prod(lead)
+    fields = diff.reshape((1, rows, -1, diff.shape[-1]))
+    spans, first = [], 0
+    for p, q_eff, members in exponents:
+        spans.append((_Block(p, q_eff, (1.0, 1.0), None), first, first + members))
+        first += members
+    assert first == rows
+    sums = np.empty((1, rows))
+    grads = _smooth_group(fields, _runs(spans), sums)
+    assert grads.shape == fields.shape and grads.flags.c_contiguous
+    return (sums[0] / fields.shape[2]).reshape(lead), grads.reshape(diff.shape)
+
+
+def smooth_piece(diff, p, q_eff, lead=()):
+    """(values, gradient) of diff as one block of members on its lead axes."""
+    return smooth_blocks(diff, [(p, q_eff, math.prod(lead))], lead)
+
+
 def test_q_two_smoothed_piece_is_bitwise_the_general_formula():
     def general(diff, p, eps):
         # torus._dyadic_power's formulas at q = 2, written out: nrm^(1/2) is
@@ -69,7 +99,7 @@ def test_q_two_smoothed_piece_is_bitwise_the_general_formula():
         for d in (1, 3):
             for scale in (1.0, 1e3, eps, eps / 7, 0.0):
                 diff = scale * rng.standard_normal((4, 27, d))
-                value, grad = _smooth_piece(diff, p, 2.0, eps)
+                value, grad = smooth_piece(diff, p, 2.0)
                 want_value, want_grad = general(diff, p, eps)
                 assert value == want_value
                 assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape
@@ -93,7 +123,8 @@ def _rooted(x, i):
 # x ** e for every exponent the oracle meets, as torus._dyadic_power raises it:
 # squarings for the integer part, square roots for the fraction, their product
 # (integer factors first, then the roots from sqrt(x) down) and for e < 0 one
-# reciprocal; 2/3, the norm root at q = 1.5, is not dyadic and keeps np.power
+# reciprocal; 2/3 and 1/3, the norm roots at q = 1.5 and 3, are not dyadic and
+# keep np.power
 _WRITTEN_OUT_POWERS = {
     1 / 16: lambda x: _rooted(x, 4),
     1 / 2: lambda x: _rooted(x, 1),
@@ -104,9 +135,12 @@ _WRITTEN_OUT_POWERS = {
     7.0: lambda x: (x * _squared(x, 1)) * _squared(x, 2),
     8.0: lambda x: _squared(x, 3),
     2 / 3: lambda x: np.power(x, 2 / 3),
+    1 / 3: lambda x: np.power(x, 1 / 3),
     -1 / 4: lambda x: 1.0 / _rooted(x, 2),
     -1 / 2: lambda x: 1.0 / _rooted(x, 1),
     -1.0: lambda x: 1.0 / x,
+    -1.5: lambda x: 1.0 / (x * _rooted(x, 1)),
+    -2.0: lambda x: 1.0 / _squared(x, 1),
     -14.0: lambda x: 1.0 / ((_squared(x, 1) * _squared(x, 2)) * _squared(x, 3)),
     -14.5: lambda x: 1.0 / (((_squared(x, 1) * _squared(x, 2)) * _squared(x, 3)) * _rooted(x, 1)),
     -15.0: lambda x: 1.0 / (((x * _squared(x, 1)) * _squared(x, 2)) * _squared(x, 3)),
@@ -146,18 +180,23 @@ def test_smoothed_piece_is_bitwise_the_oracle_in_fewer_arrays():
                 cases = ((stack[0], ()), (stack, (5,)), (stack[1:4], (3,)))
                 for diff, lead in cases:
                     want_value, want_grad = smooth_piece_oracle(diff, p, q_eff, eps, lead)
-                    value, grad = _smooth_piece(diff, p, q_eff, eps, lead)
+                    value, grad = smooth_piece(diff, p, q_eff, lead)
                     assert np.asarray(value).tobytes() == np.asarray(want_value).tobytes()
                     assert grad.shape == want_grad.shape
                     assert grad.tobytes() == want_grad.tobytes(), (q_eff, p, d, lead)
                     assert grad.flags.writeable
                     assert not np.shares_memory(grad, diff)
-                    # a block of a stack gradient is written in place
+                    # a block of a stack gradient is written into its own rows only: the
+                    # block's rows are 3, between NaN members at another q and at another p
                     joint = np.full((7,) + diff.shape, np.nan)
-                    value, grad = _smooth_piece(diff, p, q_eff, eps, lead, joint[3])
-                    assert np.shares_memory(grad, joint[3])
-                    assert joint[3].tobytes() == want_grad.tobytes()
-                    assert np.isnan(joint[:3]).all() and np.isnan(joint[4:]).all()
+                    joint[3] = diff
+                    other, rows = (1.0 if q_eff != 1.0 else 2.0), math.prod(lead)
+                    exponents = [(p, other, 2 * rows), (3.0 - p, q_eff, rows), (p, q_eff, rows)]
+                    exponents.append((p, other, 3 * rows))
+                    value, grad = smooth_blocks(joint, exponents, joint.shape[:1] + lead)
+                    assert grad[3].tobytes() == want_grad.tobytes()
+                    assert np.asarray(value[3]).tobytes() == np.asarray(want_value).tobytes()
+                    assert np.isnan(grad[:3]).all() and np.isnan(grad[4:]).all()
 
 
 def test_q_one_piece_is_bitwise_two_square_roots_of_the_squares():
@@ -179,7 +218,7 @@ def test_q_one_piece_is_bitwise_two_square_roots_of_the_squares():
         for d in (1, 3):
             for lead in ((), (3,)):
                 diff = rng.standard_normal(lead + (6, 6, d))
-                value, grad = _smooth_piece(diff, p, 1.0, _SMOOTHING_EPS, lead)
+                value, grad = smooth_piece(diff, p, 1.0, lead)
                 want_value, want_grad = two_roots(diff, p, _SMOOTHING_EPS, lead)
                 assert np.asarray(value).tobytes() == np.asarray(want_value).tobytes()
                 assert grad.tobytes() == want_grad.tobytes(), (p, d, lead)
@@ -208,10 +247,96 @@ def test_smoothed_piece_is_the_pow_formula_within_32_ulp():
             for d in (1, 3):
                 stack = rng.standard_normal((5, 6, 6, d))
                 stack[2] *= eps
-                value, grad = _smooth_piece(stack, p, q_eff, eps, (5,))
+                value, grad = smooth_piece(stack, p, q_eff, (5,))
                 want_value, want_grad = smooth_piece_pow(stack, p, q_eff, eps, (5,))
                 np.testing.assert_allclose(value, want_value, rtol=rtol, atol=0.0)
                 np.testing.assert_allclose(grad, want_grad, rtol=rtol, atol=0.0)
+
+
+def value_grad_oracle(obj, vals, ids):
+    """obj.value_grad one (op, block) at a time: each op's apply and adjoint on the
+    block's rows alone, smooth_piece_oracle, and the moments summed in op order."""
+    held = [bisect_right(obj.starts, i) - 1 for i in ids]  # each row's block
+    out = []
+    for which, side in enumerate(obj.sides):
+        total, grad = np.zeros(len(ids)), np.zeros(vals.shape)
+        for b, block in enumerate(obj.blocks):
+            rows = [r for r, h in enumerate(held) if h == b]
+            if not rows:
+                continue
+            rows = slice(rows[0], rows[-1] + 1)
+            nd = side.read(vals[rows], obj._average).reshape((-1,) + obj.shape)
+            pulled = np.zeros(nd.shape)
+            for op in side.ops:
+                diff = op.apply(nd)
+                value, g = smooth_piece_oracle(diff, block.p, block.q_eff, _SMOOTHING_EPS, (len(nd),))
+                total[rows] += value
+                pulled += op.adjoint(g)
+            total[rows] *= block.scales[which]
+            grad[rows] = side.read(pulled.reshape(vals[rows].shape), obj._average)
+            grad[rows] *= block.scales[which]
+        out += [total, grad]
+    return tuple(out)
+
+
+def test_value_grad_is_bitwise_each_op_and_block_alone(monkeypatch):
+    # the blocks alternate q over {1, 1.5, 2, 3, inf}, in runs of one and of
+    # two blocks, and take p in {1, 1.5, 2}; some members have stopped
+    qs = (1.0, 1.0, 1.5, 2.0, 2.0, 3.0, math.inf, 2.0)
+    ps = (1.0, 1.5, 2.0, 1.5, 2.0, 1.0, 2.0, 1.0)
+    exponents = [(NormSpec(q), p) for q, p in zip(qs, ps)]
+    some = [i for i in range(16) if i % 5 != 3]
+    rng = np.random.default_rng(16)
+    # n = 2 takes each side as one group: 13 rows of 8^2 x 3 entries give a
+    # field of 2496, two ops 4992. At n = 3 eight rows at d = 1 hold 4096
+    # entries per field, so the ops go two to a group, and at d = 3 one; the
+    # cube's sides split under a cap of 2^8
+    stacks = [(2, 8, some), (3, 8, some[::2][:8])]
+    for cap in (_STACK_ENTRIES, 2**8):
+        monkeypatch.setattr(search, "_STACK_ENTRIES", cap)
+        for name, _, k in objective_cases():
+            torus = INEQUALITY_KINDS[name].torus
+            for n, m, ids in stacks if torus else [(3, 2, some)]:
+                for d in (1, 3):
+                    g = TorusGeometry(n, m)
+                    obj = _stack_objective(name, g, d, k, exponents, members=2)
+                    vals = rng.standard_normal((len(ids), g.size, d))
+                    vals[1] *= _SMOOTHING_EPS  # a member at the smoothing scale
+                    got = obj.value_grad(vals, ids)
+                    want = value_grad_oracle(obj, vals, ids)
+                    for a, b in zip(got, want):
+                        assert a.shape == b.shape, (name, n, m, d, cap)
+                        assert a.tobytes() == b.tobytes(), (name, n, m, d, cap)
+
+
+def test_op_groups_stack_as_many_fields_as_the_cap_holds():
+    # each call of an op's apply is recorded as the size of the stacked
+    # array its out belongs to, or None where the op writes a fresh field
+    calls = []
+
+    def recording(op):
+        def apply(nd, out=None):
+            calls.append(None if out is None else out.base.size)
+            return op.apply(nd) if out is None else op.apply(nd, out=out)
+
+        return DiffOp(apply, op.adjoint)
+
+    # (n, m, rows): the scaled Enflo rhs is n unit steps of rows x m^n entries each
+    cases = {
+        (2, 8, 13): [1664, 1664],  # 832 a field: both in one group
+        (3, 8, 8): [8192, 8192, None],  # 4096: two to a group, the third alone
+        (3, 8, 9): [None, None, None],  # 4608: each a group alone
+        (3, 16, 2): [None, None, None],  # 8192: each a group alone
+    }
+    for (n, m, rows), want in cases.items():
+        obj = _stack_objective("scaled_enflo", TorusGeometry(n, m), 1, None, [(2.0, 2.0)], rows)
+        lhs, rhs = obj.sides
+        obj = dataclasses.replace(obj, sides=(lhs, rhs._replace(ops=tuple(map(recording, rhs.ops)))))
+        vals = np.random.default_rng(17).standard_normal((rows, m**n, 1))
+        calls.clear()
+        obj.value_grad(vals, range(rows))
+        assert calls == want, (n, m, rows)
+        assert all(size is None or size <= _STACK_ENTRIES for size in calls)
 
 
 def lone(obj, vals):

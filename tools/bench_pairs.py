@@ -13,7 +13,11 @@ and its result line) is written to BENCH_<LABEL>_<workload>.json at the repo
 root, one file per tree; a label whose record exists is refused, so no
 record is ever overwritten. The summary printed at the end gives each
 side's median and quartiles of every end-to-end metric, and how many pairs
-this tree won on each.
+this tree won on each; and the same for two figures of the detail line,
+each run's median unscaled pass time (``pass_s``) and its median probe
+time (``probe_s``). ``wall_s`` is the pass time over the probe time, so a
+change that moves the probe, which runs in the pass process, shows there
+as a probe shift rather than as a ``wall_s`` change alone.
 """
 
 from __future__ import annotations
@@ -45,20 +49,32 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def compare(a: list[float], b: list[float]) -> dict:
+    """Each side's median and quartiles of one figure, and the pairs where this tree's is lower."""
+    return {
+        "base_median": statistics.median(a),
+        "base_quartiles": quartiles(a),
+        "median": statistics.median(b),
+        "quartiles": quartiles(b),
+        "pairs_won": sum(y < x for x, y in zip(a, b)),
+        "pairs": len(a),
+    }
+
+
 def summary(base: list[dict], change: list[dict]) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, and the pairs this tree won."""
+    """compare() of every end-to-end metric and of each run's median unscaled pass and probe time."""
     out = {}
     for name in base[0]["result"]["metrics"]:
-        a = [run["result"]["metrics"][name]["value"] for run in base]
-        b = [run["result"]["metrics"][name]["value"] for run in change]
-        out[name] = {
-            "base_median": statistics.median(a),
-            "base_quartiles": quartiles(a),
-            "median": statistics.median(b),
-            "quartiles": quartiles(b),
-            "pairs_won": sum(y < x for x, y in zip(a, b)),
-            "pairs": len(a),
-        }
+        out[name] = compare(
+            [run["result"]["metrics"][name]["value"] for run in base],
+            [run["result"]["metrics"][name]["value"] for run in change],
+        )
+    # each run's median of a detail-line figure; wall_s is pass_s scaled by probe_s
+    for name in ("pass_s", "probe_s"):
+        out[f"detail.{name}"] = compare(
+            [run["detail"][name]["quartiles"][1] for run in base],
+            [run["detail"][name]["quartiles"][1] for run in change],
+        )
     return out
 
 
