@@ -135,10 +135,11 @@ def _cell_entries(
     entries as 2k < m; it computes each average only at the points it reads.
     A search cell ascends its restarts together, as one stack of tables, so
     it holds and computes `restarts` times what one of its tables does.
-    Consecutive search cells that share (objective, n, m, k, d) may ascend
-    as one stack, but a stack of several cells holds at most 2^13 entries
-    (search._STACK_ENTRIES), far below both limits, and a larger cell ascends
-    alone; so the per-cell `restarts` rule still bounds every stack. A side
+    Search cells that differ only in p may ascend as one stack, wherever
+    they sit in the cell list, but a stack of several cells holds at most
+    2^13 entries (search._STACK_ENTRIES), far below both limits, and a
+    larger cell ascends alone; so the per-cell `restarts` rule still bounds
+    every stack. A side
     of a stack smooths the fields of its ops in groups of at most
     max(2^13, one op's field) entries, and one op's field is what the rule
     counts for its cell: restarts x m^n d, or restarts x 4^n d for pisier's

@@ -15,21 +15,21 @@ Side.read with box_average_array; f, B f and B f - f are self adjoint, so
 the same read pulls the gradient back. Iterates live in the mean-zero
 subspace (every objective kills constants), each round's trial
 step starts at _STEP and halves until a strict increase, and each restart
-draws its start from its own seeded stream. Consecutive cells that share
-(objective, n, m, k, d) differ only in p, q and the side scales, so up to
-_STACK_ENTRIES entries of them ascend together: their restarts advance in
-lockstep, as one (rows, m^n, d) stack in which each cell owns a block of
-rows, and whose members each keep their own step size, backtracks and
-stopping rule. The sources and ops run once over the stack. A side smooths
-its ops in groups: as many as fit in _STACK_ENTRIES entries write their
-fields into one (ops, rows, positions, d) array, whose smoothed norms (the
-q-part) are taken once for each run of consecutive blocks sharing q_eff,
-and whose powers, weights and per-(op, member) row sums (the p-part) each
-block takes on its own rows; the row sums join the side in op order. Every
-objective and operator treats members independently, so each restart's
-table, trace and accepted-step count are bitwise those of its ascent
-alone. Scoring between restarts uses the exact evaluators, never the
-smoothed values.
+draws its start from its own seeded stream. Cells that differ only in p,
+wherever they sit in the cell list, declare the same sources and ops and
+take one q, so up to _STACK_ENTRIES entries of them ascend together:
+their restarts advance in lockstep, as one (rows, m^n, d) stack in which
+each cell owns a block of rows, and whose members each keep their own
+step size, backtracks and stopping rule. The sources and ops run once
+over the stack. A side smooths its ops in groups: as many as fit in
+_STACK_ENTRIES entries write their fields into one (ops, rows,
+positions, d) array, whose smoothed norms (the q-part) are taken once
+over the group, and whose powers, weights and per-(op, member) row sums
+(the p-part) each block takes on its own rows; the row sums join the
+side in op order. Every objective and operator treats members
+independently, so each restart's table, trace and accepted-step count
+are bitwise those of its ascent alone. Scoring between restarts uses
+the exact evaluators, never the smoothed values.
 """
 
 from __future__ import annotations
@@ -151,82 +151,59 @@ def _smooth_weight(nrm: np.ndarray, p: float, q_eff: float, scale: float):
 
 @dataclass(frozen=True)
 class _Block:
-    """One cell's rows of a stack: its exponents, side scales and exact evaluator."""
+    """One cell's rows of a stack: its exponent p, side scales and exact evaluator."""
 
     p: float
-    q_eff: float
     scales: tuple[float, float]  # of the lhs and the rhs
     report: Callable[[FunctionTable], RatioReport]
 
 
-def _runs(spans) -> tuple:
-    """(q_eff, rows, ((p, sub), ...)) per run of consecutive spans that share q_eff.
-
-    spans lists (block, first row, row stop) per block with rows, in row
-    order. rows are the run's rows, or None where the run holds every row;
-    sub is a block's rows within its run, or None where it is the run's
-    only block.
-    """
-    cuts = [i for i, span in enumerate(spans) if i == 0 or span[0].q_eff != spans[i - 1][0].q_eff]
-    runs = []
-    for first, stop in zip(cuts, cuts[1:] + [len(spans)]):
-        members = spans[first:stop]
-        lo, hi = members[0][1], members[-1][2]
-        blocks = tuple(
-            (b.p, None if len(members) == 1 else slice(start - lo, end - lo)) for b, start, end in members
-        )
-        runs.append((members[0][0].q_eff, None if len(cuts) == 1 else slice(lo, hi), blocks))
-    return tuple(runs)
-
-
-def _smooth_group(fields: np.ndarray, runs, sums: np.ndarray) -> np.ndarray:
+def _smooth_group(fields: np.ndarray, q_eff: float, blocks, sums: np.ndarray) -> np.ndarray:
     """Smoothed moments and gradients of a (K, L, positions, d) stack of K ops' fields.
 
-    Writes each (member, op)'s sum over positions of nrm^p into sums,
-    shaped (K, L), and returns the fields' gradients, shaped like fields,
-    each op's contiguous. The q-part runs once per run of blocks that
-    share q_eff, over all K fields; the p-part and the gradient run per
-    block. Every member's sum is the contiguous row sum it gets alone.
+    blocks lists (p, rows) per block with rows, in row order; rows is None
+    where the block holds every row. Writes each (op, member)'s sum over
+    positions of nrm^p into sums, shaped (K, L), and returns the fields'
+    gradients, shaped like fields, each op's contiguous. The q-part runs
+    once over all K fields; the p-part and the gradient run per block.
+    Every member's sum is the contiguous row sum it gets alone.
     """
-    grads = None if len(runs) == 1 else np.empty_like(fields)
-    for q_eff, rows, blocks in runs:
-        piece = fields if rows is None else fields[:, rows]
-        nrm, sq = _smooth_norms(piece, q_eff, _SMOOTHING_EPS)
-        count = nrm.shape[-1]
-        weights = [
-            _smooth_weight(nrm if sub is None else nrm[:, sub], p, q_eff, p / count)
-            for p, sub in blocks
-        ]
-        # before the gradient, which may write over sq, of which nrm may be a view
-        np.add.reduce(nrm, axis=-1, out=sums if rows is None else sums[:, rows])
-        grad = sq if rows is None else grads[:, rows]
-        for (_, sub), weight in zip(blocks, weights):
-            # at q = 2 the gradient is weight * diff, else (weight * sq) * diff
-            source, target = (piece, grad) if q_eff == 2.0 else (sq, sq)
-            if sub is not None:
-                source, target = source[:, sub], target[:, sub]
-            np.multiply(weight, source, out=target)
-        if q_eff != 2.0:
-            np.multiply(sq, piece, out=grad)
+    nrm, sq = _smooth_norms(fields, q_eff, _SMOOTHING_EPS)
+    count = nrm.shape[-1]
+    weights = [
+        _smooth_weight(nrm if rows is None else nrm[:, rows], p, q_eff, p / count)
+        for p, rows in blocks
+    ]
+    # before the gradient, which may write over sq, of which nrm may be a view
+    np.add.reduce(nrm, axis=-1, out=sums)
+    # at q = 2 the gradient is weight * diff, else (weight * sq) * diff
+    source = fields if q_eff == 2.0 else sq
+    for (_, rows), weight in zip(blocks, weights):
         if rows is None:
-            grads = grad
-    return grads
+            np.multiply(weight, source, out=sq)
+        else:
+            np.multiply(weight, source[:, rows], out=sq[:, rows])
+    if q_eff != 2.0:
+        np.multiply(sq, fields, out=sq)
+    return sq
 
 
 @dataclass(frozen=True)
 class _Objective:
-    """Log-ratio objective of a stack of cells that share (objective, n, m, k, d).
+    """Log-ratio objective of a stack of cells that differ only in p.
 
-    Such cells declare the same sources and ops on both sides and differ
-    only in p, q and the side scales, so the sources and ops are applied
-    once to every row. Block b holds the members whose ids run from
-    starts[b] to the next start, one per restart of its cell, and its
-    smoothed pieces use its own p, q_eff and scales on its own rows.
+    Such cells share (objective, n, m, k, q, d), so they declare the same
+    sources and ops on both sides and take one q_eff; the sources, the ops
+    and the q-part of each smoothed moment are applied once to every row.
+    Block b holds the members whose ids run from starts[b] to the next
+    start, one per restart of its cell, and its p-part uses its own p and
+    scales on its own rows.
     """
 
     sides: tuple[Side, Side]
     geometry: TorusGeometry
     shape: tuple[int, ...]  # (m,)*n + (d,)
+    q_eff: float
     blocks: tuple[_Block, ...]
     starts: tuple[int, ...]
     # _layout per tuple of member ids; a stack's objective runs on one thread
@@ -236,25 +213,26 @@ class _Objective:
         return box_average_array(self.geometry, vals, range(self.geometry.n), k)
 
     def _layout(self, ids) -> tuple:
-        """(runs, scales) of rows whose member ids are ids, ascending, so each block's rows are
-        contiguous: the _runs of the blocks, and per side None where every block's scale is 1,
-        else the scale of each row."""
+        """(blocks, scales) of rows whose member ids are ids, ascending, so each block's rows are
+        contiguous: (p, rows) per block with rows, as _smooth_group takes them, and per side None
+        where every block's scale is 1, else the scale of each row."""
         key = tuple(ids)
         layout = self.layouts.get(key)
         if layout is not None:
             return layout
         bounds = [0] + [bisect_left(key, start) for start in self.starts[1:]] + [len(key)]
         spans = [(b, lo, hi) for b, lo, hi in zip(self.blocks, bounds, bounds[1:]) if lo < hi]
+        blocks = tuple((b.p, None if len(spans) == 1 else slice(lo, hi)) for b, lo, hi in spans)
         scales = tuple(
             None
             if all(b.scales[which] == 1.0 for b, _, _ in spans)
             else np.concatenate([np.full(hi - lo, b.scales[which]) for b, lo, hi in spans])
             for which in (0, 1)
         )
-        layout = self.layouts[key] = (_runs(spans), scales)
+        layout = self.layouts[key] = (blocks, scales)
         return layout
 
-    def _side_value_grad(self, which: int, vals: np.ndarray, runs: tuple, scale):
+    def _side_value_grad(self, which: int, vals: np.ndarray, blocks: tuple, scale):
         side = self.sides[which]
         nd = side.read(vals, self._average).reshape(vals.shape[:1] + self.shape)
         ops = side.ops
@@ -274,7 +252,7 @@ class _Objective:
                 for op, out in zip(group, fields):
                     op.apply(nd, out=out)
             fields = fields.reshape((len(group), len(vals), -1, nd.shape[-1]))
-            grads = _smooth_group(fields, runs, moments[first : first + len(group)])
+            grads = _smooth_group(fields, self.q_eff, blocks, moments[first : first + len(group)])
             for op, g in zip(group, grads):
                 grad += op.adjoint(g.reshape(shape))
         # every op of a side has fields of one shape, so one count of positions;
@@ -297,9 +275,9 @@ class _Objective:
         block's rows are contiguous. The sides hold one value per row, and
         each member's sides and gradients are bitwise those it gets alone.
         """
-        runs, scales = self._layout(ids)
-        return self._side_value_grad(0, vals, runs, scales[0]) + self._side_value_grad(
-            1, vals, runs, scales[1]
+        blocks, scales = self._layout(ids)
+        return self._side_value_grad(0, vals, blocks, scales[0]) + self._side_value_grad(
+            1, vals, blocks, scales[1]
         )
 
 
@@ -308,21 +286,22 @@ def _stack_objective(
     geometry: TorusGeometry,
     d: int,
     k: int | None,
-    exponents,
+    norm,
+    ps,
     members: int = 1,
 ) -> _Objective:
-    """Objective of one stack: block b is the cell at exponents[b] = (norm, p), with `members` rows."""
+    """Objective of one stack at one norm: block b, of `members` rows, is the cell at p = ps[b]."""
+    norm = as_norm(norm)
     blocks = []
-    for norm, p in exponents:
-        norm = as_norm(norm)
+    for p in ps:
         p = as_exponent(p)
         # the sources and ops depend on (name, n, m, k) only, so every cell declares the same
         sides = inequality_sides(name, geometry, k, p)
-        q_eff = min(float(norm.q), _SUP_SURROGATE_POWER)
         report = partial(_EXACT[name], k=k, norm=norm, p=p)
-        blocks.append(_Block(p, q_eff, (sides[0].scale, sides[1].scale), report))
+        blocks.append(_Block(p, (sides[0].scale, sides[1].scale), report))
     starts = tuple(range(0, members * len(blocks), members))
-    return _Objective(sides, geometry, geometry.shape + (d,), tuple(blocks), starts)
+    q_eff = min(float(norm.q), _SUP_SURROGATE_POWER)
+    return _Objective(sides, geometry, geometry.shape + (d,), q_eff, tuple(blocks), starts)
 
 
 def _project(vals: np.ndarray) -> np.ndarray:
@@ -413,20 +392,21 @@ def _maximize_stack(
     geometry: TorusGeometry,
     d: int,
     k: int | None,
-    exponents,
+    norm,
+    ps,
     cells,
     *,
     restarts: int,
     iterations: int,
     seed: int,
 ) -> list[SearchOutcome]:
-    """Best restart of each cell of one stack, cell b at exponents[b] = (norm, p).
+    """Best restart of each cell of one stack at one norm, cell b at exponent ps[b].
 
     Restart r of cell b draws its start from the stream (seed, cells[b], r);
     all restarts of all cells ascend as one stack, and each cell picks its
     best restart in restart order.
     """
-    obj = _stack_objective(objective, geometry, d, k, exponents, restarts)
+    obj = _stack_objective(objective, geometry, d, k, norm, ps, restarts)
     if any(block.scales[1] == 0.0 for block in obj.blocks):
         # every table is 0/0 there (the approximation ratio at k = 1)
         raise ValueError(f"{objective} has a zero right-hand side on this cell")
@@ -468,20 +448,24 @@ def map_cells(runner, count: int, threads: int) -> list:
 
 
 def _stacks(cells, restarts: int) -> list[list[int]]:
-    """Cell indices cut into runs of consecutive cells that share (objective, n, m, k, d).
+    """Cell indices grouped by (objective, n, m, k, q, d), wherever the cells sit.
 
-    A run grows while its restarts x m^n x d entries, summed over its
-    cells, stay within _STACK_ENTRIES; a cell larger than that is a run alone.
+    Each cell joins the open stack of its key while that stack's restarts x
+    m^n x d entries, summed over its cells, stay within _STACK_ENTRIES, and
+    otherwise opens a new stack for its key; a cell larger than that is a
+    stack alone. Stacks are listed in the order of their first cells.
     """
-    stacks, key, held = [], None, 0
-    for ci, (objective, n, m, k, _, _, d) in enumerate(cells):
+    stacks, open_stacks = [], {}
+    for ci, (objective, n, m, k, _, q, d) in enumerate(cells):
         entries = restarts * m**n * d
-        if (objective, n, m, k, d) == key and held + entries <= _STACK_ENTRIES:
-            stacks[-1].append(ci)
-            held += entries
+        key = (objective, n, m, k, q, d)
+        stack = open_stacks.get(key)
+        if stack is not None and stack[1] + entries <= _STACK_ENTRIES:
+            stack[0].append(ci)
+            stack[1] += entries
         else:
-            stacks.append([ci])
-            key, held = (objective, n, m, k, d), entries
+            open_stacks[key] = [[ci], entries]
+            stacks.append(open_stacks[key][0])
     return stacks
 
 
@@ -499,14 +483,17 @@ def maximize_cells(
 
     def run(si: int) -> list[SearchOutcome]:
         members = stacks[si]
-        objective, n, m, k, _, _, d = cells[members[0]]
-        exponents = [(cells[ci][5], cells[ci][4]) for ci in members]
+        objective, n, m, k, _, q, d = cells[members[0]]
         return _maximize_stack(
-            objective, TorusGeometry(n, m), d, k, exponents, members,
+            objective, TorusGeometry(n, m), d, k, q, [cells[ci][4] for ci in members], members,
             restarts=restarts, iterations=iterations, seed=seed,
         )
 
-    return [out for outs in map_cells(run, len(stacks), threads) for out in outs]
+    outcomes = [None] * len(cells)
+    for members, outs in zip(stacks, map_cells(run, len(stacks), threads)):
+        for ci, out in zip(members, outs):
+            outcomes[ci] = out
+    return outcomes
 
 
 def scan_grid(

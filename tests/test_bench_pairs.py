@@ -1,6 +1,7 @@
-"""tools/bench_pairs.py summarizes paired perfbench runs, end to end and from the detail line."""
+"""tools/bench_pairs.py summarizes paired perfbench runs and records the tree each side measured."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -56,3 +57,73 @@ def test_summary_of_one_pair_repeats_each_value_as_its_quartiles():
     assert out["wall_s"]["quartiles"] == [0.9, 0.9, 0.9]
     assert out["detail.probe_s"]["base_quartiles"] == [0.007, 0.007, 0.007]
     assert out["wall_s"]["pairs_won"] == 1 and out["detail.pass_s"]["pairs_won"] == 0
+
+
+def write_tree(root):
+    """A tree with measured files under src/ and perfbench/, and others beside them."""
+    files = {
+        "src/enflolab/cli.py": b"print('cli')\n",
+        "perfbench/run.py": b"print('run')\n",
+        "perfbench/reference/table.csv.gz": b"\x1f\x8b\x00",
+        "README.md": b"readme\n",
+        "tools/bench_pairs.py": b"tool\n",
+    }
+    for path, data in files.items():
+        (root / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / path).write_bytes(data)
+    return files
+
+
+def test_tree_hash_changes_with_a_measured_byte_only(tmp_path):
+    tool = load_tool()
+    write_tree(tmp_path)
+    # bytecode caches are skipped outside a git checkout
+    (tmp_path / "src/enflolab/__pycache__").mkdir()
+    (tmp_path / "src/enflolab/__pycache__/cli.cpython-311.pyc").write_bytes(b"pyc")
+    files = tool.measured_files(tmp_path)
+    assert files == ["perfbench/reference/table.csv.gz", "perfbench/run.py", "src/enflolab/cli.py"]
+    before = tool.tree_hash(tmp_path, files)
+    # a file outside src/ and perfbench/ is not measured
+    (tmp_path / "README.md").write_bytes(b"Readme\n")
+    (tmp_path / "tools/bench_pairs.py").write_bytes(b"tool, edited\n")
+    assert tool.measured_files(tmp_path) == files
+    assert tool.tree_hash(tmp_path, files) == before
+    # one byte under src/ is
+    (tmp_path / "src/enflolab/cli.py").write_bytes(b"print('clI')\n")
+    assert tool.tree_hash(tmp_path, files) != before
+
+
+def test_snapshot_copies_the_measured_files_and_names_their_tree(tmp_path):
+    tool = load_tool()
+    tree, copy = tmp_path / "tree", tmp_path / "copy"
+    write_tree(tree)
+    copy.mkdir()
+    record = tool.snapshot(tree, copy)
+    files = tool.measured_files(tree)
+    assert tool.measured_files(copy) == files
+    assert record == {"sha256": tool.tree_hash(tree, files), "head": None}
+    assert not (copy / "README.md").exists()
+
+
+def test_a_git_checkout_lists_its_unignored_files_and_its_head(tmp_path):
+    tool = load_tool()
+    write_tree(tmp_path)
+    (tmp_path / ".gitignore").write_text("*.log\n")
+    (tmp_path / "perfbench/run.log").write_text("ignored\n")
+
+    def git(*argv):
+        return subprocess.run(
+            ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t", *argv],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    git("add", "src/enflolab/cli.py", "perfbench/run.py", ".gitignore")
+    git("commit", "-q", "-m", "tree")
+    # tracked files and an untracked one are measured, the ignored log is not
+    assert tool.measured_files(tmp_path) == [
+        "perfbench/reference/table.csv.gz", "perfbench/run.py", "src/enflolab/cli.py"
+    ]
+    assert tool.git_head(tmp_path) == git("rev-parse", "HEAD")
+    # a directory inside the checkout is not the top of one
+    assert tool.git_head(tmp_path / "src") is None

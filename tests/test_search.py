@@ -11,10 +11,8 @@ from enflolab.search import (
     _MAX_BACKTRACKS,
     _SMOOTHING_EPS,
     _STACK_ENTRIES,
-    _Block,
     _ascend,
     _maximize_stack,
-    _runs,
     _smooth_group,
     _stack_objective,
     _stacks,
@@ -49,30 +47,30 @@ def objective_cases(torus=None, cube=None):
     return cases
 
 
-def smooth_blocks(diff, exponents, lead=()):
+def smooth_blocks(diff, q_eff, exponents, lead=()):
     """(values, gradient) of diff, members on its lead axes, through one op's _smooth_group.
 
-    exponents lists one (p, q_eff, rows) per block, its rows consecutive;
-    they fill the lead axes, flattened. Each value is a member's mean
-    smoothed moment, the group's sum over the count of positions, as
+    exponents lists one (p, rows) per block, its rows consecutive; they
+    fill the lead axes, flattened. Each value is a member's mean smoothed
+    moment, the group's sum over the count of positions, as
     _side_value_grad divides it.
     """
     rows = math.prod(lead)
     fields = diff.reshape((1, rows, -1, diff.shape[-1]))
-    spans, first = [], 0
-    for p, q_eff, members in exponents:
-        spans.append((_Block(p, q_eff, (1.0, 1.0), None), first, first + members))
+    blocks, first = [], 0
+    for p, members in exponents:
+        blocks.append((p, None if len(exponents) == 1 else slice(first, first + members)))
         first += members
     assert first == rows
     sums = np.empty((1, rows))
-    grads = _smooth_group(fields, _runs(spans), sums)
+    grads = _smooth_group(fields, q_eff, tuple(blocks), sums)
     assert grads.shape == fields.shape and grads.flags.c_contiguous
     return (sums[0] / fields.shape[2]).reshape(lead), grads.reshape(diff.shape)
 
 
 def smooth_piece(diff, p, q_eff, lead=()):
     """(values, gradient) of diff as one block of members on its lead axes."""
-    return smooth_blocks(diff, [(p, q_eff, math.prod(lead))], lead)
+    return smooth_blocks(diff, q_eff, [(p, math.prod(lead))], lead)
 
 
 def test_q_two_smoothed_piece_is_bitwise_the_general_formula():
@@ -187,13 +185,12 @@ def test_smoothed_piece_is_bitwise_the_oracle_in_fewer_arrays():
                     assert grad.flags.writeable
                     assert not np.shares_memory(grad, diff)
                     # a block of a stack gradient is written into its own rows only: the
-                    # block's rows are 3, between NaN members at another q and at another p
+                    # block's rows are 3, between NaN members at other p of the same q
                     joint = np.full((7,) + diff.shape, np.nan)
                     joint[3] = diff
-                    other, rows = (1.0 if q_eff != 1.0 else 2.0), math.prod(lead)
-                    exponents = [(p, other, 2 * rows), (3.0 - p, q_eff, rows), (p, q_eff, rows)]
-                    exponents.append((p, other, 3 * rows))
-                    value, grad = smooth_blocks(joint, exponents, joint.shape[:1] + lead)
+                    other, rows = (1.0 if p != 1.0 else 2.0), math.prod(lead)
+                    exponents = [(other, 2 * rows), (3.0 - p, rows), (p, rows), (other, 3 * rows)]
+                    value, grad = smooth_blocks(joint, q_eff, exponents, joint.shape[:1] + lead)
                     assert grad[3].tobytes() == want_grad.tobytes()
                     assert np.asarray(value[3]).tobytes() == np.asarray(want_value).tobytes()
                     assert np.isnan(grad[:3]).all() and np.isnan(grad[4:]).all()
@@ -269,7 +266,7 @@ def value_grad_oracle(obj, vals, ids):
             pulled = np.zeros(nd.shape)
             for op in side.ops:
                 diff = op.apply(nd)
-                value, g = smooth_piece_oracle(diff, block.p, block.q_eff, _SMOOTHING_EPS, (len(nd),))
+                value, g = smooth_piece_oracle(diff, block.p, obj.q_eff, _SMOOTHING_EPS, (len(nd),))
                 total[rows] += value
                 pulled += op.adjoint(g)
             total[rows] *= block.scales[which]
@@ -280,11 +277,9 @@ def value_grad_oracle(obj, vals, ids):
 
 
 def test_value_grad_is_bitwise_each_op_and_block_alone(monkeypatch):
-    # the blocks alternate q over {1, 1.5, 2, 3, inf}, in runs of one and of
-    # two blocks, and take p in {1, 1.5, 2}; some members have stopped
-    qs = (1.0, 1.0, 1.5, 2.0, 2.0, 3.0, math.inf, 2.0)
-    ps = (1.0, 1.5, 2.0, 1.5, 2.0, 1.0, 2.0, 1.0)
-    exponents = [(NormSpec(q), p) for q, p in zip(qs, ps)]
+    # each stack takes one q in {1, 1.5, 2, 3, inf}, and its blocks take p in
+    # {1, 1.5, 2}, in runs of one and of two blocks; some members have stopped
+    ps = (1.0, 1.5, 2.0, 2.0, 1.5, 1.0, 1.0, 2.0)
     some = [i for i in range(16) if i % 5 != 3]
     rng = np.random.default_rng(16)
     # n = 2 takes each side as one group: 13 rows of 8^2 x 3 entries give a
@@ -297,16 +292,17 @@ def test_value_grad_is_bitwise_each_op_and_block_alone(monkeypatch):
         for name, _, k in objective_cases():
             torus = INEQUALITY_KINDS[name].torus
             for n, m, ids in stacks if torus else [(3, 2, some)]:
-                for d in (1, 3):
-                    g = TorusGeometry(n, m)
-                    obj = _stack_objective(name, g, d, k, exponents, members=2)
-                    vals = rng.standard_normal((len(ids), g.size, d))
-                    vals[1] *= _SMOOTHING_EPS  # a member at the smoothing scale
-                    got = obj.value_grad(vals, ids)
-                    want = value_grad_oracle(obj, vals, ids)
-                    for a, b in zip(got, want):
-                        assert a.shape == b.shape, (name, n, m, d, cap)
-                        assert a.tobytes() == b.tobytes(), (name, n, m, d, cap)
+                for q in (1.0, 1.5, 2.0, 3.0, math.inf):
+                    for d in (1, 3):
+                        g = TorusGeometry(n, m)
+                        obj = _stack_objective(name, g, d, k, NormSpec(q), ps, members=2)
+                        vals = rng.standard_normal((len(ids), g.size, d))
+                        vals[1] *= _SMOOTHING_EPS  # a member at the smoothing scale
+                        got = obj.value_grad(vals, ids)
+                        want = value_grad_oracle(obj, vals, ids)
+                        for a, b in zip(got, want):
+                            assert a.shape == b.shape, (name, n, m, q, d, cap)
+                            assert a.tobytes() == b.tobytes(), (name, n, m, q, d, cap)
 
 
 def test_op_groups_stack_as_many_fields_as_the_cap_holds():
@@ -329,7 +325,7 @@ def test_op_groups_stack_as_many_fields_as_the_cap_holds():
         (3, 16, 2): [None, None, None],  # 8192: each a group alone
     }
     for (n, m, rows), want in cases.items():
-        obj = _stack_objective("scaled_enflo", TorusGeometry(n, m), 1, None, [(2.0, 2.0)], rows)
+        obj = _stack_objective("scaled_enflo", TorusGeometry(n, m), 1, None, 2.0, [2.0], rows)
         lhs, rhs = obj.sides
         obj = dataclasses.replace(obj, sides=(lhs, rhs._replace(ops=tuple(map(recording, rhs.ops)))))
         vals = np.random.default_rng(17).standard_normal((rows, m**n, 1))
@@ -372,7 +368,7 @@ def gradient_check(objective, f, norm, p, k=None):
     p = as_exponent(p)
     if not p > 1:
         raise ValueError("gradient checks need p above 1")
-    obj = _stack_objective(objective, f.geometry, f.d, k, [(norm, p)])
+    obj = _stack_objective(objective, f.geometry, f.d, k, norm, [p])
     vals = f.values
     if min_diff(obj, vals) < 10.0 * _SMOOTHING_EPS:
         raise ValueError("table has differences at the smoothing scale")
@@ -409,7 +405,7 @@ def test_smoothed_sides_match_the_exact_evaluator(monkeypatch):
     for name, table, k in objective_cases():
         for q in (1.0, 1.5, 2.0):
             for p in (1.0, 1.5, 2.0):
-                obj = _stack_objective(name, table.geometry, table.d, k, [(NormSpec(q), p)])
+                obj = _stack_objective(name, table.geometry, table.d, k, NormSpec(q), [p])
                 lhs, _, rhs, _ = lone(obj, table.values)
                 exact = obj.blocks[0].report(table)
                 assert abs(lhs - exact.lhs) <= 1e-12 * exact.lhs, (name, q, p)
@@ -523,7 +519,7 @@ def test_lockstep_ascent_is_bitwise_each_lone_ascent():
     rng = np.random.default_rng(12)
     for name, f, k in objective_cases(torus, cube):
         for p, q in ((2.0, 2.0), (1.5, math.inf)):
-            obj = _stack_objective(name, f.geometry, f.d, k, [(NormSpec(q), p)])
+            obj = _stack_objective(name, f.geometry, f.d, k, NormSpec(q), [p])
             stack = rng.standard_normal((4,) + f.values.shape)
             # member 1 is pinned, so members 0, 2 and 3 ascend around it
             pinned = np.array([False, True, False, False])
@@ -546,7 +542,7 @@ def test_lockstep_members_stop_at_their_own_iteration():
     # the iteration budget; a large step makes every member backtrack often
     # between accepted steps. Each still matches its lone ascent.
     g = TorusGeometry(1, 4)
-    obj = _stack_objective("scaled_enflo", g, 1, None, [(NormSpec(2.0), 2.0)])
+    obj = _stack_objective("scaled_enflo", g, 1, None, NormSpec(2.0), [2.0])
     stack = np.random.default_rng(13).standard_normal((4, g.size, 1))
     vals, traces, accepted = _ascend(stack, obj.value_grad, 64.0, 200)
     assert len({len(trace) for trace in traces}) == 4
@@ -558,33 +554,35 @@ def test_lockstep_members_stop_at_their_own_iteration():
 
 
 def test_stacked_blocks_ascend_bitwise_as_their_cells_alone():
-    # three cells of one operator set, two members each; member 3 is pinned
+    # three cells of one operator set and one q, two members each; member 3 is pinned
     f = gaussian(2, 8, 2, seed=14)
-    exponents = [(NormSpec(1.0), 1.0), (NormSpec(2.0), 1.5), (NormSpec(math.inf), 2.0)]
-    obj = _stack_objective("smoothing", f.geometry, f.d, 3, exponents, members=2)
-    assert obj.starts == (0, 2, 4)
-    stack = np.random.default_rng(15).standard_normal((6,) + f.values.shape)
+    ps = (1.0, 1.5, 2.0)
     pinned = np.array([False, False, False, True, False, False])
-    vals, traces, accepted = _ascend(stack, pinned_at_start(obj.value_grad, pinned), 0.5, 6)
-    for r in range(6):
-        norm, p = exponents[r // 2]
-        alone = _stack_objective("smoothing", f.geometry, f.d, 3, [(norm, p)])
-        want = lone_ascent(stack[r], pinned_at_start(alone.value_grad, pinned[r : r + 1]), 0.5, 6)
-        assert vals[r].tobytes() == want[0].tobytes(), r
-        assert traces[r] == want[1] and accepted[r] == want[2], r
-    assert accepted[3] == 0 and min(accepted[:3] + accepted[4:]) > 0
+    for q in (1.0, 2.0, math.inf):
+        obj = _stack_objective("smoothing", f.geometry, f.d, 3, NormSpec(q), ps, members=2)
+        assert obj.starts == (0, 2, 4)
+        stack = np.random.default_rng(15).standard_normal((6,) + f.values.shape)
+        vals, traces, accepted = _ascend(stack, pinned_at_start(obj.value_grad, pinned), 0.5, 6)
+        for r in range(6):
+            alone = _stack_objective("smoothing", f.geometry, f.d, 3, NormSpec(q), [ps[r // 2]])
+            value_grad = pinned_at_start(alone.value_grad, pinned[r : r + 1])
+            want = lone_ascent(stack[r], value_grad, 0.5, 6)
+            assert vals[r].tobytes() == want[0].tobytes(), (q, r)
+            assert traces[r] == want[1] and accepted[r] == want[2], (q, r)
+        assert accepted[3] == 0 and min(accepted[:3] + accepted[4:]) > 0, q
 
 
 def test_stacks_are_capped_runs_of_one_operator_set():
     def cell(objective="smoothing", n=2, m=8, k=3, p=2.0, q=2.0, d=1):
         return (objective, n, m, k, p, q, d)
 
-    # 2 restarts x 64 entries per cell
-    cells = [cell(p=1.5), cell(), cell(q=1.0), cell(d=2), cell(d=2, p=1.5), cell(k=1)]
-    assert _stacks(cells, 2) == [[0, 1, 2], [3, 4], [5]]
-    other = [cell(objective="approximation"), cell(n=1), cell(m=12), cell()]
-    assert _stacks(other, 2) == [[0], [1], [2], [3]]
-    # at 64 restarts a cell holds 4096 entries, half the cap, so a run holds two such cells
+    # 2 restarts x 64 entries per cell; the cells at q = 1 and at d = 2 sit
+    # between those they stack with
+    cells = [cell(p=1.5), cell(q=1.0), cell(d=2), cell(), cell(d=2, p=1.5), cell(k=1), cell(q=1.0)]
+    assert _stacks(cells, 2) == [[0, 3], [1, 6], [2, 4], [5]]
+    other = [cell(objective="approximation"), cell(n=1), cell(m=12), cell(q=math.inf), cell()]
+    assert _stacks(other, 2) == [[0], [1], [2], [3], [4]]
+    # at 64 restarts a cell holds 4096 entries, half the cap, so a stack holds two such cells
     full = _STACK_ENTRIES // 2 // 64
     assert _stacks([cell()] * 5, full) == [[0, 1], [2, 3], [4]]
     assert _stacks([cell()] * 3, full + 1) == [[0], [1], [2]]
@@ -610,7 +608,7 @@ def test_trace_is_nondecreasing():
 
 def test_smoothed_objective_ignores_added_constants():
     g = TorusGeometry(2, 8)
-    obj = _stack_objective("scaled_enflo", g, 2, None, [(NormSpec(2.0), 2.0)])
+    obj = _stack_objective("scaled_enflo", g, 2, None, NormSpec(2.0), [2.0])
     f = gaussian(2, 8, 2, seed=7)
     lifted = f.values + np.array([3.0, -11.0])
     a = lone(obj, f.values)
@@ -622,7 +620,7 @@ def test_smoothed_objective_ignores_added_constants():
 def test_gradients_vanish_along_constant_shifts():
     torus, cube = gaussian(2, 8, 2, seed=8), gaussian(3, 2, 2, seed=9)
     for name, f, k in objective_cases(torus, cube):
-        obj = _stack_objective(name, f.geometry, f.d, k, [(NormSpec(2.0), 2.0)])
+        obj = _stack_objective(name, f.geometry, f.d, k, NormSpec(2.0), [2.0])
         _, glhs, _, grhs = lone(obj, f.values)
         assert np.abs(glhs.mean(axis=0)).max() < 1e-10
         assert np.abs(grhs.mean(axis=0)).max() < 1e-10
@@ -661,7 +659,7 @@ def test_maximize_cells_is_each_cell_ascended_alone_on_its_stream():
         assert len(outcomes) == len(cells)
         for i, (cell, out) in enumerate(zip(cells, outcomes)):
             objective, n, m, k, p, q, d = cell
-            alone = _maximize_stack(objective, TorusGeometry(n, m), d, k, [(q, p)], [i], **knobs)[0]
+            alone = _maximize_stack(objective, TorusGeometry(n, m), d, k, q, [p], [i], **knobs)[0]
             assert_same_outcome(out, alone)
             report = out.report
             assert (report.evaluator, report.n, report.m, report.k, report.d) == (
@@ -678,9 +676,10 @@ def test_stacked_cells_are_each_their_one_cell_stack():
     # 2 restarts x 16^3 x 2 entries are past the cap, so each of these is a stack alone
     cells += [("scaled_enflo", 3, 16, None, p, 2.0, 2) for p in (1.5, 2.0)]
     knobs = dict(restarts=2, iterations=8, seed=6)
-    assert _stacks(cells, 2) == [list(range(9)), [9, 10], [11], [12]]
+    # each q's cells sit three apart
+    assert _stacks(cells, 2) == [[0, 3, 6], [1, 4, 7], [2, 5, 8], [9, 10], [11], [12]]
     alone = [
-        _maximize_stack(objective, TorusGeometry(n, m), d, k, [(q, p)], [i], **knobs)[0]
+        _maximize_stack(objective, TorusGeometry(n, m), d, k, q, [p], [i], **knobs)[0]
         for i, (objective, n, m, k, p, q, d) in enumerate(cells)
     ]
     for threads in (1, 2):
@@ -691,6 +690,37 @@ def test_stacked_cells_are_each_their_one_cell_stack():
             assert out.report == want.report, (cell, threads)
             assert out.trace == want.trace and out.accepted_steps == want.accepted_steps
             assert (out.report.evaluator, out.report.p, out.report.q) == (cell[0], cell[4], cell[5])
+
+
+def test_cells_in_search_order_stack_by_key_wherever_they_sit():
+    # the CLI's row order, d fastest: cell 6 p + 2 q + d, so each
+    # (q, d) key's cells sit six apart
+    ps, qs, ds = (1.0, 1.5, 2.0), (1.0, 2.0, math.inf), (1, 3)
+    cells = [("smoothing", 2, 8, 3, p, q, d) for p in ps for q in qs for d in ds]
+    # 16 restarts x 8^2 x d entries: a d = 1 cell holds 1024, so its key's three
+    # cells share a stack; a d = 3 cell holds 3072, so its key's stack fills at
+    # two cells and its third cell opens a new one while the d = 1 stacks,
+    # opened before, stay open for theirs
+    restarts = 16
+    assert 3 * restarts * 64 <= _STACK_ENTRIES < 3 * restarts * 192 <= 2 * _STACK_ENTRIES
+    stacks = _stacks(cells, restarts)
+    assert stacks == [
+        [0, 6, 12], [1, 7], [2, 8, 14], [3, 9], [4, 10, 16], [5, 11], [13], [15], [17]
+    ]
+    for stack in stacks:
+        assert len({cells[ci][:4] + cells[ci][5:] for ci in stack}) == 1
+    knobs = dict(restarts=restarts, iterations=3, seed=2)
+    alone = [
+        _maximize_stack(objective, TorusGeometry(n, m), d, k, q, [p], [i], **knobs)[0]
+        for i, (objective, n, m, k, p, q, d) in enumerate(cells)
+    ]
+    for threads in (1, 2):
+        outcomes = maximize_cells(cells, **knobs, threads=threads)
+        assert len(outcomes) == len(cells)
+        for cell, out, want in zip(cells, outcomes, alone):
+            assert (out.report.p, out.report.q, out.report.d) == cell[4:]
+            assert_same_outcome(out, want)
+            assert out.table.values.tobytes() == want.table.values.tobytes(), (cell, threads)
 
 
 def test_maximize_validation():
