@@ -1,19 +1,19 @@
 """Uniform averaging over structured offset sets on the discrete torus.
 
-Two support families are built here. An even box restricted to a coordinate
-set holds the offsets that are zero off that set, even in every coordinate,
-and of sup-norm length strictly below the radius k; it has exactly k^|axes|
-points. A parity shell for one axis holds the offsets that are even in that
-axis, odd in every other, and of sup-norm length at most k; it has exactly
-k (k+1)^(n-1) points. Both are coordinate product sets, so averaging against
-them factors into one-dimensional circular window sums over the stride-2
-parity subcircles of each coordinate. The separable paths below exploit that
-and cost O(#axes * m^n * d * log k), since a window sum of width k takes
-O(log k) adds, versus the k^n taps of the naive stencil. Each axis pass is
-one strided window_sums call on the row-major array itself: an offset of 2
-along a grid axis is a fixed stride along rows that hold that axis and
-every axis after it, so neither parity needs its own copy, and leading
-batch axes of a (..., m^n, d) stack simply add rows.
+Every support here is a product of per-axis windows, declared one per
+axis: None holds the axis at 0, the even window is {0, +-2, ..., +-(k-1)}
+(k points) and the odd window {+-1, +-3, ..., +-k} (k + 1 points), mod m.
+An even box on a coordinate set takes the even window there and 0
+elsewhere, k^|axes| points; a parity shell for one axis takes the even
+window there and the odd one elsewhere, k (k+1)^(n-1) points.
+So averaging against either factors into one-dimensional circular window
+sums over the stride-2 parity subcircles of each coordinate. The separable
+paths below exploit that and cost O(#axes * m^n * d * log k), since a
+window sum of width k takes O(log k) adds, versus the k^n taps of the naive
+stencil. Each axis pass is one strided window_sums call on the row-major
+array itself: an offset of 2 along a grid axis is a fixed stride along rows
+that hold that axis and every axis after it, so neither parity needs its
+own copy, and leading batch axes of a (..., m^n, d) stack simply add rows.
 
 Averaging against a probability measure fixes constant tables; constant
 inputs are returned unchanged so that property holds exactly in floating
@@ -25,9 +25,9 @@ rather than copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -55,25 +55,23 @@ def check_radius(k: int, m: int) -> None:
         raise ValueError("radius k must satisfy k < m/2")
 
 
-def _even_axis_values(m: int, k: int) -> list[int]:
-    # even residues of cycle distance < k, i.e. {0, +-2, ..., +-(k-1)}
-    reach = range(-(k - 1), k, 2)
-    return sorted({z % m for z in reach})
-
-
-def _odd_axis_values(m: int, k: int) -> list[int]:
-    # odd residues of cycle distance <= k, i.e. {+-1, +-3, ..., +-k}
-    reach = [s * v for v in range(1, k + 1, 2) for s in (1, -1)]
+def _axis_values(m: int, k: int, odd: bool) -> list[int]:
+    """Sorted residues of an axis window: odd ones of cycle distance <= k, else even ones < k."""
+    reach = range(-k, k + 1, 2) if odd else range(1 - k, k, 2)
     return sorted({z % m for z in reach})
 
 
 @dataclass(frozen=True, eq=False)
 class SupportSet:
-    """An explicit offset set carrying the uniform probability measure."""
+    """An explicit offset set carrying the uniform probability measure, 1/count per offset.
+
+    The builders below list the offsets of a window product in
+    itertools.product order over the axes, each axis's residues sorted;
+    gather_mean sums the taps in that order.
+    """
 
     geometry: TorusGeometry
     offsets: np.ndarray
-    weight: Fraction
 
     def __post_init__(self) -> None:
         offs = np.asarray(self.offsets, dtype=np.int64) % self.geometry.m
@@ -85,8 +83,6 @@ class SupportSet:
         negated = {tuple(row) for row in (-offs % self.geometry.m).tolist()}
         if negated != rows:
             raise ValueError("support must be symmetric under negation mod m")
-        if self.weight * offs.shape[0] != 1:
-            raise ValueError("weight must be exactly 1/count")
         offs = offs.copy()
         offs.setflags(write=False)
         object.__setattr__(self, "offsets", offs)
@@ -120,39 +116,26 @@ def _normalize_axes(geometry: TorusGeometry, axes) -> tuple[int, ...]:
 
 def build_even_box(geometry: TorusGeometry, axes, k: int) -> SupportSet:
     """Even box support on the given axes with sup-norm radius below k."""
-    return _cached_even_box(geometry, _normalize_axes(geometry, axes), k)
-
-
-@lru_cache(maxsize=None)
-def _cached_even_box(geometry: TorusGeometry, axes: tuple[int, ...], k: int) -> SupportSet:
-    check_radius(k, geometry.m)
-    per_axis = [
-        _even_axis_values(geometry.m, k) if a in axes else [0]
-        for a in range(geometry.n)
-    ]
-    offsets = np.array(list(product(*per_axis)), dtype=np.int64)
-    assert offsets.shape[0] == k ** len(axes)
-    return SupportSet(geometry, offsets, Fraction(1, offsets.shape[0]))
+    axes = _normalize_axes(geometry, axes)
+    return _support(geometry, k, tuple(False if a in axes else None for a in range(geometry.n)))
 
 
 def build_parity_shell(geometry: TorusGeometry, axis: int, k: int) -> SupportSet:
     """Parity shell support: even in the given axis, odd elsewhere, length <= k."""
     if not 0 <= axis < geometry.n:
         raise ValueError("axis out of range")
-    return _cached_parity_shell(geometry, int(axis), k)
+    # odd k: even residues of distance <= k coincide with those of distance < k
+    return _support(geometry, k, tuple(a != int(axis) for a in range(geometry.n)))
 
 
 @lru_cache(maxsize=None)
-def _cached_parity_shell(geometry: TorusGeometry, axis: int, k: int) -> SupportSet:
+def _support(geometry: TorusGeometry, k: int, windows: tuple[bool | None, ...]) -> SupportSet:
+    """The product of one window per axis: None holds it at 0, False is even, True odd."""
     check_radius(k, geometry.m)
-    # odd k: even residues of distance <= k coincide with those of distance < k
-    per_axis = [
-        _even_axis_values(geometry.m, k) if a == axis else _odd_axis_values(geometry.m, k)
-        for a in range(geometry.n)
-    ]
+    per_axis = [[0] if odd is None else _axis_values(geometry.m, k, odd) for odd in windows]
     offsets = np.array(list(product(*per_axis)), dtype=np.int64)
-    assert offsets.shape[0] == k * (k + 1) ** (geometry.n - 1)
-    return SupportSet(geometry, offsets, Fraction(1, offsets.shape[0]))
+    assert offsets.shape[0] == prod(k + odd for odd in windows if odd is not None)
+    return SupportSet(geometry, offsets)
 
 
 def _is_constant(values: np.ndarray) -> np.ndarray:
@@ -203,23 +186,33 @@ def _axis_window_pass(
     return sums.reshape(values.shape)
 
 
+def _window_passes(values: np.ndarray, geometry: TorusGeometry, k: int, passes, taps: int):
+    """Average of a (..., m^n, d) stack over a window product, or None where it fixes every member.
+
+    passes yields the product's (axis, odd) windows in the order they run,
+    and taps is its size; a product of one tap is the zero offset alone.
+    """
+    if taps == 1:
+        return None
+    constant = _is_constant(values)
+    # one reduction where no member is constant, the common case
+    any_constant = constant.any()
+    if any_constant and constant.all():
+        return None
+    out = values
+    for axis, odd in passes:
+        out = _axis_window_pass(out, geometry, axis, k, odd)
+    out /= float(taps)
+    if any_constant:
+        out[constant] = values[constant]
+    return out
+
+
 def _separable_box(values: np.ndarray, geometry: TorusGeometry, axes, k: int):
     """Even-box average of a (..., m^n, d) stack, or None where it fixes every member."""
     axes = _normalize_axes(geometry, axes)
     check_radius(k, geometry.m)
-    if k == 1 or not axes:
-        # the radius-1 box is the single zero offset
-        return None
-    constant = _is_constant(values)
-    if np.all(constant):
-        return None
-    out = values
-    for axis in axes:
-        out = _axis_window_pass(out, geometry, axis, k, odd_window=False)
-    out /= float(k ** len(axes))
-    if np.any(constant):
-        out[constant] = values[constant]
-    return out
+    return _window_passes(values, geometry, k, ((a, False) for a in axes), k ** len(axes))
 
 
 def convolve_box_separable(f: FunctionTable, axes, k: int) -> FunctionTable:
@@ -229,20 +222,15 @@ def convolve_box_separable(f: FunctionTable, axes, k: int) -> FunctionTable:
 
 
 def convolve_shell_separable(f: FunctionTable, axis: int, k: int) -> FunctionTable:
-    """Parity-shell average computed as one window pass per axis."""
+    """Parity-shell average computed as one window pass per axis, its own axis first."""
     g = f.geometry
     if not 0 <= axis < g.n:
         raise ValueError("axis out of range")
     check_radius(k, g.m)
-    if _is_constant(f.values):
-        return f
-    vals = f.values
-    if k > 1:  # the width-1 even window is the identity
-        vals = _axis_window_pass(vals, g, axis, k, odd_window=False)
-    for other in range(g.n):
-        if other != axis:
-            vals = _axis_window_pass(vals, g, other, k, odd_window=True)
-    return FunctionTable._adopt(g, vals / float(k * (k + 1) ** (g.n - 1)))
+    # its own axis first; at k = 1 its width-1 even window is the identity
+    passes = ((axis, False),) * (k > 1) + tuple((a, True) for a in range(g.n) if a != axis)
+    out = _window_passes(f.values, g, k, passes, k * (k + 1) ** (g.n - 1))
+    return f if out is None else FunctionTable._adopt(g, out)
 
 
 def box_average(f: FunctionTable, axes, k: int) -> FunctionTable:

@@ -114,21 +114,17 @@ def _cell_entries(
 
     work is a command or a search objective. A table holds m^n d entries; the
     diagonal moment of smoothing, which check-lemmas also runs, is counted as
-    2^n fields of that size, though it computes only the 2^(n-1) fields of
-    diagonal_differences: the rule over-counts it twice, and keeps refusing
-    the cells it refused when the moment summed all 2^n. Pisier's sign
+    2^n fields of that size, one per diagonal increment, which bounds the
+    2^(n-1) fields of diagonal_differences that carry them all. Pisier's sign
     combinations hold 4^n d. An identity fit holds its impulse system of
     P = (n+1)(n+2)/2 scalar columns, and its SVD three more copies of them
     (numpy's copy of the input for LAPACK, LAPACK's u and the returned u),
     plus the targets and a few scratch tables: 4P + 4 tables. One fit's
     peak resident growth measured 4P tables at n = 2..5 on grids of 2^18
-    to 2^19 entries (2-core Xeon, numpy 2.4). The 2^n + P tables of the fit
-    that held 2^n complement averages exceed 4P + 4 only from n = 7 on, and
-    there, at every even m >= 4, both counts refuse or both pass; so the
-    count of 4P + 4 tables gives that rule's verdicts. The computed count, 3^n
-    tables, one shifted difference per subset and sign pattern, is now an
-    over-count: the fit adds one slice of m^(n-i) entries per subset of size
-    i < n and point of {-k, +k}^i, (m+2)^n - 2^n entries in all. The replay
+    to 2^19 entries (2-core Xeon, numpy 2.4). The computed count, 3^n
+    tables, one shifted difference per subset and sign pattern, bounds the
+    fit's adds: one slice of m^(n-i) entries per subset of size i < n and
+    point of {-k, +k}^i, (m+2)^n - 2^n entries in all. The replay
     holds one batch of samples, the rows of one table of at most 2^17
     entries (one sample's m^n when that is larger), plus the tap indices of
     one average read by gather_mean, which are fewer than the batch table's

@@ -235,6 +235,14 @@ def test_radius_one_box_is_identity_exactly():
     assert np.array_equal(box_average(f, [], 3).values, f.values)
 
 
+def test_radius_one_shell_at_n1_is_its_input():
+    # the shell's one window is the width-1 even window, the zero offset
+    f = random_table(1, 8, 3, seed=10)
+    out = convolve_shell_separable(f, 0, 1)
+    assert out is f
+    assert out.values.tobytes() == f.values.tobytes()
+
+
 def test_box_average_array_matches_table_path():
     g = TorusGeometry(2, 8)
     f = random_table(2, 8, 2, seed=11)

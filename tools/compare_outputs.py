@@ -17,11 +17,12 @@ the same such files, and both must return the same exit code. The tool
 prints one line per workload and seed and every difference it finds, then
 one more line per workload and seed with the number of numeric
 ``report.csv`` cells that differ, their largest relative difference and
-their columns, and the number and columns of the differing cells that are
+their columns, the number and columns of the differing cells that are
 not numbers on both sides (a flag that flips, a number that becomes
-empty), and last one line per workload with the number of configs that
-differ. It exits 1 if there is any difference, and writes only to a
-temporary directory.
+empty), and the rows and named columns that only one side has; cells are
+matched by row and by column name. Last comes one line per workload with
+the number of configs that differ. It exits 1 if there is any
+difference, and writes only to a temporary directory.
 """
 
 from __future__ import annotations
@@ -88,24 +89,36 @@ def differences(base_out: Path, out: Path) -> list[str]:
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
-def cell_gaps(base_out: Path, out: Path) -> tuple[Counter, float, Counter]:
-    """report.csv cells that differ between two runs.
+def cell_gaps(base_out: Path, out: Path) -> tuple[Counter, float, Counter, Counter]:
+    """report.csv cells that differ between two runs, matched by row and column name.
 
     Returns the differing numeric cells per column, their largest relative
-    gap, and the differing cells per column that are not numbers on both
-    sides.
+    gap, the differing cells per column that are not numbers on both
+    sides, and what only one side has: "added rows" and "dropped rows"
+    count the rows past the other side's last, and "reports adding column
+    NAME" and "reports dropping column NAME" count a header that gained or
+    lost that column. Added means only the second run has it.
     """
-    numeric, worst, other = Counter(), 0.0, Counter()
+    numeric, worst, other, one_sided = Counter(), 0.0, Counter(), Counter()
     tables = []
     for run in (base_out, out):
         path = run / "report.csv"
         if not path.is_file():
-            return numeric, worst, other
+            return numeric, worst, other, one_sided
         with open(path, newline="") as fh:
-            tables.append(list(csv.reader(fh)))
-    header = tables[0][0] if tables[0] else []
-    for row_a, row_b in zip(tables[0][1:], tables[1][1:]):
-        for name, a, b in zip(header, row_a, row_b):
+            lines = list(csv.reader(fh))
+        header = lines[0] if lines else []
+        tables.append((header, [dict(zip(header, row)) for row in lines[1:]]))
+    (header_a, rows_a), (header_b, rows_b) = tables
+    for verb, names, others in (("adding", header_b, header_a), ("dropping", header_a, header_b)):
+        one_sided.update(f"reports {verb} column {name}" for name in names if name not in others)
+    extra = len(rows_b) - len(rows_a)
+    if extra:
+        one_sided["added rows" if extra > 0 else "dropped rows"] = abs(extra)
+    shared = [name for name in header_a if name in header_b]
+    for row_a, row_b in zip(rows_a, rows_b):
+        for name in shared:
+            a, b = row_a.get(name, ""), row_b.get(name, "")
             if a == b:
                 continue
             try:
@@ -121,7 +134,7 @@ def cell_gaps(base_out: Path, out: Path) -> tuple[Counter, float, Counter]:
                 gap = math.inf
             numeric[name] += 1
             worst = max(worst, gap)
-    return numeric, worst, other
+    return numeric, worst, other, one_sided
 
 
 def main(argv=None) -> int:
@@ -164,7 +177,7 @@ def main(argv=None) -> int:
                 jobs = [[p, str(o)] for p, o in zip(paths, outs[side])]
                 codes[side] = run_tree(tree, jobs, scratch / f"{side}-{tag}.jobs.json", env)
             found, files = [], 0
-            numeric, worst, other = Counter(), 0.0, Counter()
+            numeric, worst, other, one_sided = Counter(), 0.0, Counter(), Counter()
             tally = differing.setdefault(workload, [0, 0])
             for i, (a, b) in enumerate(zip(outs[first], outs[second])):
                 before = len(found)
@@ -174,18 +187,21 @@ def main(argv=None) -> int:
                 tally[0] += len(found) > before
                 tally[1] += 1
                 files += len(compared_files(b))
-                counts, gap, others = cell_gaps(a, b)
+                counts, gap, others, sided = cell_gaps(a, b)
                 numeric, worst, other = numeric + counts, max(worst, gap), other + others
+                one_sided += sided
             status = "identical" if not found else f"{len(found)} differences"
             print(f"{workload} seed {seed}: {len(paths)} configs, {files} files, {status}")
             for line in found:
                 print(f"  {line}")
             where = f" in {', '.join(sorted(numeric))}" if numeric else ""
             elsewhere = f" in {', '.join(sorted(other))}" if other else ""
+            lone = ", ".join(f"{count} {what}" for what, count in sorted(one_sided.items()))
             print(
                 f"{workload} seed {seed}: {sum(numeric.values())} numeric cells differ, "
                 f"largest relative difference {worst:.2g}{where}; "
-                f"{sum(other.values())} non-numeric cells differ{elsewhere}"
+                f"{sum(other.values())} non-numeric cells differ{elsewhere}; "
+                f"on one side only: {lone or 'no row or column'}"
             )
             failed = failed or bool(found)
     for workload, (count, total) in differing.items():
